@@ -28,7 +28,7 @@ from .covers import (
     full_local_degree,
     kernel_profile,
 )
-from .errors import IncompleteLocalData, SearchExhausted, ValidationError
+from .errors import IncompleteLocalData, InvariantError, SearchExhausted, ValidationError
 from .extensions import (
     AbExt,
     build_extension,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 
 
 @dataclass(frozen=True, order=True)
@@ -167,6 +168,12 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, values in {-1, 0, 1}."""
     if p == 2 or not is_prime(p):
         raise ValidationError(f"legendre needs an odd prime, got {p}")
+    return _legendre_unchecked(a, p)
+
+
+def _legendre_unchecked(a: int, p: int) -> int:
+    """Legendre symbol (a|p) by Euler's criterion, for a p the caller has
+    already proved to be an odd prime (a place of Q, say)."""
     a %= p
     if a == 0:
         return 0
@@ -180,13 +187,15 @@ class PrimeField:
 
     The fixed primitive n-th root of unity is zeta = g^((q-1)/n) for g the
     smallest primitive root mod q; discrete logs of elements of mu_n are
-    taken base zeta throughout.
+    taken base zeta throughout.  The primitive root is computed once per
+    instance; `prime_field` keeps one instance per q.
     """
 
     def __init__(self, q: int):
         if not is_prime(q):
             raise ValidationError(f"{q} is not prime")
         self.q = q
+        self._root: int | None = None
 
     def mul_order(self, a: int) -> int:
         a %= self.q
@@ -200,14 +209,20 @@ class PrimeField:
         return order
 
     def primitive_root(self) -> int:
+        if self._root is None:
+            self._root = self._find_primitive_root()
+        return self._root
+
+    def _find_primitive_root(self) -> int:
         q = self.q
         if q == 2:
             return 1
         group = q - 1
+        primes = list(factorize(group))
         for g in range(2, q):
-            if all(pow(g, group // p, q) != 1 for p in factorize(group)):
+            if all(pow(g, group // p, q) != 1 for p in primes):
                 return g
-        raise AssertionError("no primitive root found")
+        raise InvariantError(f"no primitive root found mod {q}")
 
     def nth_root_of_unity(self, n: int) -> int:
         if (self.q - 1) % n != 0:
@@ -238,6 +253,12 @@ class PrimeField:
         return self.mul_order(pow(a, (self.q - 1) // n, self.q)) if n > 1 else 1
 
 
+@lru_cache(maxsize=None)
+def prime_field(q: int) -> PrimeField:
+    """The one shared PrimeField for q (validated on first use)."""
+    return PrimeField(q)
+
+
 def power_class_order(a: int, q: int, n: int) -> int:
     """Convenience wrapper over PrimeField.power_class_order."""
-    return PrimeField(q).power_class_order(a, n)
+    return prime_field(q).power_class_order(a, n)

@@ -27,7 +27,7 @@ from .brauer import (
     splits,
 )
 from .covers import bound_report, build_cover, check_Bm, check_cor210
-from .errors import SearchExhausted, ValidationError
+from .errors import InvariantError, SearchExhausted, ValidationError
 from .extensions import (
     find_places_with_frobenius,
     is_real_field,
@@ -495,6 +495,8 @@ def main(argv=None) -> int:
         payload, code = args.func(args)
     except ValidationError as exc:
         payload, code = {"error": "invalid-input", "detail": str(exc)}, 2
+    except InvariantError as exc:
+        payload, code = {"error": "invariant-violated", "detail": str(exc)}, 1
     except SearchExhausted as exc:
         payload = {"error": "search-exhausted", "detail": str(exc)}
         if exc.partial:

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Optional
 
-from .arith import PrimeField, is_squarefree
+from .arith import is_squarefree, prime_field
 from .errors import ValidationError
 from .extensions import (
     AbExt,
@@ -139,7 +139,7 @@ def candidate_radicands(base, bound: int) -> list:
             if is_squarefree(a):
                 pool.extend((a, -a))
         return pool
-    pool = [fqt_const(base.q, PrimeField(base.q).primitive_root())]
+    pool = [fqt_const(base.q, prime_field(base.q).primitive_root())]
     for d in range(1, bound + 1):
         for coeffs in monic_irreducibles(base.q, d):
             pool.append(fqt_from_factors(base.q, 1, [(coeffs, 1)]))

@@ -1,4 +1,12 @@
-"""Shared exception types; the CLI maps these to exit codes."""
+"""Shared exception types; the CLI maps these to exit codes.
+
+ValidationError     exit 2: malformed or out-of-contract input.
+InvariantError      exit 1, {"error": "invariant-violated"}: a mathematical
+                    invariant of the computation failed, which is a bug,
+                    not bad input.  It is raised explicitly, never through
+                    `assert`, so it still fires under `python -O`.
+SearchExhausted     exit 3: a bounded search ran out.
+"""
 
 
 class ValidationError(ValueError):
@@ -7,6 +15,10 @@ class ValidationError(ValueError):
 
 class IncompleteLocalData(ValidationError):
     """A local-degree map is missing a support place and was not flagged complete."""
+
+
+class InvariantError(RuntimeError):
+    """A mathematical invariant failed to hold (CLI exit code 1)."""
 
 
 class SearchExhausted(RuntimeError):

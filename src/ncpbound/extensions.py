@@ -26,15 +26,15 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .arith import (
-    PrimeField,
+    _legendre_unchecked,
     factorize,
     is_squarefree,
-    legendre,
     mul_order_mod,
+    prime_field,
     squarefree_part,
     vp,
 )
-from .errors import SearchExhausted, ValidationError
+from .errors import InvariantError, SearchExhausted, ValidationError
 from .fields import (
     QQ,
     BaseField,
@@ -95,7 +95,7 @@ class AbExt:
                 orders.append(o)
             orders = tuple(orders)
         object.__setattr__(self, "orders", orders)
-        for e in itertools.product(*[range(o) for o in orders]):
+        for e in _exponent_tuples(orders):
             if any(e) and self._is_power(e):
                 raise ValidationError(f"radicand classes are dependent at exponents {e}")
 
@@ -138,12 +138,19 @@ def build_extension(base: BaseField, n: int, radicands) -> AbExt:
 
 
 def w_exponents(M: AbExt) -> tuple:
-    return tuple(itertools.product(*[range(o) for o in M.orders]))
+    return _exponent_tuples(M.orders)
 
 
 def galois_group(M: AbExt) -> tuple:
-    axes = [range(0, M.n, M.n // o) for o in M.orders]
-    return tuple(itertools.product(*axes))
+    return _gal_elements(M.n, M.orders)
+
+
+def _exponent_tuples(orders) -> tuple:
+    return tuple(itertools.product(*[range(o) for o in orders]))
+
+
+def _gal_elements(n: int, orders) -> tuple:
+    return tuple(itertools.product(*[range(0, n, n // o) for o in orders]))
 
 
 def gal_identity(M: AbExt) -> tuple:
@@ -152,7 +159,11 @@ def gal_identity(M: AbExt) -> tuple:
 
 def pairing(M: AbExt, sigma, exps) -> int:
     """dlog of the root of unity by which sigma moves the W-element of exps."""
-    return sum(s * e for s, e in zip(sigma, exps)) % M.n
+    return _pair(M.n, sigma, exps)
+
+
+def _pair(n: int, sigma, exps) -> int:
+    return sum(s * e for s, e in zip(sigma, exps)) % n
 
 
 def sigma_order(M: AbExt, sigma) -> int:
@@ -260,7 +271,7 @@ def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
         for f in M.radicands:
             v = vp(f, p)
             u = f // p**v
-            imgs.append((v % 2, 0 if legendre(u, p) == 1 else 1))
+            imgs.append((v % 2, 0 if _legendre_unchecked(u, p) == 1 else 1))
         return LocalClassGroup((2, 2), tuple(imgs), ((0, 1),), 1)
     # tame place of F_q(t); n | N(P) - 1 always holds since n | q - 1
     imgs = []
@@ -295,32 +306,47 @@ class LocalData:
 
 @lru_cache(maxsize=None)
 def local_data(M: AbExt, place: Place) -> LocalData:
+    """Splitting data of M at a place: the place's local class-group image,
+    then the place-free splitting that image determines."""
     if place.base != M.base:
         raise ValidationError("place and extension live over different fields")
     G = local_class_group(M, place)
-    exps = w_exponents(M)
+    return LocalData(place, *_splitting(M.n, M.orders, G))
+
+
+@lru_cache(maxsize=None)
+def _splitting(n: int, orders: tuple, G: LocalClassGroup) -> tuple:
+    """(degree, e, f, D, I, Frobenius) for an extension of exponent n with
+    Galois group prod Z/orders and local class-group image G.
+
+    D, I and the Frobenius are annihilators and characters of kernels of G,
+    so they depend on (n, orders, G) alone and not on the place or the
+    radicands: one extension has at most as many entries as its radicands
+    have distinct local images (7 for Q(sqrt 3, sqrt -7) over all primes).
+    """
+    exps = _exponent_tuples(orders)
     zero = (0,) * len(G.moduli)
     unram = G.unram_subgroup()
+    image = {e: G.image_of(e) for e in exps}
+    ker_d = [e for e in exps if image[e] == zero]
+    ker_i = [e for e in exps if image[e] in unram]
 
-    ker_d = [e for e in exps if G.image_of(e) == zero]
-    ker_i = [e for e in exps if G.image_of(e) in unram]
-
-    gal = galois_group(M)
-    D = tuple(s for s in gal if all(pairing(M, s, e) == 0 for e in ker_d))
-    I = tuple(s for s in D if all(pairing(M, s, e) == 0 for e in ker_i))
-    assert len(D) * len(ker_d) == len(exps), "annihilator size mismatch"
+    D = tuple(s for s in _gal_elements(n, orders) if all(_pair(n, s, e) == 0 for e in ker_d))
+    I = tuple(s for s in D if all(_pair(n, s, e) == 0 for e in ker_i))
+    if len(D) * len(ker_d) != len(exps):
+        raise InvariantError("annihilator size mismatch")
 
     # unit classes in ker_i carry power residue symbols; symbols must extend
     # to a character of the whole group, realized by some element of D
-    sym = {e: G.symbol(G.image_of(e)) for e in ker_i}
-    frob = next(
-        (s for s in D if all(pairing(M, s, e) == sym[e] for e in ker_i)), None
-    )
-    assert frob is not None, "residue symbols define no character of D"
+    sym = {e: G.symbol(image[e]) for e in ker_i}
+    frob = next((s for s in D if all(_pair(n, s, e) == sym[e] for e in ker_i)), None)
+    if frob is None:
+        raise InvariantError("residue symbols define no character of D")
 
     e_idx = len(exps) // len(ker_i)
-    assert e_idx == len(I), "inertia size mismatch"
-    return LocalData(place, len(D), e_idx, len(D) // e_idx, D, I, frob)
+    if e_idx != len(I):
+        raise InvariantError("inertia size mismatch")
+    return len(D), e_idx, len(D) // e_idx, D, I, frob
 
 
 def local_degree(M: AbExt, place: Place) -> int:
@@ -381,7 +407,7 @@ def constant_classes(M: AbExt) -> dict:
 
 def constant_field_degree(M: AbExt) -> int:
     """Degree over F_q of the field of constants of M."""
-    F = PrimeField(M.base.q)
+    F = prime_field(M.base.q)
     orders = [F.power_class_order(c, M.n) for c in constant_classes(M).values()]
     return lcm(*orders) if orders else 1
 
@@ -440,7 +466,7 @@ def cyclotomic_members(M: AbExt, p: int) -> tuple:
     # in scope q = 1 mod p, so the cyclotomic tower is constant p-power
     # extensions; keep constant classes of p-power order
     consts = constant_classes(M)
-    F = PrimeField(M.base.q)
+    F = prime_field(M.base.q)
     keep = []
     for e, c in consts.items():
         o = F.power_class_order(c, M.n)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .arith import PrimeField, is_prime
-from .errors import ValidationError
+from .arith import is_prime, prime_field, primes_upto
+from .errors import InvariantError, ValidationError
 
 # ---------------------------------------------------------------------------
 # base fields
@@ -92,17 +92,19 @@ def poly_mul(a, b, q: int) -> tuple:
 def poly_divmod(a, b, q: int) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
+    a = list(poly_trim(a))
     db, lead_inv = len(b) - 1, pow(b[-1], -1, q)
     quot = [0] * max(len(a) - db, 0)
-    while len(poly_trim(a)) - 1 >= db and poly_trim(a):
-        a = list(poly_trim(a))
+    # a stays trimmed: one trim after each elimination step
+    while a and len(a) - 1 >= db:
         shift = len(a) - 1 - db
         factor = a[-1] * lead_inv % q
         quot[shift] = factor
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - factor * bi) % q
-    return poly_trim(quot), poly_trim(a)
+        while a and a[-1] == 0:
+            a.pop()
+    return poly_trim(quot), tuple(a)
 
 
 def poly_mod(a, m, q: int) -> tuple:
@@ -251,6 +253,18 @@ def infinite_place(q: int) -> Place:
     return Place(rational_function_field(q), "inf")
 
 
+def _trusted_place(base: BaseField, kind: str, p=None, coeffs=None) -> Place:
+    """A Place built without __post_init__, for callers that already hold
+    the proof: a prime from the sieve, a normalized monic irreducible from
+    monic_irreducibles, or the place at infinity of a validated base."""
+    place = object.__new__(Place)
+    object.__setattr__(place, "base", base)
+    object.__setattr__(place, "kind", kind)
+    object.__setattr__(place, "p", p)
+    object.__setattr__(place, "coeffs", coeffs)
+    return place
+
+
 def residue_norm(place: Place) -> int:
     return place.norm()
 
@@ -262,23 +276,25 @@ def enumerate_places(base: BaseField, bound: int, include_real: bool = False):
     stopping norm, which matters for large bounds over F_q(t).  Over Q the
     real place comes last when include_real is set.  Over F_q(t) the degree
     place sorts after the degree-one polynomials of equal norm.
+
+    The places are trusted, not re-validated: the sieve and
+    monic_irreducibles have already proved primality and irreducibility.
     """
     if base.is_rationals():
-        from .arith import primes_upto
-
         for p in primes_upto(bound):
-            yield prime_place(p)
+            yield _trusted_place(base, "prime", p=p)
         if include_real:
             yield real_place()
         return
-    d = 1
-    while base.q**d <= bound:
+    q, d = base.q, 1
+    while q**d <= bound:
         # monic_irreducibles is sorted by coefficient tuple, which matches
         # sort_key within one degree; the degree place slots in after the
         # linear block
-        yield from (poly_place(base.q, c) for c in monic_irreducibles(base.q, d))
+        for c in monic_irreducibles(q, d):
+            yield _trusted_place(base, "poly", coeffs=c)
         if d == 1:
-            yield infinite_place(base.q)
+            yield _trusted_place(base, "inf")
         d += 1
 
 
@@ -373,9 +389,9 @@ class FqtElt:
         else:
             r = poly_pow_mod(u, (norm - 1) // n, place.coeffs, self.q)
             if len(r) > 1:
-                raise AssertionError("symbol did not land in the constants")
+                raise InvariantError("symbol did not land in the constants")
             val = r[0] if r else 0
-        return PrimeField(self.q).dlog_in_mu(val, n)
+        return prime_field(self.q).dlog_in_mu(val, n)
 
     def is_nth_power(self, n: int) -> bool:
         """True iff self lies in (F_q(t)*)^n; requires n | q-1.
@@ -385,14 +401,14 @@ class FqtElt:
         """
         if any(e % n for _, e in self.factors):
             return False
-        return PrimeField(self.q).power_class_order(self.c, n) == 1
+        return prime_field(self.q).power_class_order(self.c, n) == 1
 
     def class_order(self, n: int) -> int:
         """Order of the class of self in F_q(t)*/(F_q(t)*)^n."""
         for d in sorted(_divisors(n)):
             if self.pow(d).is_nth_power(n):
                 return d
-        raise AssertionError("class order must divide n")
+        raise InvariantError("class order must divide n")
 
     def __str__(self) -> str:
         parts = [str(self.c)] if (self.c != 1 or not self.factors) else []

@@ -119,10 +119,9 @@ def identity(E: CentralExt) -> tuple:
 
 def lift(E: CentralExt, x) -> tuple:
     """The section applied to x: the normal form with trivial kernel part."""
-    x = tuple(v % o for v, o in zip(x, E.orders))
     if len(x) != len(E.orders):
         raise ValidationError("wrong number of coordinates")
-    return (0, x)
+    return (0, tuple(v % o for v, o in zip(x, E.orders)))
 
 
 def ext_mul(E: CentralExt, g, h) -> tuple:

@@ -218,6 +218,20 @@ def _(obj: SuiteReport):
 # ---------------------------------------------------------------- decoding
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer (not a bool, string or float), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> tuple:
+    """A JSON list of integers as a tuple, else ValidationError."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_int(v, what) for v in values)
+
+
 def base_from_json(obj) -> BaseField:
     """Accepts {"kind": "Q"}, {"kind": "Fq", "q": 7}, "Q", or "F7(t)"."""
     if isinstance(obj, str):
@@ -233,9 +247,9 @@ def base_from_json(obj) -> BaseField:
         if kind == "Q":
             return QQ
         if kind == "Fq":
-            return rational_function_field(obj.get("q", 0))
+            return rational_function_field(_int(obj.get("q", 0), "q"))
         if "q" in obj and kind is None:
-            return rational_function_field(obj["q"])
+            return rational_function_field(_int(obj["q"], "q"))
     raise ValidationError(f"cannot read a base field from {obj!r}")
 
 
@@ -296,8 +310,13 @@ def fqt_from_json(obj, q: int) -> FqtElt:
     if isinstance(obj, str):
         return parse_fqt_text(obj, q)
     if isinstance(obj, dict):
-        factors = [(tuple(coeffs), e) for coeffs, e in obj.get("factors", [])]
-        return fqt_from_factors(q, obj.get("c", 1), factors)
+        factors = []
+        for row in obj.get("factors", []):
+            if not isinstance(row, list) or len(row) != 2:
+                raise ValidationError(f"factor rows are [coeffs, exponent], got {row!r}")
+            coeffs, e = row
+            factors.append((_ints(coeffs, "coefficients"), _int(e, "an exponent")))
+        return fqt_from_factors(q, _int(obj.get("c", 1), "c"), factors)
     raise ValidationError(f"cannot read a function-field element from {obj!r}")
 
 
@@ -327,13 +346,14 @@ def place_from_json(obj, base: BaseField | None = None) -> Place:
         raise ValidationError(f"cannot read a place from {obj!r}")
     kind = obj.get("kind")
     if kind == "prime":
-        return prime_place(obj.get("p", 0))
+        return prime_place(_int(obj.get("p", 0), "p"))
     if kind == "real":
         return real_place()
     if kind == "poly":
-        return poly_place(obj.get("q", 0), tuple(obj.get("coeffs", ())))
+        q = _int(obj.get("q", 0), "q")
+        return poly_place(q, _ints(obj.get("coeffs", []), "coefficients"))
     if kind == "inf":
-        return infinite_place(obj.get("q", 0))
+        return infinite_place(_int(obj.get("q", 0), "q"))
     raise ValidationError(f"unknown place kind {kind!r}")
 
 
@@ -345,7 +365,9 @@ def ext_from_json(obj) -> AbExt:
         if key not in obj:
             raise ValidationError(f"extension JSON lacks {key!r}")
     base = base_from_json(obj["base"])
-    n = obj["n"]
+    n = _int(obj["n"], "n")
+    if not isinstance(obj["radicands"], list):
+        raise ValidationError(f"radicands must be a list, got {obj['radicands']!r}")
     if base.is_rationals():
         radicands = []
         for r in obj["radicands"]:

@@ -108,6 +108,22 @@ class TestExitCodes:
         code, payload, _ = run("local-degree", "x", "--ext", ext_file)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "ext",
+        [
+            {"base": "Q", "n": "2", "radicands": [3]},
+            {"base": {"kind": "Fq", "q": "7"}, "n": 3, "radicands": ["t"]},
+        ],
+        ids=["string-n", "string-q"],
+    )
+    def test_mistyped_extension_json_is_2(self, run, tmp_path, ext):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ext))
+        code, payload, _ = run("field", "--ext", str(path))
+        assert code == 2
+        assert payload["error"] == "invalid-input"
+        assert "must be an integer" in payload["detail"]
+
     def test_no_subcommand_is_2(self, run):
         code, payload, err = run()
         assert code == 2 and payload is None

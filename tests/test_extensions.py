@@ -38,6 +38,7 @@ from ncpbound.extensions import (
 )
 from ncpbound.fields import (
     QQ,
+    enumerate_places,
     fqt_const,
     fqt_from_factors,
     infinite_place,
@@ -408,3 +409,64 @@ class TestSearches:
         with pytest.raises(SearchExhausted) as exc:
             s0_search(M, 2, 6, bound=60)  # needs p = 1 mod 64
         assert isinstance(exc.value.partial, dict)
+
+
+# ---------------------------------------------------------------------------
+# the two-level local-data memo against a per-place brute force
+
+
+def _local_data_oracle(M, place):
+    """local_data computed from scratch at one place, with no memo: the
+    local class-group image, its kernels, their annihilators in the Galois
+    group and the Frobenius character, all through the public helpers."""
+    from ncpbound.extensions import LocalData, local_class_group
+
+    G = local_class_group(M, place)
+    exps = w_exponents(M)
+    zero = (0,) * len(G.moduli)
+    unram = G.unram_subgroup()
+    ker_d = [e for e in exps if G.image_of(e) == zero]
+    ker_i = [e for e in exps if G.image_of(e) in unram]
+    gal = galois_group(M)
+    D = tuple(s for s in gal if all(pairing(M, s, e) == 0 for e in ker_d))
+    I = tuple(s for s in D if all(pairing(M, s, e) == 0 for e in ker_i))
+    assert len(D) * len(ker_d) == len(exps)
+    sym = {e: G.symbol(G.image_of(e)) for e in ker_i}
+    frob = next(s for s in D if all(pairing(M, s, e) == sym[e] for e in ker_i))
+    e_idx = len(exps) // len(ker_i)
+    assert e_idx == len(I)
+    return LocalData(place, len(D), e_idx, len(D) // e_idx, D, I, frob)
+
+
+class TestLocalDataMemo:
+    @pytest.mark.parametrize(
+        "M, bound",
+        [
+            (q_ext(3, -7), 3000),
+            (q_ext(-1, 2), 3000),
+            (ff7_cubic(), 7**3),
+        ],
+        ids=["Q(sqrt3,sqrt-7)", "Q(sqrt-1,sqrt2)", "F7(t) cubic"],
+    )
+    def test_matches_per_place_oracle(self, M, bound):
+        places = list(enumerate_places(M.base, bound, include_real=M.base.is_rationals()))
+        # the dyadic, real and ramified places are all in the sweep
+        assert set(ramified_places(M)) <= set(places)
+        if M.base.is_rationals():
+            assert prime_place(2) in places and real_place() in places
+        for P in places:
+            assert local_data(M, P) == _local_data_oracle(M, P), str(P)
+
+    def test_splitting_memo_is_bounded_by_local_images(self):
+        from ncpbound.extensions import _splitting, local_class_group
+
+        M = q_ext(3, -7)
+        local_data.cache_clear()
+        _splitting.cache_clear()
+        images = set()
+        for P in enumerate_places(QQ, 10**5):
+            local_data(M, P)
+            images.add(local_class_group(M, P))
+        # 2 (dyadic), 3 and 7 (ramified) and four Frobenius classes
+        assert _splitting.cache_info().currsize == len(images) == 7
+        local_data.cache_clear()

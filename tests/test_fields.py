@@ -231,3 +231,66 @@ class TestResidueRep:
         assert residue_rep(poly_place(7, (6, 1)), x) == ()  # zero at t=1
         with pytest.raises(ValidationError):
             residue_rep(poly_place(7, (6, 1)), x.pow(-1))
+
+
+class TestTrustedPlaces:
+    """enumerate_places builds its places without re-validation; each must
+    equal the validated place a user would name, and an independent oracle
+    (sympy) must agree that it is a place at all."""
+
+    def test_rational_places_match_validated_twins(self):
+        from sympy import isprime, primerange
+
+        places = list(enumerate_places(QQ, 10**4, include_real=True))
+        assert places[-1] == real_place()
+        finite = places[:-1]
+        assert [P.p for P in finite] == list(primerange(2, 10**4 + 1))
+        for P in finite:
+            twin = prime_place(P.p)
+            assert P == twin and hash(P) == hash(twin)
+            assert isprime(P.p)
+
+    def test_function_field_places_match_validated_twins(self):
+        from itertools import product
+
+        from sympy import Poly, symbols
+
+        t = symbols("t")
+
+        def sympy_irreducible(coeffs):
+            return Poly(list(reversed(coeffs)), t, modulus=7).is_irreducible
+
+        places = list(enumerate_places(F7, 7**3))
+        assert places[7] == infinite_place(7) and hash(places[7]) == hash(infinite_place(7))
+        polys = [P for P in places if P.kind == "poly"]
+        assert len(polys) == len(places) - 1
+        for P in polys:
+            twin = poly_place(7, P.coeffs)
+            assert P == twin and hash(P) == hash(twin)
+            assert sympy_irreducible(P.coeffs)
+        # and no monic irreducible of degree <= 3 is missing
+        expected = {
+            lower + (1,)
+            for d in (1, 2, 3)
+            for lower in product(range(7), repeat=d)
+            if sympy_irreducible(lower + (1,))
+        }
+        assert {P.coeffs for P in polys} == expected
+
+    def test_user_places_are_still_validated(self):
+        from ncpbound.jsonio import parse_place_text, place_from_json
+
+        with pytest.raises(ValidationError):
+            prime_place(91)  # 7 * 13
+        with pytest.raises(ValidationError):
+            poly_place(7, (6, 0, 1))  # t^2 - 1 = (t - 1)(t + 1)
+        with pytest.raises(ValidationError):
+            parse_place_text(QQ, "91")
+        with pytest.raises(ValidationError):
+            parse_place_text(F7, "t^2+6")
+        with pytest.raises(ValidationError):
+            place_from_json({"kind": "prime", "p": 91})
+        with pytest.raises(ValidationError):
+            place_from_json({"kind": "poly", "q": 7, "coeffs": [6, 0, 1]})
+        with pytest.raises(ValidationError):
+            Place(F7, "poly", coeffs=(6, 0, 1))

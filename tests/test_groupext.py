@@ -128,6 +128,13 @@ class TestBeta:
     def test_q8_value(self):
         assert beta(q8(), (1, 0), (0, 1)) == 1
 
+    def test_too_many_coordinates_rejected(self):
+        # a rank-2 extension: the third coordinate must not be dropped
+        with pytest.raises(ValidationError):
+            lift(q8(), (1, 0, 5))
+        with pytest.raises(ValidationError):
+            beta(q8(), (1, 0, 5), (0, 1, 7))
+
     def test_alternating(self):
         for E in (q8(), d4(), heis3()):
             for x in product(*(range(o) for o in E.orders)):

@@ -165,3 +165,29 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_json(str(path))
+
+
+class TestDecoderTypes:
+    """Wrongly typed JSON numbers are malformed input, not a crash."""
+
+    def test_string_n_rejected(self):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            ext_from_json({"base": "Q", "n": "2", "radicands": [3]})
+
+    def test_string_q_rejected(self):
+        with pytest.raises(ValidationError, match="q must be an integer"):
+            ext_from_json({"base": {"kind": "Fq", "q": "7"}, "n": 3, "radicands": ["t"]})
+
+    def test_string_factor_exponent_rejected(self):
+        with pytest.raises(ValidationError, match="exponent must be an integer"):
+            ext_from_json({"base": "F7(t)", "n": 3,
+                           "radicands": [{"c": 1, "factors": [[[0, 1], "1"]]}]})
+
+    def test_string_place_prime_rejected(self):
+        with pytest.raises(ValidationError):
+            place_from_json({"kind": "prime", "p": "5"})
+
+    def test_structured_factor_list_still_accepted(self):
+        M = ext_from_json({"base": "F7(t)", "n": 3,
+                           "radicands": [{"c": 1, "factors": [[[0, 1], 1]]}]})
+        assert M.orders == (3,)
