@@ -201,12 +201,7 @@ class PrimeField:
         a %= self.q
         if a == 0:
             raise ValidationError("0 has no multiplicative order")
-        order = 1
-        x = a
-        while x != 1:
-            x = x * a % self.q
-            order += 1
-        return order
+        return mul_order_mod(a, self.q)
 
     def primitive_root(self) -> int:
         if self._root is None:

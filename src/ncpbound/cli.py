@@ -41,8 +41,8 @@ from .fields import QQ, rational_function_field
 from .groupext import (
     ext_build,
     fiber_is_cyclic,
+    power_criterion,
     prop32_scan,
-    verify_lemma_34,
     verify_lemma_35,
 )
 from .isolation import d_value, isolated_places, isolation_report
@@ -277,9 +277,10 @@ def cmd_groupext_verify(args):
     for x in product(*(range(o) for o in E.orders)):
         if not any(x):
             continue
-        if not verify_lemma_34(E, x):
+        cyclic = fiber_is_cyclic(E, x)
+        if cyclic != power_criterion(E, x):
             law_holds = False
-        if not fiber_is_cyclic(E, x):
+        if not cyclic:
             noncyclic.append(list(x))
     rep = verify_lemma_35(E)
     out = {

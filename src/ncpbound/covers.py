@@ -17,7 +17,7 @@ from math import gcd, prod
 from typing import Optional
 
 from .arith import is_squarefree, prime_field
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
     cyclotomic_degree,
@@ -74,9 +74,11 @@ def build_cover(M: AbExt, extra, n_prime: int) -> Cover:
     else:
         lifted = [f.pow(e) for f in M.radicands]
     L = AbExt(M.base, n_prime, tuple(lifted) + tuple(extra))
-    assert L.orders[: len(M.radicands)] == M.orders
+    if L.orders[: len(M.radicands)] != M.orders:
+        raise InvariantError(f"re-powered radicands changed class orders: {L.orders}")
     rel = L.degree // M.degree
-    assert rel == prod(L.orders[len(M.radicands):], start=1)
+    if rel != prod(L.orders[len(M.radicands):], start=1):
+        raise InvariantError(f"[L:M] = {rel} is not the product of the extra orders")
     return Cover(M, L, rel)
 
 
@@ -88,7 +90,8 @@ def kernel_profile(C: Cover) -> tuple:
 def cover_local_degree(C: Cover, P: Place) -> int:
     """[L:M]_P as the exact quotient of the two local degrees."""
     above, below = local_degree(C.L, P), local_degree(C.M, P)
-    assert above % below == 0
+    if above % below:
+        raise InvariantError(f"local degree {below} at {P} does not divide {above}")
     return above // below
 
 

@@ -9,16 +9,23 @@ Kernel elements are written additively, as exponents of a fixed generator
 of A (so for a = 1 the exponent 1 denotes the order-2 element).
 
 Commutators here are [g, h] = g^-1 h^-1 g h.
+
+The group has class 2, so (gh)^n = g^n h^n [h, g]^C(n,2) and [., .] is
+bilinear.  Powers and commutators of lifts are therefore closed forms in
+(t, c): `_power_form` gives the kernel part of s(x)^n and `beta` the
+alternating form.  `ext_mul`, `ext_inv`, `ext_order` and the fiber closure
+are the independent collection route the tests check those forms against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm
 
 from .arith import is_prime
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 
 __all__ = [
     "CentralExt",
@@ -35,6 +42,7 @@ __all__ = [
     "fiber_is_cyclic",
     "beta",
     "gamma",
+    "power_criterion",
     "verify_lemma_34",
     "verify_lemma_35",
     "prop32_scan",
@@ -66,10 +74,10 @@ class CentralExt:
             raise ValidationError("one t value per quotient generator required")
         if any(not 0 <= v < pa for v in self.t):
             raise ValidationError("t values must be kernel exponents in [0, p^a)")
-        pairs = list(combinations(range(len(self.orders)), 2))
-        if len(self.c) != len(pairs):
-            raise ValidationError(f"{len(pairs)} commutator values required")
-        for (i, j), v in zip(pairs, self.c):
+        k = len(self.orders)
+        if len(self.c) != k * (k - 1) // 2:
+            raise ValidationError(f"{k * (k - 1) // 2} commutator values required")
+        for (i, j), v in self.pairs:
             if not 0 <= v < pa:
                 raise ValidationError("commutator values must be kernel exponents in [0, p^a)")
             order_of_v = pa // gcd(pa, v) if v else 1
@@ -90,8 +98,10 @@ class CentralExt:
             n *= o
         return n
 
-    def pairs(self):
-        return zip(combinations(range(len(self.orders)), 2), self.c)
+    @cached_property
+    def pairs(self) -> tuple:
+        """((i, j), c_ij) for every pair i < j, in the order of c."""
+        return tuple(zip(combinations(range(len(self.orders)), 2), self.c))
 
 
 def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
@@ -130,7 +140,7 @@ def ext_mul(E: CentralExt, g, h) -> tuple:
     alpha = ag + ah
     # collection: moving h's i-th letters left past g's j-th letters (i < j)
     # picks up [s_j, s_i] = -c_ij each time
-    for (i, j), cv in E.pairs():
+    for (i, j), cv in E.pairs:
         alpha -= cv * eg[j] * eh[i]
     exps = []
     for i, o in enumerate(E.orders):
@@ -149,12 +159,13 @@ def ext_inv(E: CentralExt, g) -> tuple:
 
 
 def ext_pow(E: CentralExt, g, n: int) -> tuple:
+    """g^n = gen_A^(n alpha) s(x)^n for g = (alpha, x), by the power form."""
     if n < 0:
         return ext_pow(E, ext_inv(E, g), -n)
-    acc = identity(E)
-    for _ in range(n):
-        acc = ext_mul(E, acc, g)
-    return acc
+    alpha, x = g
+    form = _power_form(E.p, E.a, E.orders, x, n)
+    kernel = n * alpha + sum(f * d for f, d in zip(form, (*E.t, *E.c)))
+    return (kernel % E.kernel_order, tuple(n * v % o for v, o in zip(x, E.orders)))
 
 
 def ext_order(E: CentralExt, g) -> int:
@@ -197,11 +208,10 @@ def fiber_is_cyclic(E: CentralExt, x) -> bool:
 
 
 def beta(E: CentralExt, x, y) -> int:
-    """[s(x), s(y)] as a kernel exponent; independent of the lifts."""
-    g, h = lift(E, x), lift(E, y)
-    comm = ext_mul(E, ext_mul(E, ext_inv(E, g), ext_inv(E, h)), ext_mul(E, g, h))
-    assert comm[1] == (0,) * len(E.orders)
-    return comm[0]
+    """[s(x), s(y)] as a kernel exponent; independent of the lifts.  By
+    bilinearity it is the alternating form sum c_ij (x_i y_j - x_j y_i)."""
+    (_, x), (_, y) = lift(E, x), lift(E, y)
+    return sum(cv * (x[i] * y[j] - x[j] * y[i]) for (i, j), cv in E.pairs) % E.kernel_order
 
 
 def _in_torsion(E: CentralExt, x) -> bool:
@@ -222,25 +232,24 @@ def _vec_order(x, orders) -> int:
     return lcm(*(o // gcd(o, v) for v, o in zip(x, orders)))
 
 
-def _quotient_order(E: CentralExt, x) -> int:
-    return _vec_order(x, E.orders)
-
-
-def verify_lemma_34(E: CentralExt, x) -> bool:
-    """Fiber over <x> is cyclic iff the kernel is trivial or generated by
-    s(x)^(ord x).  Returns whether the equivalence holds on E."""
+def power_criterion(E: CentralExt, x) -> bool:
+    """Whether the kernel is trivial or generated by s(x)^(ord x), the
+    kernel element that decides if the fiber over <x> is cyclic."""
     x = tuple(v % o for v, o in zip(x, E.orders))
     if not any(x):
         raise ValidationError("x must be a nontrivial quotient element")
-    power, rest = ext_pow(E, lift(E, x), _quotient_order(E, x))
-    assert rest == (0,) * len(E.orders)
-    generates = E.a == 0 or power % E.p != 0
-    return fiber_is_cyclic(E, x) == generates
+    power, _ = ext_pow(E, lift(E, x), _vec_order(x, E.orders))
+    return E.a == 0 or power % E.p != 0
 
 
-def _p_torsion(E: CentralExt):
-    steps = [range(0, o, o // E.p) for o in E.orders]
-    return [x for x in product(*steps)]
+def verify_lemma_34(E: CentralExt, x) -> bool:
+    """Fiber over <x> is cyclic iff the power criterion holds.  Returns
+    whether the equivalence holds on E."""
+    return power_criterion(E, x) == fiber_is_cyclic(E, x)
+
+
+def _p_torsion(E: CentralExt) -> list:
+    return list(product(*(range(0, o, o // E.p) for o in E.orders)))
 
 
 @dataclass(frozen=True)
@@ -260,15 +269,13 @@ def verify_lemma_35(E: CentralExt) -> Lemma35Report:
     2-torsion is a kernel square.  The report pairs the observed status
     with that criterion."""
     torsion = _p_torsion(E)
-    hom = True
-    for x in torsion:
-        for y in torsion:
-            xy = tuple((u + v) % o for u, v, o in zip(x, y, E.orders))
-            if gamma(E, xy) != (gamma(E, x) + gamma(E, y)) % E.p:
-                hom = False
-                break
-        if not hom:
-            break
+    gammas = {x: gamma(E, x) for x in torsion}
+    hom = all(
+        gammas[tuple((u + v) % o for u, v, o in zip(x, y, E.orders))]
+        == (gammas[x] + gammas[y]) % E.p
+        for x in torsion
+        for y in torsion
+    )
     if E.p % 2 == 1:
         criterion = True
     else:
@@ -319,39 +326,19 @@ def _canonical_lines(E: CentralExt):
     return [x for _, x in _lines_for(E.orders)]
 
 
-def _power_form(p: int, a: int, orders, x, n: int):
-    """Kernel part of s(x)^n as a linear form in the structure data.
+def _power_form(p: int, a: int, orders, x, n: int) -> tuple:
+    """Kernel part of s(x)^n (n >= 0) as a linear form in the structure data.
 
-    The exponent arithmetic in ext_mul never looks at t or c, so the kernel
-    part of any product of lifts is a sum of overflow events (each worth
-    t_i) and collection events (each worth -eg[j]*eh[i] times c_ij).  This
-    replays the n-fold product with those coefficients accumulated
-    symbolically; the result is a tuple of len(orders) t-coefficients
-    followed by one coefficient per (i, j) pair, all mod p^a.
+    s(x)^n = prod s_i^(n x_i) * prod_{i<j} [s_j, s_i]^(C(n,2) x_i x_j), and
+    s_i^(n x_i) leaves t_i^floor(n x_i / o_i) in the kernel.  The result is
+    a tuple of len(orders) t-coefficients followed by one coefficient per
+    (i, j) pair, all mod p^a.
     """
     pa = p**a
-    k = len(orders)
-    pair_idx = list(combinations(range(k), 2))
-    width = k + len(pair_idx)
-
-    def mul(g, h):
-        (va, eg), (vb, eh) = g, h
-        out = [(u + v) % pa for u, v in zip(va, vb)]
-        for slot, (i, j) in enumerate(pair_idx):
-            out[k + slot] = (out[k + slot] - eg[j] * eh[i]) % pa
-        exps = []
-        for i, o in enumerate(orders):
-            q, r = divmod(eg[i] + eh[i], o)
-            out[i] = (out[i] + q) % pa
-            exps.append(r)
-        return out, tuple(exps)
-
-    acc = ([0] * width, (0,) * k)
-    g = ([0] * width, tuple(v % o for v, o in zip(x, orders)))
-    for _ in range(n):
-        acc = mul(acc, g)
-    assert acc[1] == (0,) * k
-    return tuple(acc[0])
+    half = n * (n - 1) // 2
+    return tuple(n * v // o % pa for v, o in zip(x, orders)) + tuple(
+        -half * x[i] * x[j] % pa for i, j in combinations(range(len(orders)), 2)
+    )
 
 
 def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
@@ -398,11 +385,11 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
                         continue
                     E = CentralExt(p, a, orders, t, c)
                     if not all(fiber_is_cyclic(E, x) for x in _canonical_lines(E)):
-                        raise AssertionError(
+                        raise InvariantError(
                             f"linear criterion and fiber closure disagree on {E}"
                         )
                     if E.kernel_order != 2:
-                        raise AssertionError(
+                        raise InvariantError(
                             f"cyclic-fiber extension with kernel order {E.kernel_order}: {E}"
                         )
                     hits.append(E)

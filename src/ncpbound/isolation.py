@@ -16,7 +16,7 @@ from math import gcd
 from typing import Optional
 
 from .arith import factorize, vp
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
     gal_exponent,
@@ -41,8 +41,11 @@ class IsolationReport:
     isolated_place: Optional[Place]
 
     def __post_init__(self):
-        assert self.gap == self.u1 - self.u2 >= 0
-        assert (self.isolated_place is not None) == (self.gap > 0)
+        if not self.gap == self.u1 - self.u2 >= 0:
+            raise InvariantError(f"gap {self.gap} is not u1 - u2 >= 0"
+                                 f" for u1 = {self.u1}, u2 = {self.u2}")
+        if (self.isolated_place is not None) != (self.gap > 0):
+            raise InvariantError(f"isolated place {self.isolated_place} with gap {self.gap}")
 
     def is_isolated(self) -> bool:
         return self.isolated_place is not None

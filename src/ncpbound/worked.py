@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 from typing import Callable, Optional
 
-from .arith import QZ, is_prime, legendre, power_class_order
+from .arith import QZ, is_prime, legendre, power_class_order, vp
 from .brauer import (
     check_lemma_2_1,
     construct_class,
@@ -51,7 +51,16 @@ from .fields import (
     prime_place,
     rational_function_field,
 )
-from .groupext import beta, ext_build, verify_lemma_34, verify_lemma_35
+from .groupext import (
+    _p_torsion,
+    beta,
+    ext_build,
+    ext_inv,
+    ext_mul,
+    lift,
+    verify_lemma_34,
+    verify_lemma_35,
+)
 from .isolation import d_value, isolated_places
 
 DEFAULT_SEED = 7
@@ -225,9 +234,7 @@ def run_ex43(p: int, q: int, a: int) -> PaperReport:
     if power_class_order(a, q, p) == 1:
         raise ValidationError(f"{a} is a {p}-th power in F_{q}")
 
-    s = 0
-    while (q - 1) % p ** (s + 1) == 0:
-        s += 1
+    s = vp(q - 1, p)
     n = p**s
     base = rational_function_field(q)
     t = _fqt_t(q)
@@ -288,10 +295,7 @@ def _base_roots_of_unity(base, p: int) -> int:
     """s with p^s the p-part of the roots of unity in the base field."""
     if base.is_rationals():
         return 1 if p == 2 else 0
-    s = 0
-    while (base.q - 1) % p ** (s + 1) == 0:
-        s += 1
-    return s
+    return vp(base.q - 1, p)
 
 
 def _kummer_realization(base, n: int, conditions, radicand_bound: int):
@@ -604,19 +608,15 @@ def _sample_exts():
 def _battery_beta(rng, funcs, sizes):
     checked = 0
     for name, E in _sample_exts():
-        pa = E.p**E.a
         vectors = list(product(*(range(o) for o in E.orders)))
         for x in vectors:
             if funcs["beta"](E, x, x) != 0:
                 return False, f"{name}: pairing not alternating at {x}"
+            g = lift(E, x)
             for y in vectors:
-                want = (
-                    sum(
-                        cv * (x[i] * y[j] - x[j] * y[i])
-                        for (i, j), cv in E.pairs()
-                    )
-                    % pa
-                )
+                h = lift(E, y)
+                # expected value from the collection route, not from beta's closed form
+                want, _ = ext_mul(E, ext_mul(E, ext_inv(E, g), ext_inv(E, h)), ext_mul(E, g, h))
                 if funcs["beta"](E, x, y) != want:
                     return (
                         False,
@@ -640,21 +640,14 @@ def _battery_lemma34(rng, funcs, sizes):
 
 
 def _battery_lemma35(rng, funcs, sizes):
-    torsion = lambda E: [
-        x for x in product(*(range(0, o, o // E.p) for o in E.orders))
-    ]
     for name, E in _sample_exts():
         rep = verify_lemma_35(E)
         if not rep.consistent:
             return False, f"{name}: homomorphism status contradicts the criterion"
-        if E.p == 2:
-            crit = all(
-                funcs["beta"](E, x, y) % 2 == 0
-                for x in torsion(E)
-                for y in torsion(E)
-            )
-        else:
-            crit = True
+        torsion = _p_torsion(E)
+        crit = E.p != 2 or all(
+            funcs["beta"](E, x, y) % 2 == 0 for x in torsion for y in torsion
+        )
         if rep.homomorphism != crit:
             return False, f"{name}: recomputed criterion disagrees with the report"
     return True, f"{len(_EXT_SAMPLE)} extensions, reports consistent"

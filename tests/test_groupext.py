@@ -25,6 +25,24 @@ from ncpbound.groupext import (
     verify_lemma_35,
 )
 
+# The closed forms (ext_pow, beta, the prefilter's _power_form) are checked
+# against the collection route: products and inverses built with ext_mul.
+
+
+def collected_power(E, g, n):
+    """g^n as n products by ext_mul (of ext_inv(g) when n < 0)."""
+    if n < 0:
+        g, n = ext_inv(E, g), -n
+    acc = identity(E)
+    for _ in range(n):
+        acc = ext_mul(E, acc, g)
+    return acc
+
+
+def collected_commutator(E, g, h):
+    """[g, h] = g^-1 h^-1 g h, by ext_mul."""
+    return ext_mul(E, ext_mul(E, ext_inv(E, g), ext_inv(E, h)), ext_mul(E, g, h))
+
 
 def q8():
     return ext_build(2, 1, (2, 2), (1, 1), {(0, 1): 1})
@@ -101,6 +119,11 @@ class TestBuild:
             assert ext_pow(E, g, n) == acc
         assert ext_pow(E, g, -1) == ext_inv(E, g)
 
+    def test_pairs_computed_once(self):
+        E = ext_build(2, 2, (4, 4, 2), (1, 2, 1), {(0, 1): 2, (1, 2): 2})
+        assert E.pairs is E.pairs
+        assert E.pairs == (((0, 1), 2), ((0, 2), 0), ((1, 2), 2))
+
 
 class TestFiber:
     def test_q8_fibers_all_cyclic(self):
@@ -157,22 +180,23 @@ class TestBeta:
                             assert comm == (expected, (0,) * len(E.orders))
 
     def test_bilinear_formula(self):
-        # independent route: beta(x, y) = sum c_ij (x_i y_j - x_j y_i)
+        # the alternating form against the collected commutator of two lifts
+        # with nonzero kernel parts
         exts = [
             q8(),
             d4(),
             heis3(),
             ext_build(2, 2, (4, 4), (1, 2), {(0, 1): 2}),
             ext_build(3, 2, (9, 3), (4, 1), {(0, 1): 3}),
+            ext_build(2, 2, (4, 4, 2), (1, 2, 1), {(0, 1): 2, (0, 2): 2, (1, 2): 2}),
         ]
         for E in exts:
-            pairs = list(E.pairs())
+            zero = (0,) * len(E.orders)
+            top = E.kernel_order - 1
             for x in product(*(range(o) for o in E.orders)):
                 for y in product(*(range(o) for o in E.orders)):
-                    formula = sum(
-                        cv * (x[i] * y[j] - x[j] * y[i]) for (i, j), cv in pairs
-                    ) % E.kernel_order
-                    assert beta(E, x, y) == formula
+                    comm = collected_commutator(E, (1 % E.kernel_order, x), (top, y))
+                    assert comm == (beta(E, x, y), zero), (E, x, y)
 
     def test_split_beta_trivial(self):
         E = split_c4_c2()
@@ -264,28 +288,77 @@ class TestLemma35:
         assert count >= 70
 
 
+POWER_DATA = [
+    (2, 1, (2, 2), (1, 1), (1,)),
+    (2, 1, (2, 2), (0, 1), (1,)),
+    (2, 2, (4, 4), (1, 2), (2,)),
+    (2, 3, (4, 4, 2), (2, 5, 1), (2, 0, 4)),
+    (3, 2, (9, 3), (4, 1), (3,)),
+    (3, 1, (3, 3, 3), (1, 2, 0), (1, 2, 0)),
+]
+
+
 class TestPowerForm:
     def test_linear_form_matches_concrete_powers(self):
         # the scan's prefilter rests on this identity, so check it against
         # the actual group arithmetic across kernel sizes and ranks
         from ncpbound.groupext import _lines_for, _power_form
 
-        data = [
-            (2, 1, (2, 2), (1, 1), (1,)),
-            (2, 1, (2, 2), (0, 1), (1,)),
-            (2, 2, (4, 4), (1, 2), (2,)),
-            (2, 3, (4, 4, 2), (2, 5, 1), (2, 0, 4)),
-            (3, 2, (9, 3), (4, 1), (3,)),
-            (3, 1, (3, 3, 3), (1, 2, 0), (1, 2, 0)),
-        ]
-        for p, a, orders, t, c in data:
+        for p, a, orders, t, c in POWER_DATA:
             E = ext_build(p, a, orders, t, c)
             datum = tuple(t) + tuple(c)
             for n, x in _lines_for(orders):
                 form = _power_form(p, a, orders, x, n)
-                want = ext_pow(E, lift(E, x), n)[0]
+                want = collected_power(E, lift(E, x), n)
                 got = sum(fv * dv for fv, dv in zip(form, datum)) % p**a
-                assert got == want, (p, a, orders, t, c, x)
+                assert (got, (0,) * len(orders)) == want, (p, a, orders, t, c, x)
+
+    def test_ext_pow_matches_collection(self):
+        # every element, kernel part included, for n from -2 to 2 ord + 1
+        for p, a, orders, t, c in POWER_DATA:
+            E = ext_build(p, a, orders, t, c)
+            for g in elements(E):
+                top = 2 * ext_order(E, g) + 1
+                acc = identity(E)
+                for n in range(top + 1):
+                    assert ext_pow(E, g, n) == acc, (E, g, n)
+                    acc = ext_mul(E, acc, g)
+                for n in (-1, -2):
+                    assert ext_pow(E, g, n) == collected_power(E, g, n), (E, g, n)
+
+    @pytest.mark.parametrize(
+        "p,a_max,profile",
+        [(5, 1, (25, 25, 25)), (2, 3, (4, 4, 4, 4)), (3, 3, (9, 9, 9)), (2, 3, (4, 4, 4))],
+    )
+    def test_scan_forms_match_collection(self, p, a_max, profile):
+        # every line the scan prefilters on.  The collected kernel part of
+        # s(x)^n is linear in the data (ext_mul adds t_i per overflow and a
+        # multiple of c_ij per collection), so checking the form on data
+        # that generate the valid (t, c) checks it on every extension: t_i
+        # is free, c_ij ranges over the multiples of p^a / gcd(o_i, o_j, p^a)
+        from itertools import combinations
+        from math import gcd
+
+        from ncpbound.groupext import _lines_for, _power_form, _profiles
+
+        checked = 0
+        for a in range(1, a_max + 1):
+            pa = p**a
+            for orders in _profiles(p, profile):
+                k = len(orders)
+                pair_idx = list(combinations(range(k), 2))
+                data = [tuple(int(s == i) for s in range(k + len(pair_idx))) for i in range(k)]
+                for slot, (i, j) in enumerate(pair_idx):
+                    unit = pa // gcd(orders[i], orders[j], pa)
+                    data.append(tuple(unit * (s == k + slot) for s in range(k + len(pair_idx))))
+                for datum in data:
+                    E = CentralExt(p, a, orders, datum[:k], datum[k:])
+                    for n, x in _lines_for(orders):
+                        form = _power_form(p, a, orders, x, n)
+                        got = sum(fv * dv for fv, dv in zip(form, datum)) % pa
+                        assert (got, (0,) * k) == collected_power(E, lift(E, x), n), (E, x)
+                        checked += 1
+        assert checked > 0
 
 
 def _scan_by_closure(p, a_max, profile_max):

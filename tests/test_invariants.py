@@ -1,19 +1,24 @@
 """Named invariant errors: raised explicitly, mapped to exit 1 by the CLI,
 and still raised when Python runs with assertions disabled (-O)."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ncpbound import extensions
+from ncpbound import covers, extensions, groupext
 from ncpbound.cli import main
+from ncpbound.covers import Cover, build_cover, cover_local_degree
 from ncpbound.errors import InvariantError
-from ncpbound.extensions import LocalClassGroup, _splitting
-from ncpbound.fields import FqtElt, fqt_const
+from ncpbound.extensions import AbExt, LocalClassGroup, _splitting
+from ncpbound.fields import QQ, FqtElt, fqt_const, prime_place
+from ncpbound.groupext import prop32_scan
+from ncpbound.isolation import IsolationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,6 +56,69 @@ def test_cli_maps_invariant_error_to_exit_1(monkeypatch, capsys, tmp_path):
     assert "no character" in payload["detail"]
 
 
+def test_build_cover_raises_named_error(monkeypatch):
+    M = AbExt(QQ, 2, (-1,))
+    # a cover whose first radicand changed order, then one whose degree is
+    # not the product of the extra orders
+    for orders, degree, match in (((4, 2), 8, "class orders"), ((2, 2), 8, "extra orders")):
+        fake = SimpleNamespace(orders=orders, degree=degree)
+        monkeypatch.setattr(covers, "AbExt", lambda *args: fake)
+        with pytest.raises(InvariantError, match=match):
+            build_cover(M, (2,), 2)
+
+
+def test_cover_local_degree_raises_named_error(monkeypatch):
+    M = AbExt(QQ, 2, (-1,))
+    C = Cover(M, AbExt(QQ, 2, (-1, 2)), 2)
+    monkeypatch.setattr(covers, "local_degree", lambda E, P: 3 if E is M else 4)
+    with pytest.raises(InvariantError, match="does not divide"):
+        cover_local_degree(C, prime_place(5))
+
+
+def test_isolation_report_raises_named_error():
+    with pytest.raises(InvariantError, match="gap"):
+        IsolationReport(2, 1, 3, 5, None)
+    with pytest.raises(InvariantError, match="isolated place"):
+        IsolationReport(2, 3, 1, 2, None)
+
+
+def test_prop32_scan_raises_named_errors(monkeypatch):
+    # the closure disagreeing with the prefilter
+    monkeypatch.setattr(groupext, "fiber_is_cyclic", lambda E, x: False)
+    with pytest.raises(InvariantError, match="disagree"):
+        prop32_scan(2, 1, (2, 2))
+    # a survivor whose kernel is not of order 2
+    monkeypatch.setattr(groupext, "fiber_is_cyclic", lambda E, x: True)
+    # the only profile is (3, 3): two t and one c coefficient, here all 1
+    monkeypatch.setattr(groupext, "_power_form", lambda p, a, orders, x, n: (1, 1, 1))
+    with pytest.raises(InvariantError, match="kernel order 3"):
+        prop32_scan(3, 1, (3, 3))
+
+
+def test_cli_maps_scan_invariant_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(groupext, "fiber_is_cyclic", lambda E, x: False)
+    code = main(["groupext", "scan", "--p", "2", "--a-max", "1", "--profile-max", "2,2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error"] == "invariant-violated"
+    assert "disagree" in payload["detail"]
+
+
+def test_src_has_no_assert():
+    # an assert vanishes under python -O; invariants raise InvariantError
+    found = []
+    for path in sorted((SRC / "ncpbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_invariants_fire_under_python_O():
     script = """
 import ncpbound.fields as fields
@@ -67,6 +135,17 @@ try:
     fields.fqt_const(7, 3).class_order(3)
 except InvariantError:
     caught.append("class_order")
+from ncpbound.isolation import IsolationReport
+try:
+    IsolationReport(2, 1, 3, 5, None)
+except InvariantError:
+    caught.append("isolation_report")
+import ncpbound.groupext as groupext
+groupext.fiber_is_cyclic = lambda E, x: False
+try:
+    groupext.prop32_scan(2, 1, (2, 2))
+except InvariantError:
+    caught.append("prop32_scan")
 print(",".join(caught))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -74,4 +153,4 @@ print(",".join(caught))
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "splitting,class_order"
+    assert out.stdout.strip() == "splitting,class_order,isolation_report,prop32_scan"
