@@ -68,6 +68,10 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
+def _bound(args, default: int) -> int:
+    return default if args.bound is None else args.bound
+
+
 def _places(M, texts):
     return [parse_place_text(M.base, s) for s in texts]
 
@@ -226,7 +230,7 @@ def cmd_bound_report(args):
 
 def cmd_search_frobenius(args):
     M = _need_ext(args)
-    bound = args.bound if args.bound is not None else 1000
+    bound = _bound(args, 1000)
     hits = find_places_with_frobenius(M, _sigma(args.sigma), args.count, bound)
     out = {"sigma": list(_sigma(args.sigma)), "count": len(hits),
            "places": [to_json(P) for P in hits]}
@@ -235,7 +239,7 @@ def cmd_search_frobenius(args):
 
 def cmd_search_qsigma(args):
     M = _need_ext(args)
-    bound = args.bound if args.bound is not None else 2000
+    bound = _bound(args, 2000)
     hits = qsigma_search(M, args.p, _sigma(args.sigma), args.count, bound)
     out = {"p": args.p, "sigma": list(_sigma(args.sigma)), "count": len(hits),
            "places": [to_json(P) for P in hits]}
@@ -244,7 +248,7 @@ def cmd_search_qsigma(args):
 
 def cmd_search_s0(args):
     M = _need_ext(args)
-    bound = args.bound if args.bound is not None else 5000
+    bound = _bound(args, 5000)
     found = s0_search(M, args.p, args.power, bound)
     rows = [{"sigma": list(sig), "place": to_json(P)} for sig, P in found.items()]
     return {"p": args.p, "power": args.power, "pairs": rows}, 0
@@ -293,7 +297,7 @@ def cmd_groupext_verify(args):
 
 
 def cmd_paper_ex41(args):
-    bound = args.bound if args.bound is not None else 1000
+    bound = _bound(args, 1000)
     rep = run_ex41(args.l, args.q, bound=bound)
     return to_json(rep), 0 if rep.verdict else 1
 
@@ -306,7 +310,7 @@ def cmd_paper_ex43(args):
 def cmd_paper_prop42(args):
     base = rational_function_field(args.fq) if args.fq is not None else QQ
     pp = parse_place_text(base, args.pp)
-    bound = args.bound if args.bound is not None else 200
+    bound = _bound(args, 200)
     rep = run_prop42(args.p, pp, bound=bound, radicand_bound=args.radicand_bound)
     return to_json(rep), 0 if rep.verdict else 1
 

@@ -26,8 +26,8 @@ from .extensions import (
     local_data,
     local_degree,
     r_value,
+    radicand_order,
     roots_of_unity_s,
-    s0_search,
 )
 from .fields import Place, fqt_const, fqt_from_factors, monic_irreducibles
 from .isolation import d_value
@@ -46,7 +46,6 @@ __all__ = [
     "contains_sub_cover",
     "inertia_bound_check",
     "bound_report",
-    "s0_search",
 ]
 
 
@@ -176,14 +175,17 @@ def check_Bm(M: AbExt, m: int, S, radicand_bound: Optional[int] = None,
         radicand_bound = 100 if M.base.is_rationals() else 3
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
     pool = candidate_radicands(M.base, radicand_bound)
+    orders = [radicand_order(M.base, M.n, f) for f in pool]
     tried = 0
     for k in range(max_extra + 1):
-        for combo in combinations(pool, k):
-            try:
-                C = build_cover(M, combo, M.n)
-            except ValidationError:
+        for combo in combinations(zip(pool, orders), k):
+            # a cover that builds has [L:M] = the product of the extra
+            # orders, so no other combo can reach degree m
+            if prod(o for _, o in combo) != m:
                 continue
-            if C.rel_degree != m:
+            try:
+                C = build_cover(M, tuple(f for f, _ in combo), M.n)
+            except ValidationError:
                 continue
             tried += 1
             checks = _divisor_checks(C, m, places)

@@ -28,7 +28,6 @@ from math import gcd, lcm, prod
 from .arith import (
     _legendre_unchecked,
     factorize,
-    is_squarefree,
     mul_order_mod,
     prime_field,
     squarefree_part,
@@ -58,9 +57,10 @@ class AbExt:
     than 0 and 1.  Over F_q(t), n must divide q - 1 and radicands are factored
     rational functions (FqtElt) with nontrivial class in K*/(K*)^n.
 
-    orders[i] is the order of radicands[i] modulo n-th powers; it is computed,
-    not passed.  The classes must be independent (no nontrivial product of
-    powers is an n-th power), so Gal(M/K) = prod Z/orders[i].
+    orders[i] is the order of radicands[i] modulo n-th powers; it is computed
+    from the radicand's class vector, not passed.  The classes must be
+    independent (no nontrivial product of powers is an n-th power), so
+    Gal(M/K) = prod Z/orders[i].
     """
 
     base: BaseField
@@ -75,35 +75,23 @@ class AbExt:
         if self.base.is_rationals():
             if self.n != 2:
                 raise ValidationError("over Q only square roots are supported")
-            for f in self.radicands:
-                if not isinstance(f, int) or f in (0, 1):
-                    raise ValidationError(f"bad radicand over Q: {f!r}")
-                if not is_squarefree(f):
-                    raise ValidationError(f"radicand {f} is not squarefree")
-            orders = tuple(2 for _ in self.radicands)
-        else:
-            q = self.base.q
-            if (q - 1) % self.n != 0:
-                raise ValidationError(f"n = {self.n} does not divide q - 1 = {q - 1}")
-            orders = []
-            for f in self.radicands:
-                if not isinstance(f, FqtElt) or f.q != q:
-                    raise ValidationError(f"bad radicand over {self.base}: {f!r}")
-                o = f.class_order(self.n)
-                if o == 1:
-                    raise ValidationError(f"radicand {f} is already an n-th power")
-                orders.append(o)
-            orders = tuple(orders)
+        elif (self.base.q - 1) % self.n != 0:
+            raise ValidationError(f"n = {self.n} does not divide q - 1 = {self.base.q - 1}")
+        vectors, orders = [], []
+        for f in self.radicands:
+            vec = _class_vector(self.base, self.n, f)
+            o = _vector_order(self.n, vec)
+            if o == 1:
+                raise ValidationError(f"radicand {f} is already an n-th power")
+            vectors.append(vec)
+            orders.append(o)
+        orders = tuple(orders)
         object.__setattr__(self, "orders", orders)
-        for e in _exponent_tuples(orders):
-            if any(e) and self._is_power(e):
-                raise ValidationError(f"radicand classes are dependent at exponents {e}")
-
-    def _is_power(self, exps) -> bool:
-        w = self.w_element(exps)
-        if self.base.is_rationals():
-            return squarefree_part(w) == 1
-        return w.is_nth_power(self.n)
+        if not _independent(self.n, vectors, orders):
+            # name the first dependent exponent tuple, in enumeration order
+            e = next(e for e in _exponent_tuples(orders)
+                     if any(e) and not _combine(self.n, vectors, e))
+            raise ValidationError(f"radicand classes are dependent at exponents {e}")
 
     def w_element(self, exps):
         """The product of radicand powers for an exponent tuple."""
@@ -121,6 +109,68 @@ class AbExt:
     def describe(self) -> str:
         rads = ", ".join(str(f) for f in self.radicands)
         return f"{self.base}[{self.n}-th roots of {rads}]"
+
+
+def _class_vector(base: BaseField, n: int, f) -> dict:
+    """The class of a radicand in K*/(K*)^n as {atom: coordinate mod n},
+    zero coordinates left out.
+
+    Over Q (n = 2) the atoms are -1 and the primes of the radicand; the one
+    factorization also proves it squarefree.  Over F_q(t) they are the monic
+    irreducible factors, with their valuations, and None for the constant,
+    with its class in F_q*/(F_q*)^n (cyclic of order n since n | q - 1).
+    """
+    if base.is_rationals():
+        if not isinstance(f, int) or f in (0, 1):
+            raise ValidationError(f"bad radicand over Q: {f!r}")
+        primes = factorize(f)
+        if any(e > 1 for e in primes.values()):
+            raise ValidationError(f"radicand {f} is not squarefree")
+        vec = dict.fromkeys(primes, 1)
+        if f < 0:
+            vec[-1] = 1
+        return vec
+    q = base.q
+    if not isinstance(f, FqtElt) or f.q != q:
+        raise ValidationError(f"bad radicand over {base}: {f!r}")
+    vec = {poly: e % n for poly, e in f.factors if e % n}
+    const = prime_field(q).dlog_in_mu(pow(f.c, (q - 1) // n, q), n)
+    if const:
+        vec[None] = const
+    return vec
+
+
+def _vector_order(n: int, vec: dict) -> int:
+    return n // gcd(n, *vec.values())
+
+
+def radicand_order(base: BaseField, n: int, f) -> int:
+    """Order of the class of f in K*/(K*)^n (1 when f is an n-th power)."""
+    return _vector_order(n, _class_vector(base, n, f))
+
+
+def _combine(n: int, vectors, exps) -> dict:
+    """The class vector of prod f_i^(e_i), zero coordinates left out."""
+    out: dict = {}
+    for vec, e in zip(vectors, exps):
+        for atom, x in vec.items():
+            out[atom] = (out.get(atom, 0) + e * x) % n
+    return {atom: x for atom, x in out.items() if x}
+
+
+def _independent(n: int, vectors, orders) -> bool:
+    """Whether the classes generate a group of order prod(orders): grow the
+    span one class at a time; each must multiply its size by its order,
+    that is, no nonzero multiple of it may already lie in the span."""
+    atoms = list(dict.fromkeys(atom for vec in vectors for atom in vec))
+    span = {(0,) * len(atoms)}
+    for i, (vec, o) in enumerate(zip(vectors, orders)):
+        multiples = [tuple(k * vec.get(atom, 0) % n for atom in atoms) for k in range(o)]
+        if any(m in span for m in multiples[1:]):
+            return False
+        if i + 1 < len(vectors):
+            span = {tuple((x + y) % n for x, y in zip(s, m)) for s in span for m in multiples}
+    return True
 
 
 def build_extension(base: BaseField, n: int, radicands) -> AbExt:

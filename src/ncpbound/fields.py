@@ -333,12 +333,12 @@ class FqtElt:
         exps = dict(self.factors)
         for poly, e in other.factors:
             exps[poly] = exps.get(poly, 0) + e
-        merged = tuple((p, e) for p, e in exps.items() if e)
-        return FqtElt(self.q, self.c * other.c, merged)
+        merged = tuple(sorted((p, e) for p, e in exps.items() if e))
+        return _trusted_fqt(self.q, self.c * other.c % self.q, merged)
 
     def pow(self, k: int) -> "FqtElt":
-        return FqtElt(self.q, pow(self.c, k, self.q) if k >= 0 else pow(pow(self.c, -1, self.q), -k, self.q),
-                      tuple((p, e * k) for p, e in self.factors))
+        return _trusted_fqt(self.q, pow(self.c, k, self.q),
+                            tuple((p, e * k) for p, e in self.factors if k))
 
     def support(self) -> list[Place]:
         """Places where the valuation is nonzero (including infinity)."""
@@ -416,6 +416,17 @@ class FqtElt:
             s = f"({poly_str(poly)})"
             parts.append(s if e == 1 else f"{s}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def _trusted_fqt(q: int, c: int, factors: tuple) -> FqtElt:
+    """An FqtElt built without __post_init__, for products and powers of
+    validated elements: q is already prime, c a reduced unit, and factors a
+    sorted tuple of distinct monic irreducibles with nonzero exponents."""
+    elt = object.__new__(FqtElt)
+    object.__setattr__(elt, "q", q)
+    object.__setattr__(elt, "c", c)
+    object.__setattr__(elt, "factors", factors)
+    return elt
 
 
 def _poly_inverse(a, m, q: int):

@@ -13,17 +13,18 @@ from ncpbound.covers import (
     full_local_degree,
     inertia_bound_check,
     kernel_profile,
-    s0_search,
 )
 from ncpbound.errors import ValidationError
 from ncpbound.extensions import local_degree
 from ncpbound.fields import (
+    QQ,
     enumerate_places,
     fqt_const,
     fqt_from_factors,
     prime_place,
     real_place,
 )
+from ncpbound.jsonio import parse_place_text
 
 from helpers import ff3_quad, ff7_cubic, q_ext
 
@@ -181,6 +182,79 @@ class TestCheckBm:
         assert full is not None and full.rel_degree == 4
 
 
+def _unfiltered_check_Bm(M, m, S, radicand_bound=None, max_extra=2):
+    """check_Bm as it was before the order prefilter: build every combo of
+    the pool and keep the ones whose relative degree is m."""
+    from itertools import combinations
+
+    from ncpbound.covers import CertReport, _divisor_checks
+
+    if radicand_bound is None:
+        radicand_bound = 100 if M.base.is_rationals() else 3
+    places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
+    pool = candidate_radicands(M.base, radicand_bound)
+    tried = 0
+    for k in range(max_extra + 1):
+        for combo in combinations(pool, k):
+            try:
+                C = build_cover(M, combo, M.n)
+            except ValidationError:
+                continue
+            if C.rel_degree != m:
+                continue
+            tried += 1
+            checks = _divisor_checks(C, m, places)
+            if all(ok for _, ok, _ in checks):
+                return CertReport("Bm", m, places, C, tuple(checks))
+    detail = (
+        f"no abelian witness of relative degree {m} over {len(pool)} radicands"
+        f" ({tried} candidates had the right degree)"
+    )
+    return CertReport("Bm", m, places, None, (("witness", False, detail),))
+
+
+class TestCheckBmPrefilter:
+    """check_Bm skips every combo whose product of radicand orders is not m
+    before it builds a cover; the reports must equal the unfiltered scan's,
+    witness, checks and detail text included."""
+
+    @pytest.mark.parametrize("radicands, places", [
+        ((-1, 2), ("2",)),
+        ((-1, 2), ("3", "5", "7", "real")),
+        ((3, -7), ("2",)),
+        ((3, -7), ("5", "11", "real")),
+    ])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+    def test_rational_reports_match_unfiltered_scan(self, radicands, places, m):
+        M = q_ext(*radicands)
+        S = [parse_place_text(QQ, text) for text in places]
+        got = check_Bm(M, m, S, radicand_bound=30)
+        assert got == _unfiltered_check_Bm(M, m, S, radicand_bound=30)
+        assert got.passed == (m == 1 or (m == 2 and places != ("3", "5", "7", "real"))
+                              or (m == 4 and places == ("2",)))
+
+    @pytest.mark.parametrize("places", [("t+1",), ("t+3", "inf"), ("t^2+1",),
+                                        ("t", "t+1", "t+2", "t^2+1")])
+    @pytest.mark.parametrize("bound", [1, 2])
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_function_field_reports_match_unfiltered_scan(self, m, bound, places):
+        M = ff7_cubic()
+        S = [parse_place_text(M.base, text) for text in places]
+        got = check_Bm(M, m, S, radicand_bound=bound)
+        assert got == _unfiltered_check_Bm(M, m, S, radicand_bound=bound)
+
+    def test_no_cover_is_built_when_no_order_product_is_m(self, monkeypatch):
+        from ncpbound import covers
+
+        def refuse(*args):
+            raise AssertionError("built a cover of the wrong degree")
+
+        monkeypatch.setattr(covers, "build_cover", refuse)
+        report = check_Bm(q_ext(3, -7), 3, [prime_place(7)])
+        assert report.witness is None
+        assert report.checks[0][2].endswith("(0 candidates had the right degree)")
+
+
 class TestCor210:
     def test_passing_quadratic_certificate(self):
         C = build_cover(q_ext(11), (3,), 2)
@@ -276,6 +350,11 @@ class TestBoundReport:
             bound_report(q_ext(3, -7), 2, 3)
 
 
-class TestS0Reexport:
-    def test_same_callable(self):
-        assert s0_search is extensions.s0_search
+class TestS0Home:
+    def test_lives_in_extensions_only(self):
+        import ncpbound
+        from ncpbound import covers
+
+        assert not hasattr(covers, "s0_search")
+        assert "s0_search" not in covers.__all__
+        assert ncpbound.s0_search is extensions.s0_search

@@ -5,8 +5,11 @@ by hand from quadratic residue symbols and valuation/unit-class images of the
 radicands in the local square (or n-th power) class groups.
 """
 
+import itertools
+
 import pytest
 
+from ncpbound.arith import is_squarefree, squarefree_part
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
     AbExt,
@@ -27,6 +30,7 @@ from ncpbound.extensions import (
     pairing,
     qsigma_search,
     r_value,
+    radicand_order,
     ramified_places,
     restriction_order_to_cyclotomic,
     roots_of_unity_s,
@@ -38,10 +42,12 @@ from ncpbound.extensions import (
 )
 from ncpbound.fields import (
     QQ,
+    FqtElt,
     enumerate_places,
     fqt_const,
     fqt_from_factors,
     infinite_place,
+    monic_irreducibles,
     poly_place,
     prime_place,
     rational_function_field,
@@ -131,6 +137,146 @@ class TestConstruction:
         assert M.orders == (6, 3)
         assert M.degree == 18
         assert gal_exponent(M) == 6
+
+
+def _validation_oracle(base, n, radicands):
+    """What AbExt validation decided before class vectors, by brute force.
+
+    The per-radicand checks use is_squarefree over Q and FqtElt.class_order
+    over F_q(t); independence multiplies the radicands out for every nonzero
+    exponent tuple, in enumeration order, and asks whether the product is an
+    n-th power.  Returns the orders, or the ValidationError message.
+    """
+    try:
+        if n < 2:
+            raise ValidationError("n must be at least 2")
+        if base.is_rationals():
+            if n != 2:
+                raise ValidationError("over Q only square roots are supported")
+            for f in radicands:
+                if not isinstance(f, int) or f in (0, 1):
+                    raise ValidationError(f"bad radicand over Q: {f!r}")
+                if not is_squarefree(f):
+                    raise ValidationError(f"radicand {f} is not squarefree")
+            orders = tuple(2 for _ in radicands)
+            one, is_power = 1, lambda w: squarefree_part(w) == 1
+            mul, power = (lambda a, b: a * b), (lambda f, e: f**e)
+        else:
+            q = base.q
+            if (q - 1) % n != 0:
+                raise ValidationError(f"n = {n} does not divide q - 1 = {q - 1}")
+            orders = []
+            for f in radicands:
+                if not isinstance(f, FqtElt) or f.q != q:
+                    raise ValidationError(f"bad radicand over {base}: {f!r}")
+                o = f.class_order(n)
+                if o == 1:
+                    raise ValidationError(f"radicand {f} is already an n-th power")
+                orders.append(o)
+            orders = tuple(orders)
+            one, is_power = fqt_const(q, 1), lambda w: w.is_nth_power(n)
+            mul, power = (lambda a, b: a.mul(b)), (lambda f, e: f.pow(e))
+
+        def first_power(i, acc, prefix):
+            # depth-first in itertools.product order, carrying the product
+            if i == len(orders):
+                return prefix if any(prefix) and is_power(acc) else None
+            for e in range(orders[i]):
+                hit = first_power(i + 1, mul(acc, power(radicands[i], e)), prefix + (e,))
+                if hit is not None:
+                    return hit
+            return None
+
+        e = first_power(0, one, ())
+        if e is not None:
+            raise ValidationError(f"radicand classes are dependent at exponents {e}")
+    except ValidationError as exc:
+        return str(exc)
+    return orders
+
+
+def _validation_outcome(base, n, radicands):
+    try:
+        return AbExt(base, n, tuple(radicands)).orders
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _subsets(pool, size):
+    return [c for k in range(size + 1) for c in itertools.combinations(pool, k)]
+
+
+class TestClassVectorValidation:
+    """AbExt decides independence from per-radicand class vectors; the
+    brute-force oracle above must reach the same outcome, orders and
+    message on every subset of size <= 4 of each pool."""
+
+    def test_rationals_match_oracle(self):
+        pool = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 21, -21]
+        outcomes = set()
+        for rads in _subsets(pool, 4):
+            got = _validation_outcome(QQ, 2, rads)
+            assert got == _validation_oracle(QQ, 2, rads), rads
+            outcomes.add(type(got))
+        assert outcomes == {tuple, str}
+
+    def test_rationals_bad_radicands_match_oracle(self):
+        pool = [3, -1, 0, 1, 12, -8, "5", 2.0, 6]
+        for rads in _subsets(pool, 3):
+            assert _validation_outcome(QQ, 2, rads) == _validation_oracle(QQ, 2, rads), rads
+        for n in (1, 3):
+            assert _validation_outcome(QQ, n, (2,)) == _validation_oracle(QQ, n, (2,))
+
+    @staticmethod
+    def _fq_pool(q, constants, irreducibles):
+        consts = [fqt_const(q, c) for c in constants]
+        polys = [fqt_from_factors(q, 1, [(p, 1)]) for p in irreducibles]
+        return consts + polys + [fqt_from_factors(q, 1, [(T_, 3)])]
+
+    def _match_oracle(self, base, n, pool, size):
+        outcomes = set()
+        for rads in _subsets(pool, size):
+            got = _validation_outcome(base, n, rads)
+            assert got == _validation_oracle(base, n, rads), (n, rads)
+            outcomes.add(got if isinstance(got, str) else "ok")
+        assert "ok" in outcomes
+        assert any("dependent" in o for o in outcomes)
+        trivial = any(f.class_order(n) == 1 for f in pool)
+        assert any("already an n-th power" in o for o in outcomes) == trivial
+
+    @pytest.mark.parametrize("q, ns, constants, quadratics", [
+        (7, (2, 3, 6), (2, 3, 6), 2),
+        (13, (4, 12), (2, 4, 5, 12), 1),
+    ])
+    def test_function_fields_match_oracle(self, q, ns, constants, quadratics):
+        # every subset of size <= 4 of a pool with three linear and a few
+        # quadratic irreducibles; the full degree-2 pool is tested in pairs
+        base = rational_function_field(q)
+        irreducibles = monic_irreducibles(q, 1)[:3] + monic_irreducibles(q, 2)[:quadratics]
+        pool = self._fq_pool(q, constants, irreducibles)
+        for n in ns:
+            for f in pool:
+                assert radicand_order(base, n, f) == f.class_order(n)
+            self._match_oracle(base, n, pool, 4)
+
+    def test_all_irreducibles_to_degree_two_match_oracle_in_pairs(self):
+        pool = self._fq_pool(7, range(1, 7), monic_irreducibles(7, 1) + monic_irreducibles(7, 2))
+        for n in (2, 3, 6):
+            for f in pool:
+                assert radicand_order(F7, n, f) == f.class_order(n)
+            self._match_oracle(F7, n, pool, 2)
+
+    def test_function_field_bad_inputs_match_oracle(self):
+        t = fqt_from_factors(7, 1, [(T_, 1)])
+        for base, n, rads in [
+            (F7, 4, (t,)),
+            (F7, 1, (t,)),
+            (F7, 3, (t, 5)),
+            (F7, 3, (t, fqt_from_factors(3, 1, [(T_, 1)]))),
+            (F7, 3, (fqt_const(7, 6), "t")),
+            (F3, 2, (fqt_const(3, 2), t)),
+        ]:
+            assert _validation_outcome(base, n, rads) == _validation_oracle(base, n, rads)
 
 
 class TestGaloisGroup:

@@ -294,3 +294,67 @@ class TestTrustedPlaces:
             place_from_json({"kind": "poly", "q": 7, "coeffs": [6, 0, 1]})
         with pytest.raises(ValidationError):
             Place(F7, "poly", coeffs=(6, 0, 1))
+
+
+class TestTrustedElements:
+    """FqtElt.mul and FqtElt.pow build their results without re-validation;
+    each must equal the validated element a user would name, and elements a
+    user names are still validated on every entry point."""
+
+    @staticmethod
+    def _pool(q):
+        t, t1 = fqt_from_factors(q, 1, [((0, 1), 1)]), fqt_from_factors(q, 1, [((1, 1), 1)])
+        quad = fqt_from_factors(q, 2, [(monic_irreducibles(q, 2)[0], 2), ((0, 1), -1)])
+        return [fqt_const(q, 1), fqt_const(q, q - 1), t, t1, t.pow(-2), quad, quad.mul(t1)]
+
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_products_and_powers_match_validated_twins(self, q, monkeypatch):
+        from ncpbound import fields
+
+        pool = self._pool(q)
+        results = [a.mul(b) for a in pool for b in pool]
+        results += [a.pow(k) for a in pool for k in range(-3, 4)]
+        for r in results:
+            twin = FqtElt(r.q, r.c, r.factors)
+            assert r == twin and hash(r) == hash(twin)
+        # powers agree with repeated products, and with the inverse at k = -1
+        for a in pool:
+            acc = fqt_const(q, 1)
+            for k in range(4):
+                assert a.pow(k) == acc
+                assert a.pow(-k).mul(acc) == fqt_const(q, 1)
+                acc = acc.mul(a)
+
+        # and neither re-proves primality or irreducibility
+        def forbidden(*args):
+            raise AssertionError("re-validated a trusted result")
+
+        monkeypatch.setattr(fields, "is_prime", forbidden)
+        monkeypatch.setattr(fields, "poly_is_irreducible", forbidden)
+        for a in pool:
+            for b in pool:
+                a.mul(b).pow(3).pow(-1)
+
+    def test_user_factors_are_still_validated(self):
+        from ncpbound.jsonio import ext_from_json, fqt_from_json, parse_fqt_text
+
+        reducible, non_monic = (6, 0, 1), (2, 2)  # (t - 1)(t + 1) and 2(t + 1)
+        for coeffs, text in ((reducible, "(t^2+6)"), (non_monic, "(2t+2)")):
+            rows = [[list(coeffs), 1]]
+            with pytest.raises(ValidationError):
+                FqtElt(7, 1, ((coeffs, 1),))
+            with pytest.raises(ValidationError):
+                fqt_from_factors(7, 1, [(coeffs, 1)])
+            with pytest.raises(ValidationError):
+                parse_fqt_text(text, 7)
+            with pytest.raises(ValidationError):
+                fqt_from_json(text, 7)
+            with pytest.raises(ValidationError):
+                fqt_from_json({"c": 1, "factors": rows}, 7)
+            with pytest.raises(ValidationError):
+                ext_from_json({"base": {"kind": "Fq", "q": 7}, "n": 3,
+                               "radicands": [{"factors": rows}]})
+        with pytest.raises(ValidationError):
+            fqt_const(7, 14)  # not a unit
+        with pytest.raises(ValidationError):
+            fqt_const(9, 1)  # 9 is not prime
