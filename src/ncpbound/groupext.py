@@ -40,6 +40,7 @@ __all__ = [
     "elements",
     "fiber",
     "fiber_is_cyclic",
+    "fiber_cyclicity",
     "beta",
     "gamma",
     "power_criterion",
@@ -65,7 +66,7 @@ class CentralExt:
             raise ValidationError("kernel exponent a must be nonnegative")
         for o in self.orders:
             reduced = o
-            while reduced % self.p == 0:
+            while reduced >= self.p and reduced % self.p == 0:
                 reduced //= self.p
             if reduced != 1 or o < self.p:
                 raise ValidationError(f"quotient factor {o} is not a power of {self.p} >= {self.p}")
@@ -242,6 +243,19 @@ def power_criterion(E: CentralExt, x) -> bool:
     return E.a == 0 or power % E.p != 0
 
 
+def fiber_cyclicity(E: CentralExt) -> dict:
+    """Whether the fiber over <x> is cyclic, for every nontrivial x of the
+    quotient.  The fiber is the preimage of the subgroup <x>, which m x
+    generates too for m prime to ord(x), so one closure per cyclic subgroup
+    decides all of its generators."""
+    cyclic = {}
+    for n, x in _lines_for(E.orders):
+        verdict = fiber_is_cyclic(E, x)
+        for y in _generators(x, n, E.orders):
+            cyclic[y] = verdict
+    return cyclic
+
+
 def verify_lemma_34(E: CentralExt, x) -> bool:
     """Fiber over <x> is cyclic iff the power criterion holds.  Returns
     whether the equivalence holds on E."""
@@ -303,6 +317,13 @@ def _profiles(p: int, profile_max):
     return out
 
 
+def _generators(x, n: int, orders) -> list:
+    """The phi(n) generators m x (0 < m < n, m prime to n) of the cyclic
+    subgroup <x> of order n, x first."""
+    units = [m for m in range(1, n) if gcd(m, n) == 1]
+    return list(zip(*([m * v % o for m in units] for v, o in zip(x, orders))))
+
+
 def _lines_for(orders):
     """(order, generator) for one generator per cyclic subgroup of the
     product of the given cyclic groups, smallest order first."""
@@ -312,9 +333,7 @@ def _lines_for(orders):
         if not any(x) or x in seen:
             continue
         n = _vec_order(x, orders)
-        for m in range(1, n):
-            if gcd(m, n) == 1:
-                seen.add(tuple((m * v) % o for v, o in zip(x, orders)))
+        seen.update(_generators(x, n, orders))
         lines.append((n, x))
     lines.sort()
     return lines
@@ -341,6 +360,40 @@ def _power_form(p: int, a: int, orders, x, n: int) -> tuple:
     )
 
 
+def _good_residues(p: int, a: int, orders) -> set:
+    """The residue tuples mod p of the data (t_1..t_k, then c_ij in pair
+    order) at which no line's power form vanishes mod p: the prefilter's
+    pass set, for prime p.
+
+    The tuples grow one coordinate at a time.  A form is decided once the
+    coordinate of its last nonzero coefficient is fixed, and there it
+    vanishes for exactly one residue, so each form closing at a coordinate
+    bans one value for each prefix; a prefix with nothing left dies.  A form
+    that is identically zero vanishes everywhere.
+    """
+    forms = {
+        tuple(v % p for v in _power_form(p, a, orders, x, n)) for n, x in _lines_for(orders)
+    }
+    if any(not any(form) for form in forms):
+        return set()
+    k = len(orders)
+    # coordinate -> (coefficients before it, -1/coefficient at it) per form closing there
+    closing = [[] for _ in range(k + k * (k - 1) // 2)]
+    for form in forms:
+        last = max(i for i, v in enumerate(form) if v)
+        closing[last].append((form[:last], -pow(form[last], -1, p)))
+    prefixes = [()]
+    for closers in closing:
+        grown = []
+        for pre in prefixes:
+            banned = {
+                sum(fv * rv for fv, rv in zip(head, pre)) * scale % p for head, scale in closers
+            }
+            grown.extend(pre + (r,) for r in range(p) if r not in banned)
+        prefixes = grown
+    return set(prefixes)
+
+
 def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
     """Enumerate extensions with noncyclic quotient (rank <= len(profile),
     cyclic factors <= p^2), kernel order up to p^a_max, and all t/c data up
@@ -354,28 +407,18 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
     re-verified by the direct fiber closure, and a disagreement between the
     two routes is a hard failure.
     """
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     hits = []
     for a in range(1, a_max + 1):
         pa = p**a
         for orders in _profiles(p, b_profile_max):
-            k = len(orders)
-            pair_idx = list(combinations(range(k), 2))
             t_space = [range(gcd(o, pa)) for o in orders]
             c_space = [
                 range(0, pa, pa // gcd(orders[i], orders[j], pa))
-                for i, j in pair_idx
+                for i, j in combinations(range(len(orders)), 2)
             ]
-            forms = [
-                tuple(v % p for v in _power_form(p, a, orders, x, n))
-                for n, x in _lines_for(orders)
-            ]
-            good = set()
-            for res in product(range(p), repeat=k + len(pair_idx)):
-                if all(
-                    sum(fv * rv for fv, rv in zip(form, res)) % p
-                    for form in forms
-                ):
-                    good.add(res)
+            good = _good_residues(p, a, orders)
             if not good:
                 continue
             for t in product(*t_space):

@@ -1,10 +1,25 @@
 """Command-line behavior: exit codes, JSON shapes, flag handling."""
 
+import io
 import json
+import random
+from contextlib import redirect_stdout
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncpbound import cli, groupext
 from ncpbound.cli import main
+from ncpbound.groupext import (
+    _lines_for,
+    ext_build,
+    fiber_is_cyclic,
+    power_criterion,
+    verify_lemma_35,
+)
+from ncpbound.jsonio import to_json
 
 
 @pytest.fixture
@@ -297,6 +312,14 @@ class TestGroupext:
         code, payload, _ = run("groupext", "verify", "--p", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("p", [-2, 0, 1, 4])
+    def test_scan_non_prime_p_is_2(self, run, p):
+        code, payload, _ = run(
+            "groupext", "scan", "--p", str(p), "--a-max", "1", "--profile-max", "4,4"
+        )
+        assert code == 2
+        assert payload == {"error": "invalid-input", "detail": f"{p} is not prime"}
+
 
 class TestFlagsAndPretty:
     def test_global_flags_accepted_in_both_positions(self, run, ext_file):
@@ -318,3 +341,135 @@ class TestFlagsAndPretty:
             "suite", "--seed", "3", "--classes", "6", "--pairs", "8", "--elements", "10"
         )
         assert code == 0 and payload["passed"] is True and payload["seed"] == 3
+
+
+def _verify_by_element(args):
+    """`groupext verify` with one fiber closure per nontrivial x, the oracle
+    for the closure per cyclic subgroup (inline flags only)."""
+    E = ext_build(args.p, args.a, cli._profile(args.orders), cli._profile(args.t),
+                  cli._profile(args.c))
+    noncyclic = []
+    law_holds = True
+    for x in product(*(range(o) for o in E.orders)):
+        if not any(x):
+            continue
+        cyclic = fiber_is_cyclic(E, x)
+        if cyclic != power_criterion(E, x):
+            law_holds = False
+        if not cyclic:
+            noncyclic.append(list(x))
+    rep = verify_lemma_35(E)
+    out = {
+        "ext": to_json(E),
+        "power_criterion_all": law_holds,
+        "torsion_map": to_json(rep),
+        "noncyclic_fibers": noncyclic,
+    }
+    return out, 0 if law_holds and rep.consistent else 1
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _verify_argv(p, a, orders, t, c):
+    return ["groupext", "verify", "--p", str(p), "--a", str(a), "--orders", _csv(orders),
+            "--t", _csv(t), "--c", _csv(c)]
+
+
+def _data(p, a, orders):
+    """Every valid (t, c): t_i any kernel exponent, c_ij of order dividing
+    gcd(o_i, o_j)."""
+    pa = p**a
+    pairs = [(i, j) for i in range(len(orders)) for j in range(i + 1, len(orders))]
+    c_space = [range(0, pa, pa // gcd(orders[i], orders[j], pa)) for i, j in pairs]
+    return [(t, c) for t in product(range(pa), repeat=len(orders)) for c in product(*c_space)]
+
+
+class TestVerifyPerSubgroup:
+    SHAPES = [(2, 2, (4, 4)), (3, 1, (3, 3)), (5, 1, (5, 5))]
+
+    def _stdout_and_code(self, capsys, argv):
+        code = main(argv)
+        return capsys.readouterr().out, code
+
+    def _check(self, monkeypatch, capsys, p, a, orders, data):
+        for t, c in data:
+            argv = _verify_argv(p, a, orders, t, c)
+            got = self._stdout_and_code(capsys, argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_groupext_verify", _verify_by_element)
+                want = self._stdout_and_code(capsys, argv)
+            assert got == want, argv
+
+    @pytest.mark.parametrize("p,a,orders", SHAPES)
+    def test_matches_per_element_loop_on_every_datum(self, monkeypatch, capsys, p, a, orders):
+        self._check(monkeypatch, capsys, p, a, orders, _data(p, a, orders))
+
+    def test_matches_per_element_loop_on_seeded_draws(self, monkeypatch, capsys):
+        rng = random.Random(5)
+        data = rng.sample(_data(3, 2, (9, 3)), 6)
+        self._check(monkeypatch, capsys, 3, 2, (9, 3), data)
+
+    @pytest.mark.parametrize(
+        "p,a,orders,t,c",
+        [(2, 2, (4, 4, 2), (1, 2, 1), (2, 0, 2)), (3, 2, (9, 3), (4, 1), (3,)),
+         (5, 1, (5, 5), (0, 0), (1,))],
+    )
+    def test_one_closure_per_cyclic_subgroup(self, monkeypatch, capsys, p, a, orders, t, c):
+        closed = []
+        monkeypatch.setattr(
+            groupext, "fiber_is_cyclic", lambda E, x: closed.append(x) or fiber_is_cyclic(E, x)
+        )
+        assert main(_verify_argv(p, a, orders, t, c)) == 0
+        capsys.readouterr()
+        assert sorted(closed) == sorted(x for _, x in _lines_for(orders))
+
+
+_entry = st.integers(-2, 9)
+
+
+@st.composite
+def _verify_argv_strategy(draw):
+    """Any p, a and entries in range.  Half the draws are well formed (prime
+    p, orders powers of p, one t per order and one c per pair), so valid
+    extensions are drawn as often as malformed ones."""
+    well_formed = draw(st.booleans())
+    if well_formed:
+        p = draw(st.sampled_from((2, 3, 5)))
+        a, rank = draw(st.integers(0, 2)), draw(st.integers(2, 3))
+        order = st.sampled_from([v for v in (p, p * p) if v <= 9])
+    else:
+        p, a, rank = draw(st.integers(-2, 5)), draw(st.integers(-1, 2)), draw(st.integers(0, 3))
+        order = _entry
+
+    def values(n):
+        return draw(st.lists(_entry, min_size=n, max_size=n) if well_formed
+                    else st.lists(_entry, max_size=3))
+
+    orders = draw(st.lists(order, min_size=rank, max_size=rank))
+    return ["groupext", "verify", f"--p={p}", f"--a={a}", f"--orders={_csv(orders)}",
+            f"--t={_csv(values(rank))}", f"--c={_csv(values(rank * (rank - 1) // 2))}"]
+
+
+class TestGroupextFuzz:
+    # every argv the verbs parse ends in an exit code, never an exception
+    # or a hang; values go after "=" so argparse takes negatives as values
+
+    @staticmethod
+    def _exit_code(argv):
+        with redirect_stdout(io.StringIO()):
+            return main(argv)
+
+    @settings(deadline=None, max_examples=300)
+    @given(p=st.integers(-2, 5), a_max=st.integers(-1, 2),
+           profile=st.lists(_entry, max_size=3))
+    def test_scan(self, p, a_max, profile):
+        argv = ["groupext", "scan", f"--p={p}", f"--a-max={a_max}",
+                f"--profile-max={_csv(profile)}"]
+        assert self._exit_code(argv) in (0, 1, 2, 3)
+
+    @settings(deadline=None, max_examples=250)
+    @given(argv=_verify_argv_strategy())
+    def test_verify(self, argv):
+        assert self._exit_code(argv) in (0, 1, 2, 3)

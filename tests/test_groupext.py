@@ -15,6 +15,7 @@ from ncpbound.groupext import (
     ext_order,
     ext_pow,
     fiber,
+    fiber_cyclicity,
     fiber_is_cyclic,
     gamma,
     identity,
@@ -97,6 +98,12 @@ class TestBuild:
         with pytest.raises(ValidationError):
             ext_build(2, 1, (6,), (0,), ())
 
+    def test_nonpositive_order_rejected(self):
+        # 0 is divisible by every p: peeling factors of p off it never ends
+        for o in (0, -2, -4):
+            with pytest.raises(ValidationError, match=f"quotient factor {o} "):
+                ext_build(2, 1, (o, 2), (0, 0), (0,))
+
     def test_associativity_on_random_triples(self):
         rng = random.Random(7)
         for E in (q8(), d4(), split_c4_c2(), heis3()):
@@ -145,6 +152,15 @@ class TestFiber:
 
     def test_split_fiber_noncyclic(self):
         assert not fiber_is_cyclic(split_c4_c2(), (1,))
+
+    def test_cyclicity_per_subgroup_matches_each_closure(self):
+        for E in (q8(), d4(), split_c4_c2(), heis3(), ext_build(2, 2, (4, 2), (1, 2), (2,))):
+            want = {
+                x: fiber_is_cyclic(E, x)
+                for x in product(*(range(o) for o in E.orders))
+                if any(x)
+            }
+            assert fiber_cyclicity(E) == want, E
 
 
 class TestBeta:
@@ -361,6 +377,70 @@ class TestPowerForm:
         assert checked > 0
 
 
+def _good_residues_by_enumeration(p, a, orders):
+    """The prefilter's pass set by testing every residue tuple against every
+    line's form: the oracle for groupext._good_residues."""
+    from ncpbound import groupext
+
+    k = len(orders)
+    forms = [
+        tuple(v % p for v in groupext._power_form(p, a, orders, x, n))
+        for n, x in groupext._lines_for(orders)
+    ]
+    return {
+        res
+        for res in product(range(p), repeat=k + k * (k - 1) // 2)
+        if all(sum(fv * rv for fv, rv in zip(form, res)) % p for form in forms)
+    }
+
+
+class TestGoodResidues:
+    @pytest.mark.parametrize(
+        "p,a_max,profile",
+        [(5, 1, (25, 25, 25)), (2, 3, (4, 4, 4, 4)), (3, 3, (9, 9, 9)), (2, 3, (4, 4, 4))],
+    )
+    def test_matches_enumeration_on_scan_profiles(self, p, a_max, profile):
+        from ncpbound.groupext import _good_residues, _profiles
+
+        nonempty = 0
+        for a in range(1, a_max + 1):
+            for orders in _profiles(p, profile):
+                good = _good_residues(p, a, orders)
+                assert good == _good_residues_by_enumeration(p, a, orders), (a, orders)
+                nonempty += bool(good)
+        # odd p leaves no residue tuple; for p = 2 nonempty sets are compared
+        assert nonempty > 0 or p != 2
+
+    @pytest.mark.parametrize(
+        "p,orders", [(2, (2, 2)), (3, (3, 3)), (2, (4, 4, 2)), (5, (5, 5)), (3, (3, 3, 3))]
+    )
+    def test_matches_enumeration_on_synthetic_forms(self, monkeypatch, p, orders):
+        # seeded forms with many zero coefficients, so forms close at every
+        # coordinate, and some draws contain an identically zero form
+        from ncpbound import groupext
+
+        rng = random.Random(f"{p}{orders}")
+        d = len(orders) + len(orders) * (len(orders) - 1) // 2
+        zero_seen = False
+        for _ in range(40):
+            zero_rate = rng.choice((0.3, 0.6, 0.9))
+            table = {}
+
+            def form(p_, a, orders_, x, n):
+                if x not in table:
+                    table[x] = tuple(
+                        0 if rng.random() < zero_rate else rng.randrange(1, 3 * p)
+                        for _ in range(d)
+                    )
+                return table[x]
+
+            monkeypatch.setattr(groupext, "_power_form", form)
+            want = _good_residues_by_enumeration(p, 1, orders)
+            zero_seen |= any(not any(v % p for v in f) for f in table.values())
+            assert groupext._good_residues(p, 1, orders) == want, table
+        assert zero_seen
+
+
 def _scan_by_closure(p, a_max, profile_max):
     """The scan's defining enumeration with no prefilter, for cross-checking."""
     from itertools import combinations, product
@@ -398,6 +478,11 @@ class TestProp32Scan:
 
     def test_odd_p_has_no_hits(self):
         assert prop32_scan(3, 2, (9, 9)) == []
+
+    @pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
+    def test_non_prime_p_rejected(self, p):
+        with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
+            prop32_scan(p, 1, (4, 4))
 
     def test_rank_two_range(self):
         hits = prop32_scan(2, 2, (4, 4))
