@@ -120,6 +120,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(n: int, name: str = "p") -> None:
+    if not is_prime(n):
+        raise ValidationError(f"{name} must be prime, got {n}")
+
+
 def primes_upto(bound: int):
     """Yield primes <= bound (sieve)."""
     if bound < 2:

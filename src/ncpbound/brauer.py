@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .arith import QZ, QZ_ZERO, factorize, vp
+from .arith import QZ, QZ_ZERO, factorize, require_prime, vp
 from .errors import IncompleteLocalData, SearchExhausted, ValidationError
 from .extensions import AbExt, gal_exponent, is_real_field, local_degree
 from .fields import BaseField, Place, enumerate_places, real_place
@@ -251,6 +251,7 @@ def check_lemma_2_1(alpha: BrauerClass, M: AbExt, p: int) -> bool:
     """Gap inequality at the p-isolated place: v_p of the restricted local
     index is at most v_p of the restricted global index minus the gap,
     floored at zero.  Vacuously true when no place is p-isolated."""
+    require_prime(p)
     if p == M.base.char:
         return True
     rep = isolation_report(M, p)

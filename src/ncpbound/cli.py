@@ -274,7 +274,9 @@ def cmd_groupext_verify(args):
         missing = [f for f in ("p", "a", "orders", "t", "c") if getattr(args, f) is None]
         if missing:
             raise ValidationError("give an extension file or all of --p --a --orders --t --c")
-        E = ext_build(args.p, args.a, _profile(args.orders), _profile(args.t), _profile(args.c))
+        # an empty --c lists no pairs (rank 1)
+        c = _profile(args.c) if args.c else ()
+        E = ext_build(args.p, args.a, _profile(args.orders), _profile(args.t), c)
     noncyclic = []
     law_holds = True
     # sorted: noncyclic_fibers lists x in lexicographic order
@@ -325,137 +327,134 @@ def cmd_suite(args):
 # ------------------------------------------------------------------ parser
 
 
-def _common() -> argparse.ArgumentParser:
-    # SUPPRESS keeps post-subcommand copies from clobbering values parsed
-    # at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ext", metavar="FILE", default=argparse.SUPPRESS,
-                        help="extension JSON file")
-    common.add_argument("--bound", type=int, metavar="N", default=argparse.SUPPRESS,
-                        help="search or scan bound")
-    common.add_argument("--seed", type=int, metavar="N", default=argparse.SUPPRESS,
-                        help="seed for randomized commands")
-    common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS,
-                        help="render a table on stderr as well")
-    return common
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the global flags; the verbs' copies default to SUPPRESS so that a value
+# given before the verb is not clobbered
+GLOBALS = {
+    "--ext": {"metavar": "FILE", "help": "extension JSON file"},
+    "--bound": {"type": int, "metavar": "N", "help": "search or scan bound"},
+    "--seed": {"type": int, "metavar": "N", "help": "seed for randomized commands"},
+    "--pretty": {"action": "store_true", "help": "render a table on stderr as well"},
+}
+
+_P = _arg("--p", type=int, required=True)
+_PLACES = _arg("places", nargs="+", metavar="PLACE")
+_CLASS = _arg("classfile", metavar="CLASS.json")
+_SIGMA = _arg("--sigma", required=True, metavar="a,b,...")
+_COUNT = _arg("--count", type=int, default=1)
+
+# verb path -> its handler and the arguments of its sub-parser, in help order
+VERBS = {
+    ("field",): (cmd_field, ()),
+    ("local-degree",): (cmd_local_degree, (_PLACES,)),
+    ("isolated",): (cmd_isolated, ()),
+    ("brauer", "index"): (cmd_brauer_index, (_CLASS,)),
+    ("brauer", "restrict"): (cmd_brauer_restrict, (
+        _CLASS, _arg("--chi-order", type=int, help="also report the fiber index"))),
+    ("brauer", "split"): (cmd_brauer_split, (_CLASS,)),
+    ("brauer", "construct"): (cmd_brauer_construct, (
+        _arg("-m", type=int, required=True, help="target restricted index"), _PLACES)),
+    ("brauer", "lemma21"): (cmd_brauer_lemma21, (_P, _arg("--count", type=int, default=100))),
+    ("cover", "check"): (cmd_cover_check, (
+        _arg("--extra", nargs="+", required=True, metavar="RADICAND"),
+        _arg("--nprime", type=int, help="exponent of the cover (default: keep)"),
+        _arg("--p", type=int, help="check as a p^n-cover"), _arg("--n", type=int),
+        _arg("places", nargs="*", metavar="PLACE"))),
+    ("cover", "scan"): (cmd_cover_scan, (
+        _arg("-m", type=int, required=True, help="relative degree"),
+        _arg("--max-extra", type=int, default=2), _PLACES)),
+    ("bound-report",): (cmd_bound_report, (_P, _arg("--chi-order", type=int, required=True))),
+    ("search", "frobenius"): (cmd_search_frobenius, (_SIGMA, _COUNT)),
+    ("search", "qsigma"): (cmd_search_qsigma, (_P, _SIGMA, _COUNT)),
+    ("search", "s0"): (cmd_search_s0, (_P, _arg("--power", type=int, required=True))),
+    ("groupext", "scan"): (cmd_groupext_scan, (
+        _P, _arg("--a-max", type=int, required=True),
+        _arg("--profile-max", required=True, metavar="o1,o2,..."))),
+    ("groupext", "verify"): (cmd_groupext_verify, (
+        _arg("extfile", nargs="?", metavar="EXT.json"), _arg("--p", type=int),
+        _arg("--a", type=int), _arg("--orders", metavar="o1,o2,..."),
+        _arg("--t", metavar="t1,t2,..."), _arg("--c", metavar="c12,c13,..."))),
+    ("paper", "ex41"): (cmd_paper_ex41, (_arg("l", type=int), _arg("q", type=int))),
+    ("paper", "ex43"): (cmd_paper_ex43, (
+        _arg("p", type=int), _arg("q", type=int), _arg("a", type=int))),
+    ("paper", "prop42"): (cmd_paper_prop42, (
+        _arg("p", type=int), _arg("pp", metavar="PLACE"),
+        _arg("--fq", type=int, help="work over F_q(t) instead of Q"),
+        _arg("--radicand-bound", type=int, default=60))),
+    ("suite",): (cmd_suite, (
+        _arg("--mutation", help="run with one documented mutation applied"),
+        *(_arg(f"--{n}", type=int) for n in ("classes", "pairs", "elements")))),
+}
+
+
+def build_parser(verb: tuple | None = None) -> argparse.ArgumentParser:
+    """The whole parser tree, or with a verb path only that verb's sub-parser
+    (and its group's) under the global flags."""
     parser = argparse.ArgumentParser(
         prog="ncpbound",
         description="Local-degree bookkeeping for abelian extensions of Q and F_q(t): "
         "Brauer classes, covers, isolation, central extensions, worked examples.",
     )
-    parser.add_argument("--ext", metavar="FILE", help="extension JSON file")
-    parser.add_argument("--bound", type=int, metavar="N", help="search or scan bound")
-    parser.add_argument("--seed", type=int, metavar="N", help="seed for randomized commands")
-    parser.add_argument("--pretty", action="store_true", help="render a table on stderr as well")
+    for flag, kwargs in GLOBALS.items():
+        parser.add_argument(flag, **kwargs)
     parser.set_defaults(func=None)
-    common = _common()
     sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("field", parents=[common]).set_defaults(func=cmd_field)
-
-    sp = sub.add_parser("local-degree", parents=[common])
-    sp.add_argument("places", nargs="+", metavar="PLACE")
-    sp.set_defaults(func=cmd_local_degree)
-
-    sub.add_parser("isolated", parents=[common]).set_defaults(func=cmd_isolated)
-
-    br = sub.add_parser("brauer").add_subparsers(dest="subcommand", required=True)
-    sp = br.add_parser("index", parents=[common])
-    sp.add_argument("classfile", metavar="CLASS.json")
-    sp.set_defaults(func=cmd_brauer_index)
-    sp = br.add_parser("restrict", parents=[common])
-    sp.add_argument("classfile", metavar="CLASS.json")
-    sp.add_argument("--chi-order", type=int, help="also report the fiber index")
-    sp.set_defaults(func=cmd_brauer_restrict)
-    sp = br.add_parser("split", parents=[common])
-    sp.add_argument("classfile", metavar="CLASS.json")
-    sp.set_defaults(func=cmd_brauer_split)
-    sp = br.add_parser("construct", parents=[common])
-    sp.add_argument("-m", type=int, required=True, help="target restricted index")
-    sp.add_argument("places", nargs="+", metavar="PLACE")
-    sp.set_defaults(func=cmd_brauer_construct)
-    sp = br.add_parser("lemma21", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--count", type=int, default=100)
-    sp.set_defaults(func=cmd_brauer_lemma21)
-
-    cv = sub.add_parser("cover").add_subparsers(dest="subcommand", required=True)
-    sp = cv.add_parser("check", parents=[common])
-    sp.add_argument("--extra", nargs="+", required=True, metavar="RADICAND")
-    sp.add_argument("--nprime", type=int, help="exponent of the cover (default: keep)")
-    sp.add_argument("--p", type=int, help="check as a p^n-cover")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("places", nargs="*", metavar="PLACE")
-    sp.set_defaults(func=cmd_cover_check)
-    sp = cv.add_parser("scan", parents=[common])
-    sp.add_argument("-m", type=int, required=True, help="relative degree")
-    sp.add_argument("--max-extra", type=int, default=2)
-    sp.add_argument("places", nargs="+", metavar="PLACE")
-    sp.set_defaults(func=cmd_cover_scan)
-
-    sp = sub.add_parser("bound-report", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--chi-order", type=int, required=True)
-    sp.set_defaults(func=cmd_bound_report)
-
-    se = sub.add_parser("search").add_subparsers(dest="subcommand", required=True)
-    sp = se.add_parser("frobenius", parents=[common])
-    sp.add_argument("--sigma", required=True, metavar="a,b,...")
-    sp.add_argument("--count", type=int, default=1)
-    sp.set_defaults(func=cmd_search_frobenius)
-    sp = se.add_parser("qsigma", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--sigma", required=True, metavar="a,b,...")
-    sp.add_argument("--count", type=int, default=1)
-    sp.set_defaults(func=cmd_search_qsigma)
-    sp = se.add_parser("s0", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--power", type=int, required=True)
-    sp.set_defaults(func=cmd_search_s0)
-
-    ge = sub.add_parser("groupext").add_subparsers(dest="subcommand", required=True)
-    sp = ge.add_parser("scan", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a-max", type=int, required=True)
-    sp.add_argument("--profile-max", required=True, metavar="o1,o2,...")
-    sp.set_defaults(func=cmd_groupext_scan)
-    sp = ge.add_parser("verify", parents=[common])
-    sp.add_argument("extfile", nargs="?", metavar="EXT.json")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--orders", metavar="o1,o2,...")
-    sp.add_argument("--t", metavar="t1,t2,...")
-    sp.add_argument("--c", metavar="c12,c13,...")
-    sp.set_defaults(func=cmd_groupext_verify)
-
-    pa = sub.add_parser("paper").add_subparsers(dest="subcommand", required=True)
-    sp = pa.add_parser("ex41", parents=[common])
-    sp.add_argument("l", type=int)
-    sp.add_argument("q", type=int)
-    sp.set_defaults(func=cmd_paper_ex41)
-    sp = pa.add_parser("ex43", parents=[common])
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("a", type=int)
-    sp.set_defaults(func=cmd_paper_ex43)
-    sp = pa.add_parser("prop42", parents=[common])
-    sp.add_argument("p", type=int)
-    sp.add_argument("pp", metavar="PLACE")
-    sp.add_argument("--fq", type=int, help="work over F_q(t) instead of Q")
-    sp.add_argument("--radicand-bound", type=int, default=60)
-    sp.set_defaults(func=cmd_paper_prop42)
-
-    sp = sub.add_parser("suite", parents=[common])
-    sp.add_argument("--mutation", help="run with one documented mutation applied")
-    sp.add_argument("--classes", type=int)
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--elements", type=int)
-    sp.set_defaults(func=cmd_suite)
-
+    groups = {}
+    for path, (handler, arguments) in VERBS.items():
+        if verb is not None and path != verb:
+            continue
+        *group, name = path
+        if group and group[0] not in groups:
+            groups[group[0]] = sub.add_parser(group[0]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        sp = (groups[group[0]] if group else sub).add_parser(name)
+        for flag, kwargs in GLOBALS.items():
+            sp.add_argument(flag, **kwargs, default=argparse.SUPPRESS)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=handler)
     return parser
+
+
+def _verb_path(argv) -> tuple | None:
+    """The verb path argv invokes, or None where only the whole tree words the
+    outcome as before: no verb or an unknown one, or a token before the verb
+    other than an exact global flag with a well-formed value (-h, an
+    abbreviation, a value that starts with "-" or does not convert)."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, value = argv[i].partition("=")
+        spec = GLOBALS.get(flag)
+        if spec is None or eq and "action" in spec:
+            return None
+        if "action" not in spec:
+            if not eq:
+                i += 1
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            try:
+                spec.get("type", str)(value)
+            except ValueError:
+                return None
+        i += 1
+    for n in (1, 2):
+        if tuple(argv[i:i + n]) in VERBS:
+            return tuple(argv[i:i + n])
+    return None
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv as the whole tree does, building only the invoked verb."""
+    args, extras = build_parser(_verb_path(argv)).parse_known_args(argv)
+    if extras:
+        # the whole tree's usage line names every verb
+        return build_parser().parse_args(argv)
+    return args
 
 
 # ------------------------------------------------------------------ output
@@ -488,10 +487,9 @@ def _render(payload, fh) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.func is None:
-        parser.print_help(sys.stderr)
+        build_parser().print_help(sys.stderr)
         return 2
     try:
         payload, code = args.func(args)

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Optional
 
-from .arith import is_squarefree, prime_field
+from .arith import is_squarefree, prime_field, require_prime
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
@@ -273,6 +273,7 @@ class BoundReport:
 
 
 def bound_report(M: AbExt, p: int, chi_order: int) -> BoundReport:
+    require_prime(p)
     if p == M.base.char:
         raise ValidationError(
             f"p = {p} equals the field characteristic; the ceiling analysis is tame only"

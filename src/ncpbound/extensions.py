@@ -30,6 +30,7 @@ from .arith import (
     factorize,
     mul_order_mod,
     prime_field,
+    require_prime,
     squarefree_part,
     vp,
 )
@@ -589,6 +590,7 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     ord(N mod p^(s+1)) > f_sigma for odd p, ord(N mod 2^(r+2)) > f_sigma for
     p = 2, and p never divides N.  f_sigma is the order of sigma on the
     p-power cyclotomic part of M."""
+    require_prime(p)
     sigma = validate_sigma(M, sigma)
     f_sigma = restriction_order_to_cyclotomic(M, p, sigma)
     if p == 2:
@@ -617,6 +619,7 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     """For each generator of Gal(M/T) (just the identity when that group is
     trivial), an unramified place with that Frobenius and norm = 1 mod
     p^power.  Raises SearchExhausted with the partial dict on failure."""
+    require_prime(p)
     zero = gal_identity(M)
 
     def add(x, y):

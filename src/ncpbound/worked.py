@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 from typing import Callable, Optional
 
-from .arith import QZ, is_prime, legendre, power_class_order, vp
+from .arith import QZ, is_prime, legendre, power_class_order, require_prime, vp
 from .brauer import (
     check_lemma_2_1,
     construct_class,
@@ -222,10 +222,8 @@ def run_ex43(p: int, q: int, a: int) -> PaperReport:
     degree n^2 at (t) and (t-a), no isolated primes, and records the b_p = 0
     conclusion those facts support.
     """
-    if not is_prime(p):
-        raise ValidationError(f"p must be prime, got {p}")
-    if not is_prime(q):
-        raise ValidationError(f"q must be prime, got {q}")
+    require_prime(p)
+    require_prime(q, "q")
     if (q - 1) % p != 0:
         raise ValidationError(f"{q} != 1 (mod {p}): no p-th roots of unity in F_{q}")
     a %= q
@@ -343,8 +341,7 @@ def run_prop42(
     divides the residue norm of pp, and SearchExhausted when either search
     runs out of candidates.
     """
-    if not is_prime(p):
-        raise ValidationError(f"p must be prime, got {p}")
+    require_prime(p)
     if not isinstance(pp, Place) or pp.kind == "real":
         raise ValidationError("pp must be a nonarchimedean place")
     base = pp.base

@@ -283,6 +283,19 @@ class TestCoverAndSearch:
         assert payload["interval"][0] <= (payload["interval"][1] or payload["interval"][0])
 
 
+@pytest.mark.parametrize("p", [-2, 0, 1, 4])
+@pytest.mark.parametrize("argv", [
+    ("search", "qsigma", "--sigma", "1,1"),
+    ("search", "s0", "--power", "3"),
+    ("brauer", "lemma21", "--count", "2"),
+    ("bound-report", "--chi-order", "4"),
+], ids=["qsigma", "s0", "lemma21", "bound-report"])
+def test_non_prime_p_is_2(run, ext_file, argv, p):
+    code, payload, err = run(*argv, f"--p={p}", "--ext", ext_file)
+    assert code == 2 and err == ""
+    assert payload == {"error": "invalid-input", "detail": f"p must be prime, got {p}"}
+
+
 class TestGroupext:
     def test_scan_finds_quaternion_datum(self, run):
         code, payload, _ = run(
@@ -311,6 +324,30 @@ class TestGroupext:
     def test_verify_missing_flags_is_2(self, run):
         code, payload, _ = run("groupext", "verify", "--p", "2")
         assert code == 2
+
+    def test_verify_rank_one_with_empty_c(self, run):
+        code, payload, _ = run(
+            "groupext", "verify", "--p", "2", "--a", "2", "--orders", "2", "--t", "0", "--c", ""
+        )
+        assert code == 0
+        assert payload["ext"]["orders"] == [2] and payload["ext"]["c"] == []
+
+    def test_verify_empty_c_needs_rank_one(self, run):
+        code, payload, _ = run(
+            "groupext", "verify", "--p", "2", "--a", "1", "--orders", "2,2", "--t", "0,0",
+            "--c", "",
+        )
+        assert code == 2 and payload["detail"] == "1 commutator values required"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--p", "2", "--a", "2", "--orders", "", "--t", "0", "--c", ""),
+        ("verify", "--p", "2", "--a", "2", "--orders", "2", "--t", "", "--c", ""),
+        ("scan", "--p", "2", "--a-max", "1", "--profile-max", ""),
+    ], ids=["orders", "t", "profile-max"])
+    def test_other_empty_profiles_still_rejected(self, run, argv):
+        code, payload, _ = run("groupext", *argv)
+        assert code == 2
+        assert payload["detail"] == "profile must be comma-separated integers, got ''"
 
     @pytest.mark.parametrize("p", [-2, 0, 1, 4])
     def test_scan_non_prime_p_is_2(self, run, p):
