@@ -23,7 +23,6 @@ from .covers import (
     candidate_radicands,
     check_Bm,
     check_cor210,
-    contains_sub_cover,
     cover_local_degree,
     full_local_degree,
     kernel_profile,

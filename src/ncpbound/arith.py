@@ -1,8 +1,7 @@
 """Exact arithmetic in Q/Z and in prime fields.
 
 Elements of Q/Z are kept as reduced fractions a/b with 0 <= a < b; the order
-of a/b is exactly b.  The p-primary decomposition splits a/b into summands of
-prime-power order via CRT on the denominator.
+of a/b is exactly b.
 """
 
 from __future__ import annotations
@@ -47,18 +46,6 @@ class QZ:
     def scale(self, k: int) -> "QZ":
         """k-fold sum of self; the order divides den/gcd(den, k)."""
         return QZ(self.num * k, self.den)
-
-    def p_primary(self) -> dict[int, "QZ"]:
-        """Decompose into parts of prime-power order, one per prime of den.
-
-        The parts sum to self and the part at p has order p^vp(den).
-        """
-        parts = {}
-        for p, e in factorize(self.den).items():
-            pe = p**e
-            m = self.den // pe
-            parts[p] = QZ(self.num * pow(m, -1, pe), pe)
-        return parts
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

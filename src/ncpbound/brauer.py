@@ -69,15 +69,6 @@ class BrauerClass:
     def __neg__(self) -> "BrauerClass":
         return BrauerClass(tuple((P, -inv) for P, inv in self.invariants))
 
-    def p_part(self, p: int) -> "BrauerClass":
-        """The summand of p-power order in the primary decomposition."""
-        acc = {}
-        for P, inv in self.invariants:
-            parts = inv.p_primary()
-            if p in parts:
-                acc[P] = parts[p]
-        return make_class(acc)
-
     def __str__(self) -> str:
         if not self.invariants:
             return "0"

@@ -84,11 +84,11 @@ def _radicand(M, text: str):
     return parse_fqt_text(text, M.base.q)
 
 
-def _sigma(text: str) -> tuple:
+def _int_list(text: str, what: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValidationError(f"sigma must be comma-separated integers, got {text!r}") from None
+        raise ValidationError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 # ------------------------------------------------------------- subcommands
@@ -230,17 +230,18 @@ def cmd_bound_report(args):
 def cmd_search_frobenius(args):
     M = _need_ext(args)
     bound = _bound(args, 1000)
-    hits = find_places_with_frobenius(M, _sigma(args.sigma), args.count, bound)
-    out = {"sigma": list(_sigma(args.sigma)), "count": len(hits),
-           "places": [to_json(P) for P in hits]}
+    sigma = _int_list(args.sigma, "sigma")
+    hits = find_places_with_frobenius(M, sigma, args.count, bound)
+    out = {"sigma": list(sigma), "count": len(hits), "places": [to_json(P) for P in hits]}
     return out, 0
 
 
 def cmd_search_qsigma(args):
     M = _need_ext(args)
     bound = _bound(args, 2000)
-    hits = qsigma_search(M, args.p, _sigma(args.sigma), args.count, bound)
-    out = {"p": args.p, "sigma": list(_sigma(args.sigma)), "count": len(hits),
+    sigma = _int_list(args.sigma, "sigma")
+    hits = qsigma_search(M, args.p, sigma, args.count, bound)
+    out = {"p": args.p, "sigma": list(sigma), "count": len(hits),
            "places": [to_json(P) for P in hits]}
     return out, 0
 
@@ -253,16 +254,10 @@ def cmd_search_s0(args):
     return {"p": args.p, "power": args.power, "pairs": rows}, 0
 
 
-def _profile(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValidationError(f"profile must be comma-separated integers, got {text!r}") from None
-
-
 def cmd_groupext_scan(args):
-    hits = prop32_scan(args.p, args.a_max, _profile(args.profile_max))
-    out = {"p": args.p, "a_max": args.a_max, "profile_max": list(_profile(args.profile_max)),
+    profile = _int_list(args.profile_max, "profile")
+    hits = prop32_scan(args.p, args.a_max, profile)
+    out = {"p": args.p, "a_max": args.a_max, "profile_max": list(profile),
            "count": len(hits), "hits": [to_json(E) for E in hits]}
     return out, 0
 
@@ -275,8 +270,9 @@ def cmd_groupext_verify(args):
         if missing:
             raise ValidationError("give an extension file or all of --p --a --orders --t --c")
         # an empty --c lists no pairs (rank 1)
-        c = _profile(args.c) if args.c else ()
-        E = ext_build(args.p, args.a, _profile(args.orders), _profile(args.t), c)
+        c = _int_list(args.c, "profile") if args.c else ()
+        orders, t = _int_list(args.orders, "profile"), _int_list(args.t, "profile")
+        E = ext_build(args.p, args.a, orders, t, c)
     noncyclic = []
     law_holds = True
     # sorted: noncyclic_fibers lists x in lexicographic order
@@ -448,13 +444,17 @@ def _verb_path(argv) -> tuple | None:
     return None
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse argv as the whole tree does, building only the invoked verb."""
-    args, extras = build_parser(_verb_path(argv)).parse_known_args(argv)
+def parse_args(argv) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """Parse argv as the whole tree does, building only the invoked verb.
+    Returns the parser that parsed argv (the whole tree when no verb was
+    found) together with the namespace."""
+    parser = build_parser(_verb_path(argv))
+    args, extras = parser.parse_known_args(argv)
     if extras:
         # the whole tree's usage line names every verb
-        return build_parser().parse_args(argv)
-    return args
+        parser = build_parser()
+        return parser, parser.parse_args(argv)
+    return parser, args
 
 
 # ------------------------------------------------------------------ output
@@ -487,9 +487,9 @@ def _render(payload, fh) -> None:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    parser, args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.func is None:
-        build_parser().print_help(sys.stderr)
+        parser.print_help(sys.stderr)
         return 2
     try:
         payload, code = args.func(args)

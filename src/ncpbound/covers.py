@@ -6,7 +6,7 @@ that sit bounded certificate scans: does some abelian cover of relative
 degree m satisfy every local divisor constraint from a finite place set S?
 A scan that finds nothing reports a bounded-search outcome, never a proof
 of nonexistence.  The module also carries the exponent ceiling report for
-the fiber bound and the tame inertia divisibility check.
+the fiber bound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .extensions import (
     cyclotomic_degree,
     gal_exponent,
     is_real_field,
-    local_data,
     local_degree,
     r_value,
     radicand_order,
@@ -43,8 +42,6 @@ __all__ = [
     "candidate_radicands",
     "check_Bm",
     "check_cor210",
-    "contains_sub_cover",
-    "inertia_bound_check",
     "bound_report",
 ]
 
@@ -214,34 +211,6 @@ def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
     checks.append(("kernel-rank", rank <= 2, f"kernel factors {profile}"))
     checks.append(("trivial-action", True, "abelian cover: conjugation is trivial"))
     return CertReport("Cor210", pn, places, C, tuple(checks), p=p, n=n)
-
-
-def contains_sub_cover(C: Cover, m_prime: int) -> Optional[Cover]:
-    """A cover of the same M with relative degree m_prime built from a
-    subset of C's extra radicands, or None if no subset gives that degree."""
-    extras = C.L.radicands[len(C.M.radicands):]
-    for k in range(len(extras) + 1):
-        for combo in combinations(extras, k):
-            try:
-                sub = build_cover(C.M, combo, C.L.n)
-            except ValidationError:
-                continue
-            if sub.rel_degree == m_prime:
-                return sub
-    return None
-
-
-def inertia_bound_check(C: Cover, P: Place, p: int) -> bool:
-    """Tame divisibility bound on ramification in the full cover: e_P(L/K)
-    divides p^s for odd p and 2^(r+1) for p = 2, with s and r read off M."""
-    if P.kind == "real":
-        raise ValidationError("the inertia bound applies to finite places")
-    e = local_data(C.L, P).ram_index
-    if p == 2:
-        limit = 2 ** (r_value(C.M) + 1)
-    else:
-        limit = p ** roots_of_unity_s(C.M, p)
-    return limit % e == 0
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,10 @@ from .arith import (
     mul_order_mod,
     prime_field,
     require_prime,
-    squarefree_part,
     vp,
 )
 from .errors import InvariantError, SearchExhausted, ValidationError
 from .fields import (
-    QQ,
     BaseField,
     FqtElt,
     Place,
@@ -93,15 +91,6 @@ class AbExt:
             e = next(e for e in _exponent_tuples(orders)
                      if any(e) and not _combine(self.n, vectors, e))
             raise ValidationError(f"radicand classes are dependent at exponents {e}")
-
-    def w_element(self, exps):
-        """The product of radicand powers for an exponent tuple."""
-        if self.base.is_rationals():
-            return prod(f**e for f, e in zip(self.radicands, exps))
-        out = FqtElt(self.base.q, 1, ())
-        for f, e in zip(self.radicands, exps):
-            out = out.mul(f.pow(e))
-        return out
 
     @property
     def degree(self) -> int:
@@ -404,10 +393,6 @@ def local_degree(M: AbExt, place: Place) -> int:
     return local_data(M, place).degree
 
 
-def is_totally_split(M: AbExt, place: Place) -> bool:
-    return local_degree(M, place) == 1
-
-
 def ramified_places(M: AbExt) -> tuple:
     """Finite places with nontrivial inertia, sorted."""
     if M.base.is_rationals():
@@ -435,32 +420,33 @@ def is_real_field(M: AbExt) -> bool:
 # roots of unity and the cyclotomic part
 
 
+def _w_vectors(M: AbExt) -> dict:
+    """The class vector of every element of W, keyed by its exponent tuple."""
+    vectors = [_class_vector(M.base, M.n, f) for f in M.radicands]
+    return {e: _combine(M.n, vectors, e) for e in w_exponents(M)}
+
+
 def span_squarefree(M: AbExt) -> frozenset:
     """Squarefree representatives of the group generated by the radicands
-    modulo squares (Q only)."""
+    modulo squares (Q only): the product of each class vector's atoms."""
     if not M.base.is_rationals():
         raise ValidationError("squarefree span is a rational-field notion")
-    return frozenset(squarefree_part(M.w_element(e)) for e in w_exponents(M))
+    return frozenset(prod(vec) for vec in _w_vectors(M).values())
 
 
 def constant_classes(M: AbExt) -> dict:
     """Exponent tuples whose W-element is constant modulo n-th powers, with
-    the representing constant (function fields only)."""
+    the order of its class in F_q*/(F_q*)^n (function fields only)."""
     if M.base.is_rationals():
         raise ValidationError("constant classes are a function-field notion")
-    out = {}
-    for e in w_exponents(M):
-        w = M.w_element(e)
-        if all(v % M.n == 0 for _, v in w.factors):
-            out[e] = w.c
-    return out
+    return {
+        e: _vector_order(M.n, vec) for e, vec in _w_vectors(M).items() if set(vec) <= {None}
+    }
 
 
 def constant_field_degree(M: AbExt) -> int:
     """Degree over F_q of the field of constants of M."""
-    F = prime_field(M.base.q)
-    orders = [F.power_class_order(c, M.n) for c in constant_classes(M).values()]
-    return lcm(*orders) if orders else 1
+    return lcm(*constant_classes(M).values())
 
 
 def roots_of_unity_s(M: AbExt, p: int) -> int:
@@ -494,15 +480,6 @@ def r_value(M: AbExt) -> int:
     return vp(M.base.q**m2 - 1, 2)
 
 
-def _exps_add(M: AbExt):
-    orders = M.orders
-
-    def add(x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, orders))
-
-    return add
-
-
 def cyclotomic_members(M: AbExt, p: int) -> tuple:
     """All exponent tuples whose class lies in the maximal subfield of M cut
     out by p-power roots of unity over the base."""
@@ -511,29 +488,15 @@ def cyclotomic_members(M: AbExt, p: int) -> tuple:
             targets = {1, -1, 2, -2}
         else:
             targets = {1, p if p % 4 == 1 else -p}
-        return tuple(
-            e for e in w_exponents(M) if squarefree_part(M.w_element(e)) in targets
-        )
+        return tuple(e for e, vec in _w_vectors(M).items() if prod(vec) in targets)
     # in scope q = 1 mod p, so the cyclotomic tower is constant p-power
     # extensions; keep constant classes of p-power order
-    consts = constant_classes(M)
-    F = prime_field(M.base.q)
-    keep = []
-    for e, c in consts.items():
-        o = F.power_class_order(c, M.n)
-        if o == 1 or o == p ** vp(o, p):
-            keep.append(e)
-    return tuple(keep)
+    return tuple(e for e, o in constant_classes(M).items() if o == p ** vp(o, p))
 
 
 def cyclotomic_degree(M: AbExt, p: int) -> int:
     """[T : K] for T = M intersect K(p-power roots of unity)."""
     return len(cyclotomic_members(M, p))
-
-
-def cyclotomic_generators(M: AbExt, p: int) -> tuple:
-    zero = (0,) * len(M.orders)
-    return greedy_generators(cyclotomic_members(M, p), _exps_add(M), zero)
 
 
 def gal_fixing_cyclotomic(M: AbExt, p: int) -> tuple:

@@ -201,9 +201,6 @@ class Place:
         else:
             raise ValidationError(f"unknown place kind {self.kind!r}")
 
-    def is_finite_prime(self) -> bool:
-        return self.kind in ("prime", "poly", "inf")
-
     @property
     def degree(self) -> int:
         if self.kind == "poly":
@@ -265,10 +262,6 @@ def _trusted_place(base: BaseField, kind: str, p=None, coeffs=None) -> Place:
     return place
 
 
-def residue_norm(place: Place) -> int:
-    return place.norm()
-
-
 def enumerate_places(base: BaseField, bound: int, include_real: bool = False):
     """Nonarchimedean places with residue norm <= bound, in (norm, repr) order.
 
@@ -326,15 +319,6 @@ class FqtElt:
             if e:
                 seen[poly] = e
         object.__setattr__(self, "factors", tuple(sorted(seen.items())))
-
-    def mul(self, other: "FqtElt") -> "FqtElt":
-        if self.q != other.q:
-            raise ValidationError("mixed characteristics")
-        exps = dict(self.factors)
-        for poly, e in other.factors:
-            exps[poly] = exps.get(poly, 0) + e
-        merged = tuple(sorted((p, e) for p, e in exps.items() if e))
-        return _trusted_fqt(self.q, self.c * other.c % self.q, merged)
 
     def pow(self, k: int) -> "FqtElt":
         return _trusted_fqt(self.q, pow(self.c, k, self.q),
@@ -419,9 +403,9 @@ class FqtElt:
 
 
 def _trusted_fqt(q: int, c: int, factors: tuple) -> FqtElt:
-    """An FqtElt built without __post_init__, for products and powers of
-    validated elements: q is already prime, c a reduced unit, and factors a
-    sorted tuple of distinct monic irreducibles with nonzero exponents."""
+    """An FqtElt built without __post_init__, for powers of a validated
+    element: q is already prime, c a reduced unit, and factors a sorted
+    tuple of distinct monic irreducibles with nonzero exponents."""
     elt = object.__new__(FqtElt)
     object.__setattr__(elt, "q", q)
     object.__setattr__(elt, "c", c)
@@ -445,39 +429,3 @@ def fqt_const(q: int, c: int) -> FqtElt:
 
 def fqt_from_factors(q: int, c: int, factors) -> FqtElt:
     return FqtElt(q, c, tuple((tuple(p), e) for p, e in factors))
-
-
-# ---------------------------------------------------------------------------
-# residue representatives
-
-
-def residue_rep(place: Place, f):
-    """Image of f in the residue field at the place.
-
-    Over Q, f is an int or Fraction with nonnegative valuation; the result is
-    an integer mod p.  Over F_q(t), f is an FqtElt; the result is a coefficient
-    tuple mod the place (a unit of F_q at infinity), and 0 for positive
-    valuation.
-    """
-    if place.kind == "real":
-        raise ValidationError("the real place has no residue field")
-    if place.kind == "prime":
-        from fractions import Fraction
-
-        fr = Fraction(f)
-        if fr == 0:
-            return 0
-        p = place.p
-        from .arith import vp
-
-        if vp(fr.denominator, p) > 0:
-            raise ValidationError(f"{f} has a pole at {place}")
-        return fr.numerator * pow(fr.denominator, -1, p) % p
-    if not isinstance(f, FqtElt):
-        raise ValidationError("function-field residues need an FqtElt")
-    v = f.valuation(place)
-    if v < 0:
-        raise ValidationError(f"{f} has a pole at {place}")
-    if v > 0:
-        return 0 if place.kind == "inf" else ()
-    return f.unit_residue(place)

@@ -13,8 +13,9 @@ Commutators here are [g, h] = g^-1 h^-1 g h.
 The group has class 2, so (gh)^n = g^n h^n [h, g]^C(n,2) and [., .] is
 bilinear.  Powers and commutators of lifts are therefore closed forms in
 (t, c): `_power_form` gives the kernel part of s(x)^n and `beta` the
-alternating form.  `ext_mul`, `ext_inv`, `ext_order` and the fiber closure
-are the independent collection route the tests check those forms against.
+alternating form.  `ext_mul`, `ext_inv` and the fiber closure are the
+independent collection route: `fiber_is_cyclic` decides cyclicity by it,
+and the tests check those forms against it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "ext_mul",
     "ext_inv",
     "ext_pow",
-    "ext_order",
-    "elements",
     "fiber",
     "fiber_is_cyclic",
     "fiber_cyclicity",
@@ -47,7 +46,6 @@ __all__ = [
     "verify_lemma_34",
     "verify_lemma_35",
     "prop32_scan",
-    "invariant_line",
 ]
 
 
@@ -169,23 +167,6 @@ def ext_pow(E: CentralExt, g, n: int) -> tuple:
     return (kernel % E.kernel_order, tuple(n * v % o for v, o in zip(x, E.orders)))
 
 
-def ext_order(E: CentralExt, g) -> int:
-    n = 1
-    h = g
-    e = identity(E)
-    while h != e:
-        h = ext_mul(E, h, g)
-        n += 1
-    return n
-
-
-def elements(E: CentralExt):
-    pa = E.kernel_order
-    for alpha in range(pa):
-        for exps in product(*(range(o) for o in E.orders)):
-            yield (alpha, exps)
-
-
 def fiber(E: CentralExt, x) -> tuple:
     """The preimage of <x>: closure of the kernel and one lift of x."""
     gens = [lift(E, x)]
@@ -204,8 +185,23 @@ def fiber(E: CentralExt, x) -> tuple:
 
 
 def fiber_is_cyclic(E: CentralExt, x) -> bool:
-    F = fiber(E, x)
-    return any(ext_order(E, g) == len(F) for g in F)
+    """The fiber is an abelian p-group (central kernel, cyclic quotient <x>),
+    and such a group is cyclic iff at most p of its elements g have g^p = 1.
+    Each g^p is collected by p - 1 ext_mul, not read off the power form;
+    g^p = 1 needs p y = 0 for the quotient part y of g."""
+    e = identity(E)
+    solutions = 0
+    for g in fiber(E, x):
+        if not _in_torsion(E, g[1]):
+            continue
+        h = g
+        for _ in range(E.p - 1):
+            h = ext_mul(E, h, g)
+        if h == e:
+            solutions += 1
+            if solutions > E.p:
+                return False
+    return True
 
 
 def beta(E: CentralExt, x, y) -> int:
@@ -339,12 +335,6 @@ def _lines_for(orders):
     return lines
 
 
-def _canonical_lines(E: CentralExt):
-    """One generator per cyclic subgroup of the quotient, smallest fibers
-    first so scan failures surface early."""
-    return [x for _, x in _lines_for(E.orders)]
-
-
 def _power_form(p: int, a: int, orders, x, n: int) -> tuple:
     """Kernel part of s(x)^n (n >= 0) as a linear form in the structure data.
 
@@ -421,13 +411,15 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
             good = _good_residues(p, a, orders)
             if not good:
                 continue
+            # smallest fibers first, so a disagreement surfaces early
+            lines = [x for _, x in _lines_for(orders)]
             for t in product(*t_space):
                 t_res = tuple(v % p for v in t)
                 for c in product(*c_space):
                     if t_res + tuple(v % p for v in c) not in good:
                         continue
                     E = CentralExt(p, a, orders, t, c)
-                    if not all(fiber_is_cyclic(E, x) for x in _canonical_lines(E)):
+                    if not all(fiber_is_cyclic(E, x) for x in lines):
                         raise InvariantError(
                             f"linear criterion and fiber closure disagree on {E}"
                         )
@@ -437,37 +429,3 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
                         )
                     hits.append(E)
     return hits
-
-
-def _mat_mul(p, m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return (((a * e + b * g) % p, (a * f + b * h) % p),
-            ((c * e + d * g) % p, (c * f + d * h) % p))
-
-
-def invariant_line(p: int, generators) -> tuple | None:
-    """A line of F_p^2 fixed by every generator, or None.  Generators must
-    pairwise commute and be invertible.  Lines are tried as (1, 0), (1, 1),
-    ..., (1, p-1), (0, 1); the first fixed one wins."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    mats = [tuple(tuple(v % p for v in row) for row in m) for m in generators]
-    for m in mats:
-        (a, b), (c, d) = m
-        if (a * d - b * c) % p == 0:
-            raise ValidationError(f"singular generator {m}")
-    for m, n in combinations(mats, 2):
-        if _mat_mul(p, m, n) != _mat_mul(p, n, m):
-            raise ValidationError("generators do not commute")
-    lines = [(1, s) for s in range(p)] + [(0, 1)]
-    for v in lines:
-        ok = True
-        for (a, b), (c, d) in mats:
-            w = ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
-            if (w[0] * v[1] - w[1] * v[0]) % p != 0:
-                ok = False
-                break
-        if ok:
-            return v
-    return None

@@ -47,9 +47,6 @@ class IsolationReport:
         if (self.isolated_place is not None) != (self.gap > 0):
             raise InvariantError(f"isolated place {self.isolated_place} with gap {self.gap}")
 
-    def is_isolated(self) -> bool:
-        return self.isolated_place is not None
-
 
 def isolation_report(M: AbExt, p: int) -> IsolationReport:
     """Compute u1, u2 and the isolated place, if any, for the prime p.

@@ -399,7 +399,8 @@ def central_from_json(obj) -> CentralExt:
     for key in ("p", "a", "orders", "t", "c"):
         if key not in obj:
             raise ValidationError(f"central extension JSON lacks {key!r}")
-    return ext_build(obj["p"], obj["a"], obj["orders"], obj["t"], obj["c"])
+    return ext_build(_int(obj["p"], "p"), _int(obj["a"], "a"), _ints(obj["orders"], "orders"),
+                     _ints(obj["t"], "t"), _ints(obj["c"], "c"))
 
 
 def load_json(path: str):

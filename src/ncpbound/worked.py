@@ -36,7 +36,6 @@ from .extensions import (
     AbExt,
     build_extension,
     find_places_with_frobenius,
-    gal_exponent,
     galois_group,
     is_real_field,
     local_data,
@@ -81,12 +80,6 @@ class PaperReport:
     @property
     def verdict(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    def check(self, name: str):
-        for row in self.checks:
-            if row[0] == name:
-                return row
-        raise KeyError(name)
 
 
 def _quad(*radicands) -> AbExt:

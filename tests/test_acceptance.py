@@ -6,7 +6,7 @@ import time
 from itertools import product
 from math import gcd
 
-from helpers import ff3_quad, ff7_cubic, q_ext
+from helpers import check, ff3_quad, ff7_cubic, q_ext
 from ncpbound.arith import is_prime
 from ncpbound.brauer import (
     check_lemma_2_1,
@@ -74,12 +74,12 @@ def test_three_flagship_prime_pairs_verify_every_check_under_budget():
         rep = run_ex41(l, q, bound=1000)
         assert rep.verdict, (l, q, rep.checks)
         assert tuple(name for name, _, _ in rep.checks) == EX41_CHECKS
-        assert rep.check("degree-at-l")[2] == f"[M:Q] at {l} is 4"
-        assert rep.check("no-isolated")[1]
-        assert rep.check("minus-one-nonsquare")[1]
-        assert rep.check("cover-scan")[1]
+        assert check(rep, "degree-at-l")[2] == f"[M:Q] at {l} is 4"
+        assert check(rep, "no-isolated")[1]
+        assert check(rep, "minus-one-nonsquare")[1]
+        assert check(rep, "cover-scan")[1]
         # the witness detail pins the fiber index to exactly 8
-        assert rep.check("witness-class")[2].endswith("fiber 8")
+        assert check(rep, "witness-class")[2].endswith("fiber 8")
     assert time.monotonic() - start < 10.0
 
 
@@ -89,7 +89,7 @@ def test_kummer_splitting_table_verifies_for_both_parameter_triples():
         rep = run_ex43(p, q, a)
         assert rep.verdict, (p, q, a, rep.checks)
         for name in SPLITTING_FACTS:
-            assert rep.check(name)[1], (p, q, a, name)
+            assert check(rep, name)[1], (p, q, a, name)
     assert time.monotonic() - start < 5.0
 
 

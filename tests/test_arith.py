@@ -43,16 +43,6 @@ class TestQZ:
         assert QZ(1, 8).scale(8).is_zero()
         assert QZ(2, 9).scale(-1) == QZ(7, 9)
 
-    def test_p_primary_decomposition(self):
-        # 5/12 = 3/4 + 2/3 in Q/Z, checked by direct addition
-        parts = QZ(5, 12).p_primary()
-        assert parts == {2: QZ(3, 4), 3: QZ(2, 3)}
-        assert parts[2] + parts[3] == QZ(5, 12)
-
-    def test_p_primary_prime_power(self):
-        assert QZ(3, 8).p_primary() == {2: QZ(3, 8)}
-        assert QZ_ZERO.p_primary() == {}
-
     def test_parse_and_str(self):
         assert QZ.parse("5/12") == QZ(5, 12)
         assert QZ.parse("3") == QZ_ZERO
@@ -70,15 +60,6 @@ class TestQZ:
         assert x + y == y + x
         assert (x + y) - y == x
         assert x + (-x) == QZ_ZERO
-
-    @given(st.integers(-50, 50), st.integers(1, 40))
-    def test_p_primary_reassembles(self, a, b):
-        x = QZ(a, b)
-        total = QZ_ZERO
-        for p, part in x.p_primary().items():
-            assert part.order == p ** vp(x.order, p)
-            total = total + part
-        assert total == x
 
     @given(st.integers(-50, 50), st.integers(1, 40))
     def test_order_kills(self, a, b):

@@ -73,13 +73,6 @@ class TestMakeClass:
         b = a + a
         assert b.invariant(prime_place(3)) == qz(3, 4)
 
-    def test_p_part(self):
-        a = make_class({prime_place(2): qz(1, 3), prime_place(5): qz(2, 3)})
-        mixed = a + make_class({prime_place(2): qz(1, 2), prime_place(5): qz(1, 2)})
-        assert mixed.p_part(3).invariant(prime_place(2)) == qz(1, 3)
-        assert mixed.p_part(2).invariant(prime_place(2)) == qz(1, 2)
-        assert mixed.p_part(5).is_zero()
-
 
 class TestIndex:
     def test_frozen(self):

@@ -313,6 +313,21 @@ class TestGroupext:
         assert payload["power_criterion_all"] is True
         assert payload["noncyclic_fibers"] == []
 
+    @pytest.mark.parametrize("key, value, detail", [
+        ("orders", 5, "orders must be a list of integers, got 5"),
+        ("p", "2", "p must be an integer, got '2'"),
+        ("t", [0, "x"], "t must be an integer, got 'x'"),
+        ("a", 1.5, "a must be an integer, got 1.5"),
+        ("p", True, "p must be an integer, got True"),
+    ], ids=["orders-int", "p-string", "t-string", "a-float", "p-bool"])
+    def test_verify_mistyped_file_is_2(self, run, tmp_path, key, value, detail):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 2, "a": 1, "orders": [2, 2], "t": [1, 1], "c": [1],
+                                    key: value}))
+        code, payload, _ = run("groupext", "verify", str(path))
+        assert code == 2
+        assert payload == {"error": "invalid-input", "detail": detail}
+
     def test_verify_inline_flags(self, run):
         code, payload, _ = run(
             "groupext", "verify", "--p", "2", "--a", "1",
@@ -383,8 +398,8 @@ class TestFlagsAndPretty:
 def _verify_by_element(args):
     """`groupext verify` with one fiber closure per nontrivial x, the oracle
     for the closure per cyclic subgroup (inline flags only)."""
-    E = ext_build(args.p, args.a, cli._profile(args.orders), cli._profile(args.t),
-                  cli._profile(args.c))
+    orders, t, c = (cli._int_list(v, "profile") for v in (args.orders, args.t, args.c))
+    E = ext_build(args.p, args.a, orders, t, c)
     noncyclic = []
     law_holds = True
     for x in product(*(range(o) for o in E.orders)):

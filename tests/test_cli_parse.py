@@ -40,7 +40,7 @@ def _outcome(parse, argv):
 
 
 def _same_as_whole_tree(argv):
-    got = _outcome(cli.parse_args, argv)
+    got = _outcome(lambda a: cli.parse_args(a)[1], argv)
     want = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
     assert got == want, argv
 
@@ -151,6 +151,23 @@ class TestParsersBuilt:
         cli.main(argv)
         capsys.readouterr()
         assert len(built) == count
+
+    @pytest.mark.parametrize("argv", [[], ["--pretty"]], ids=["bare", "pretty"])
+    def test_no_verb_builds_the_tree_once(self, monkeypatch, capsys, argv):
+        # the help comes from the tree that parsed argv, and reads as the
+        # whole tree's help
+        want = cli.build_parser().format_help()
+        calls = []
+        build = cli.build_parser
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert cli.main(argv) == 2
+        assert calls == [(None,)]
+        assert capsys.readouterr() == ("", want)
 
     def test_whole_tree_builds_every_verb(self, monkeypatch):
         built = self._count_parsers(monkeypatch)

@@ -8,10 +8,8 @@ from ncpbound.covers import (
     candidate_radicands,
     check_Bm,
     check_cor210,
-    contains_sub_cover,
     cover_local_degree,
     full_local_degree,
-    inertia_bound_check,
     kernel_profile,
 )
 from ncpbound.errors import ValidationError
@@ -168,18 +166,13 @@ class TestCheckBm:
             check_Bm(q_ext(11), 0, [])
 
     def test_sub_cover_certificates_pass(self):
-        # an m-witness containing an m'-sub-cover yields a passing m'-certificate
+        # one extra radicand of an m-witness builds an m'-cover whose
+        # certificate passes
         report = check_Bm(q_ext(11), 4, [prime_place(2)])
-        sub = contains_sub_cover(report.witness, 2)
-        assert sub is not None and sub.rel_degree == 2
+        sub = build_cover(q_ext(11), report.witness.L.radicands[1:2], 2)
+        assert sub.rel_degree == 2
         cert = check_cor210(q_ext(11), 2, 1, [prime_place(2)], sub)
         assert cert.passed
-
-    def test_sub_cover_absent(self):
-        report = check_Bm(q_ext(11), 4, [prime_place(2)])
-        assert contains_sub_cover(report.witness, 8) is None
-        full = contains_sub_cover(report.witness, 4)
-        assert full is not None and full.rel_degree == 4
 
 
 def _unfiltered_check_Bm(M, m, S, radicand_bound=None, max_extra=2):
@@ -296,26 +289,6 @@ class TestCor210:
         C = build_cover(q_ext(11), (3,), 2)
         with pytest.raises(ValidationError):
             check_cor210(q_ext(11), 2, 2, [], C)
-
-
-class TestInertiaBound:
-    def test_unramified_place_passes(self):
-        C = build_cover(q_ext(3, -7), (5,), 2)
-        assert inertia_bound_check(C, prime_place(11), 2)
-
-    def test_tame_ramified_within_bound(self):
-        C = build_cover(q_ext(3, -7), (5,), 2)
-        assert inertia_bound_check(C, prime_place(5), 2)
-
-    def test_violating_cover_flagged(self):
-        # no cube roots of unity downstairs, so the odd bound is 3^0 = 1
-        C = build_cover(q_ext(11), (3,), 2)
-        assert not inertia_bound_check(C, prime_place(3), 3)
-
-    def test_real_place_rejected(self):
-        C = build_cover(q_ext(11), (3,), 2)
-        with pytest.raises(ValidationError):
-            inertia_bound_check(C, real_place(), 2)
 
 
 class TestBoundReport:

@@ -6,10 +6,12 @@ radicands in the local square (or n-th power) class groups.
 """
 
 import itertools
+from math import lcm, prod
 
 import pytest
 
-from ncpbound.arith import is_squarefree, squarefree_part
+from helpers import fqt_mul
+from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
     AbExt,
@@ -17,7 +19,6 @@ from ncpbound.extensions import (
     constant_classes,
     constant_field_degree,
     cyclotomic_degree,
-    cyclotomic_generators,
     cyclotomic_members,
     find_places_with_frobenius,
     gal_exponent,
@@ -175,7 +176,7 @@ def _validation_oracle(base, n, radicands):
                 orders.append(o)
             orders = tuple(orders)
             one, is_power = fqt_const(q, 1), lambda w: w.is_nth_power(n)
-            mul, power = (lambda a, b: a.mul(b)), (lambda f, e: f.pow(e))
+            mul, power = fqt_mul, (lambda f, e: f.pow(e))
 
         def first_power(i, acc, prefix):
             # depth-first in itertools.product order, carrying the product
@@ -277,6 +278,72 @@ class TestClassVectorValidation:
             (F3, 2, (fqt_const(3, 2), t)),
         ]:
             assert _validation_outcome(base, n, rads) == _validation_oracle(base, n, rads)
+
+
+def _w_products(M):
+    """Every element of W multiplied out, keyed by its exponent tuple: how
+    W was read before class vectors, kept as the oracle."""
+    out = {}
+    for e in w_exponents(M):
+        if M.base.is_rationals():
+            out[e] = prod(f**k for f, k in zip(M.radicands, e))
+        else:
+            w = fqt_const(M.base.q, 1)
+            for f, k in zip(M.radicands, e):
+                w = fqt_mul(w, f.pow(k))
+            out[e] = w
+    return out
+
+
+def _extensions(base, n, pool, size):
+    for rads in _subsets(pool, size):
+        try:
+            yield AbExt(base, n, rads)
+        except ValidationError:
+            pass
+
+
+class TestWFromClassVectors:
+    """span_squarefree, constant_classes and cyclotomic_members read W from
+    the radicands' class vectors; multiplying the radicands out and
+    refactoring the products must give the same answers."""
+
+    def test_rationals_match_products(self):
+        pool = [-1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 21]
+        built = 0
+        for M in _extensions(QQ, 2, pool, 3):
+            w = {e: squarefree_part(v) for e, v in _w_products(M).items()}
+            assert span_squarefree(M) == frozenset(w.values()), M
+            for p in (2, 3, 5, 7):
+                targets = {1, -1, 2, -2} if p == 2 else {1, p if p % 4 == 1 else -p}
+                want = tuple(e for e, v in w.items() if v in targets)
+                assert cyclotomic_members(M, p) == want, (M, p)
+            built += 1
+        assert built > 100
+
+    @pytest.mark.parametrize("q, ns, constants", [
+        (7, (2, 3, 6), (2, 3, 6)),
+        (13, (4, 12), (2, 4, 12)),
+    ])
+    def test_function_fields_match_products(self, q, ns, constants):
+        base = rational_function_field(q)
+        pool = TestClassVectorValidation._fq_pool(q, constants, monic_irreducibles(q, 1)[:3])
+        F = prime_field(q)
+        built = 0
+        for n in ns:
+            for M in _extensions(base, n, pool, 3):
+                want = {
+                    e: F.power_class_order(v.c, n)
+                    for e, v in _w_products(M).items()
+                    if all(k % n == 0 for _, k in v.factors)
+                }
+                assert constant_classes(M) == want, M
+                assert constant_field_degree(M) == lcm(*want.values()), M
+                for p in factorize(n):
+                    members = tuple(e for e, o in want.items() if o == p ** vp(o, p))
+                    assert cyclotomic_members(M, p) == members, (M, p)
+                built += 1
+        assert built > 50
 
 
 class TestGaloisGroup:
@@ -448,7 +515,7 @@ class TestRootsOfUnity:
         t = fqt_from_factors(7, 1, [(T_, 1)])
         tc = fqt_from_factors(7, 3, [(T_, 3)])  # 3 t^3: constant class of 3
         M2 = build_extension(F7, 3, (t, tc))
-        assert len(constant_classes(M2)) == 3
+        assert constant_classes(M2) == {(0, 0): 1, (0, 1): 3, (0, 2): 3}
         assert constant_field_degree(M2) == 3
 
     def test_s_function_field(self):
@@ -482,8 +549,7 @@ class TestCyclotomicPart:
     def test_mixed(self):
         M = q_ext(-1, 3)
         assert cyclotomic_degree(M, 2) == 2
-        gens = cyclotomic_generators(M, 2)
-        assert gens == ((1, 0),)
+        assert cyclotomic_members(M, 2) == ((0, 0), (1, 0))
 
     def test_function_field(self):
         M = build_extension(F7, 3, (fqt_const(7, 3),))

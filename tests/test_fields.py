@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import fqt_mul
 from ncpbound.errors import ValidationError
 from ncpbound.fields import (
     QQ,
@@ -22,8 +23,6 @@ from ncpbound.fields import (
     prime_place,
     rational_function_field,
     real_place,
-    residue_norm,
-    residue_rep,
 )
 
 F3 = rational_function_field(3)
@@ -133,10 +132,6 @@ class TestPlaces:
             keys = [P.sort_key() for P in enumerate_places(base, bound)]
             assert keys == sorted(keys)
 
-    def test_residue_norm(self):
-        assert residue_norm(poly_place(7, (4, 1))) == 7
-        assert residue_norm(infinite_place(7)) == 7
-
 
 class TestFqtElt:
     def test_normalization(self):
@@ -159,10 +154,11 @@ class TestFqtElt:
 
     def test_mul_pow(self):
         t = fqt_from_factors(3, 1, [((0, 1), 1)])
-        t2 = t.mul(t)
+        t2 = fqt_mul(t, t)
         assert t2.valuation(poly_place(3, (0, 1))) == 2
+        assert t.pow(2) == t2
         assert t.pow(-1).valuation(infinite_place(3)) == 1
-        inv = t.mul(t.pow(-1))
+        inv = fqt_mul(t, t.pow(-1))
         assert inv == fqt_const(3, 1)
 
     def test_unit_residue_finite(self):
@@ -212,25 +208,6 @@ class TestFqtElt:
     def test_str(self):
         assert str(fqt_const(3, 2)) == "2"
         assert str(fqt_from_factors(3, 1, [((0, 1), 2)])) == "(t)^2"
-
-
-class TestResidueRep:
-    def test_rational(self):
-        from fractions import Fraction
-
-        assert residue_rep(prime_place(7), 10) == 3
-        assert residue_rep(prime_place(7), Fraction(1, 2)) == 4
-        with pytest.raises(ValidationError):
-            residue_rep(prime_place(7), Fraction(1, 7))
-        with pytest.raises(ValidationError):
-            residue_rep(real_place(), 1)
-
-    def test_function_field(self):
-        x = fqt_from_factors(7, 1, [((6, 1), 1)])  # t - 1
-        assert residue_rep(poly_place(7, (5, 1)), x) == (1,)  # at t=-5=2: 2-1=1
-        assert residue_rep(poly_place(7, (6, 1)), x) == ()  # zero at t=1
-        with pytest.raises(ValidationError):
-            residue_rep(poly_place(7, (6, 1)), x.pow(-1))
 
 
 class TestTrustedPlaces:
@@ -297,23 +274,23 @@ class TestTrustedPlaces:
 
 
 class TestTrustedElements:
-    """FqtElt.mul and FqtElt.pow build their results without re-validation;
-    each must equal the validated element a user would name, and elements a
-    user names are still validated on every entry point."""
+    """FqtElt.pow builds its results without re-validation; each must equal
+    the validated element a user would name, and elements a user names are
+    still validated on every entry point."""
 
     @staticmethod
     def _pool(q):
         t, t1 = fqt_from_factors(q, 1, [((0, 1), 1)]), fqt_from_factors(q, 1, [((1, 1), 1)])
         quad = fqt_from_factors(q, 2, [(monic_irreducibles(q, 2)[0], 2), ((0, 1), -1)])
-        return [fqt_const(q, 1), fqt_const(q, q - 1), t, t1, t.pow(-2), quad, quad.mul(t1)]
+        return [fqt_const(q, 1), fqt_const(q, q - 1), t, t1, t.pow(-2), quad, fqt_mul(quad, t1)]
 
     @pytest.mark.parametrize("q", [3, 7])
     def test_products_and_powers_match_validated_twins(self, q, monkeypatch):
         from ncpbound import fields
 
         pool = self._pool(q)
-        results = [a.mul(b) for a in pool for b in pool]
-        results += [a.pow(k) for a in pool for k in range(-3, 4)]
+        products = [fqt_mul(a, b) for a in pool for b in pool]
+        results = [a.pow(k) for a in products for k in range(-3, 4)]
         for r in results:
             twin = FqtElt(r.q, r.c, r.factors)
             assert r == twin and hash(r) == hash(twin)
@@ -322,8 +299,8 @@ class TestTrustedElements:
             acc = fqt_const(q, 1)
             for k in range(4):
                 assert a.pow(k) == acc
-                assert a.pow(-k).mul(acc) == fqt_const(q, 1)
-                acc = acc.mul(a)
+                assert fqt_mul(a.pow(-k), acc) == fqt_const(q, 1)
+                acc = fqt_mul(acc, a)
 
         # and neither re-proves primality or irreducibility
         def forbidden(*args):
@@ -331,9 +308,8 @@ class TestTrustedElements:
 
         monkeypatch.setattr(fields, "is_prime", forbidden)
         monkeypatch.setattr(fields, "poly_is_irreducible", forbidden)
-        for a in pool:
-            for b in pool:
-                a.mul(b).pow(3).pow(-1)
+        for a in products:
+            a.pow(3).pow(-1)
 
     def test_user_factors_are_still_validated(self):
         from ncpbound.jsonio import ext_from_json, fqt_from_json, parse_fqt_text

@@ -8,18 +8,15 @@ from ncpbound.errors import ValidationError
 from ncpbound.groupext import (
     CentralExt,
     beta,
-    elements,
     ext_build,
     ext_inv,
     ext_mul,
-    ext_order,
     ext_pow,
     fiber,
     fiber_cyclicity,
     fiber_is_cyclic,
     gamma,
     identity,
-    invariant_line,
     lift,
     prop32_scan,
     verify_lemma_34,
@@ -28,6 +25,22 @@ from ncpbound.groupext import (
 
 # The closed forms (ext_pow, beta, the prefilter's _power_form) are checked
 # against the collection route: products and inverses built with ext_mul.
+
+
+def elements(E):
+    """Every element of E in normal form."""
+    for alpha in range(E.kernel_order):
+        for exps in product(*(range(o) for o in E.orders)):
+            yield (alpha, exps)
+
+
+def ext_order(E, g):
+    """The order of g, by repeated ext_mul."""
+    n, h = 1, g
+    while h != identity(E):
+        h = ext_mul(E, h, g)
+        n += 1
+    return n
 
 
 def collected_power(E, g, n):
@@ -441,14 +454,13 @@ class TestGoodResidues:
         assert zero_seen
 
 
-def _scan_by_closure(p, a_max, profile_max):
-    """The scan's defining enumeration with no prefilter, for cross-checking."""
-    from itertools import combinations, product
+def _scan_space(p, a_max, profile_max):
+    """Every extension the scan enumerates, with no prefilter."""
+    from itertools import combinations
     from math import gcd
 
-    from ncpbound.groupext import _canonical_lines, fiber_is_cyclic, _profiles
+    from ncpbound.groupext import _profiles
 
-    hits = []
     for a in range(1, a_max + 1):
         pa = p**a
         for orders in _profiles(p, profile_max):
@@ -459,10 +471,48 @@ def _scan_by_closure(p, a_max, profile_max):
             ]
             for t in product(*t_space):
                 for c in product(*c_space):
-                    E = CentralExt(p, a, orders, t, c)
-                    if all(fiber_is_cyclic(E, x) for x in _canonical_lines(E)):
-                        hits.append(E)
-    return hits
+                    yield CentralExt(p, a, orders, t, c)
+
+
+def _scan_by_closure(p, a_max, profile_max):
+    """The scan's defining enumeration with no prefilter, for cross-checking."""
+    from ncpbound.groupext import _lines_for
+
+    return [
+        E for E in _scan_space(p, a_max, profile_max)
+        if all(fiber_is_cyclic(E, x) for _, x in _lines_for(E.orders))
+    ]
+
+
+def _fiber_is_cyclic_by_order(E, x):
+    """Cyclicity as some fiber element having the fiber's size as its order."""
+    F = fiber(E, x)
+    return any(ext_order(E, g) == len(F) for g in F)
+
+
+class TestFiberCyclicityByCount:
+    """fiber_is_cyclic counts the solutions of g^p = 1; the order of every
+    fiber element must give the same verdict."""
+
+    @staticmethod
+    def _assert_routes_agree(exts):
+        verdicts = set()
+        for E in exts:
+            for x in product(*(range(o) for o in E.orders)):
+                got = fiber_is_cyclic(E, x)
+                assert got == _fiber_is_cyclic_by_order(E, x), (E, x)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "p,a_max,profile", [(2, 2, (4, 2)), (3, 1, (3, 3)), (2, 2, (2, 2, 2))]
+    )
+    def test_matches_order_route_on_scan_grids(self, p, a_max, profile):
+        self._assert_routes_agree(_scan_space(p, a_max, profile))
+
+    def test_matches_order_route_on_named_and_power_data(self):
+        named = [q8(), d4(), split_c4_c2(), heis3()]
+        self._assert_routes_agree(named + [ext_build(*data) for data in POWER_DATA])
 
 
 class TestProp32Scan:
@@ -489,72 +539,3 @@ class TestProp32Scan:
         assert CentralExt(2, 1, (2, 2), (1, 1), (1,)) in hits
         assert all(E.kernel_order == 2 for E in hits)
         assert CentralExt(2, 1, (2, 2), (0, 1), (1,)) not in hits
-
-
-class TestInvariantLine:
-    def test_identity_returns_first_line(self):
-        assert invariant_line(5, [((1, 0), (0, 1))]) == (1, 0)
-
-    def test_unipotent_fixed_line(self):
-        assert invariant_line(5, [((1, 1), (0, 1))]) == (1, 0)
-
-    def test_diagonal(self):
-        assert invariant_line(5, [((1, 0), (0, 2))]) == (1, 0)
-
-    def test_irreducible_has_none(self):
-        assert invariant_line(3, [((0, 1), (2, 0))]) is None
-
-    def test_rejects_noncommuting(self):
-        with pytest.raises(ValidationError):
-            invariant_line(3, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValidationError):
-            invariant_line(3, [((1, 1), (1, 1))])
-
-    def test_randomized_split_order_groups_have_lines(self):
-        # abelian subgroups generated by g and a polynomial in g, filtered
-        # to order p^j * c with c | p - 1
-        p = 5
-        rng = random.Random(20)
-
-        def mat_mul(m, n):
-            (a, b), (c, d) = m
-            (e, f), (g, h) = n
-            return (
-                ((a * e + b * g) % p, (a * f + b * h) % p),
-                ((c * e + d * g) % p, (c * f + d * h) % p),
-            )
-
-        ident = ((1, 0), (0, 1))
-        found = 0
-        for _ in range(2000):
-            g = tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(2))
-            (a, b), (c, d) = g
-            if (a * d - b * c) % p == 0:
-                continue
-            al, be = rng.randrange(p), rng.randrange(1, p)
-            h = (
-                ((al + be * a) % p, (be * b) % p),
-                ((be * c) % p, (al + be * d) % p),
-            )
-            (a, b), (c, d) = h
-            if (a * d - b * c) % p == 0:
-                continue
-            group = {ident}
-            frontier = [ident]
-            while frontier:
-                m = frontier.pop()
-                for gen in (g, h):
-                    nxt = mat_mul(m, gen)
-                    if nxt not in group:
-                        group.add(nxt)
-                        frontier.append(nxt)
-            size = len(group)
-            while size % p == 0:
-                size //= p
-            if (p - 1) % size != 0:
-                continue
-            found += 1
-            assert invariant_line(p, [g, h]) is not None
-        assert found >= 200

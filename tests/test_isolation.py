@@ -38,17 +38,17 @@ class TestUValues:
         rep = isolation_report(M, 2)
         assert rep.gap == 1
         assert rep.isolated_place == prime_place(2)
-        assert rep.is_isolated()
+        assert rep.isolated_place is not None
 
     def test_cyclic_never_gaps(self):
         assert u_values(q_ext(11), 2) == (1, 1)
-        assert not isolation_report(q_ext(11), 2).is_isolated()
+        assert isolation_report(q_ext(11), 2).isolated_place is None
 
     def test_function_field_two_attainers(self):
         # (t) and (t-2) both reach local degree 9
         M = ff7_cubic()
         assert u_values(M, 3) == (2, 2)
-        assert not isolation_report(M, 3).is_isolated()
+        assert isolation_report(M, 3).isolated_place is None
 
     def test_wild_prime_rejected(self):
         with pytest.raises(ValidationError):

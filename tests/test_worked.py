@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import check
 from ncpbound.arith import is_prime, legendre
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.fields import poly_place, prime_place, real_place
@@ -63,12 +64,12 @@ class TestEx41:
 
     def test_case_split_direction(self):
         # l = 3 mod 4 forces degree 4 at q, l = 1 mod 4 forces it at 2
-        assert "at 11 is 4" in run_ex41(3, 11, bound=40).check("degree-case-split")[2]
-        assert "at 2 is 4" in run_ex41(5, 7, bound=40).check("degree-case-split")[2]
+        assert "at 11 is 4" in check(run_ex41(3, 11, bound=40), "degree-case-split")[2]
+        assert "at 2 is 4" in check(run_ex41(5, 7, bound=40), "degree-case-split")[2]
 
     def test_witness_detail_frozen(self):
         rep = run_ex41(7, 3, bound=40)
-        assert rep.check("witness-class")[2] == (
+        assert check(rep, "witness-class")[2] == (
             "ind 8, ind at 7 = 8, restricted 2, fiber 8"
         )
 
@@ -105,15 +106,15 @@ class TestEx43:
         rep = run_ex43(3, 7, 2)
         assert rep.verdict
         assert [name for name, _, _ in rep.checks] == EX43_NAMES
-        assert "s = 1" in rep.check("roots-of-unity")[2]
-        assert "[M:K] = 9" in rep.check("roots-of-unity")[2]
-        assert "index 27" in rep.check("b-p-zero")[2]
+        assert "s = 1" in check(rep, "roots-of-unity")[2]
+        assert "[M:K] = 9" in check(rep, "roots-of-unity")[2]
+        assert "index 27" in check(rep, "b-p-zero")[2]
 
     def test_quadratic_case(self):
         rep = run_ex43(2, 3, 2)
         assert rep.verdict
-        assert "s = 1" in rep.check("roots-of-unity")[2]
-        assert "index 8" in rep.check("b-p-zero")[2]
+        assert "s = 1" in check(rep, "roots-of-unity")[2]
+        assert "index 8" in check(rep, "b-p-zero")[2]
 
     def test_degree_five_case(self):
         assert run_ex43(5, 11, 2).verdict
@@ -141,18 +142,18 @@ class TestProp42:
     def test_rational_case_frozen(self):
         rep = run_prop42(2, prime_place(5))
         assert rep.verdict
-        assert "q1 = 3, q2 = 7" in rep.check("auxiliary-places")[2]
-        assert rep.check("k1-realization")[2].startswith("radicand -3:")
-        assert rep.check("k2-realization")[2].startswith("radicand 35:")
-        assert "[M:K] at 5 is 4" in rep.check("full-degree-at-pivots")[2]
+        assert "q1 = 3, q2 = 7" in check(rep, "auxiliary-places")[2]
+        assert check(rep, "k1-realization")[2].startswith("radicand -3:")
+        assert check(rep, "k2-realization")[2].startswith("radicand 35:")
+        assert "[M:K] at 5 is 4" in check(rep, "full-degree-at-pivots")[2]
 
     def test_function_field_case_frozen(self):
         rep = run_prop42(3, poly_place(7, (4, 1)))
         assert rep.verdict
-        assert "q1 = (t), q2 = (t+1)" in rep.check("auxiliary-places")[2]
-        assert rep.check("k1-realization")[2].startswith("radicand (t):")
-        assert rep.check("k2-realization")[2].startswith("radicand (t+1)*(t+4):")
-        assert "is 9" in rep.check("full-degree-at-pivots")[2]
+        assert "q1 = (t), q2 = (t+1)" in check(rep, "auxiliary-places")[2]
+        assert check(rep, "k1-realization")[2].startswith("radicand (t):")
+        assert check(rep, "k2-realization")[2].startswith("radicand (t+1)*(t+4):")
+        assert "is 9" in check(rep, "full-degree-at-pivots")[2]
 
     def test_reports_are_reproducible(self):
         assert run_prop42(2, prime_place(5)) == run_prop42(2, prime_place(5))
