@@ -271,6 +271,15 @@ class TestCoverAndSearch:
         )
         assert code == 0 and len(payload["places"]) == 1
 
+    @pytest.mark.parametrize("argv", [("frobenius",), ("qsigma", "--p", "2")],
+                             ids=["frobenius", "qsigma"])
+    def test_sigma_not_integers_is_2(self, run, ext_file, argv):
+        code, payload, _ = run("search", *argv, "--sigma", "1,x", "--ext", ext_file)
+        assert code == 2
+        assert payload == {
+            "error": "invalid-input", "detail": "sigma must be comma-separated integers, got '1,x'"
+        }
+
     def test_s0_search(self, run, ext_file):
         code, payload, _ = run("search", "s0", "--p", "2", "--power", "3", "--ext", ext_file)
         assert code == 0 and payload["pairs"]

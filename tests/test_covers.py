@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from ncpbound import extensions
@@ -173,6 +175,23 @@ class TestCheckBm:
         assert sub.rel_degree == 2
         cert = check_cor210(q_ext(11), 2, 1, [prime_place(2)], sub)
         assert cert.passed
+
+    def test_sub_cover_absent(self):
+        # subsets of a 4-witness's extra radicands build covers of degree
+        # 1, 2 or 4 over M, never 8; all of them rebuild the witness
+        report = check_Bm(q_ext(11), 4, [prime_place(2)])
+        M = report.witness.M
+        extras = report.witness.L.radicands[len(M.radicands):]
+        degrees = set()
+        for k in range(len(extras) + 1):
+            for combo in combinations(extras, k):
+                try:
+                    degrees.add(build_cover(M, combo, report.witness.L.n).rel_degree)
+                except ValidationError:
+                    pass
+        assert 8 not in degrees and 4 in degrees
+        full = build_cover(M, extras, report.witness.L.n)
+        assert full.rel_degree == 4 and full.L.degree == report.witness.L.degree
 
 
 def _unfiltered_check_Bm(M, m, S, radicand_bound=None, max_extra=2):

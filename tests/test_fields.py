@@ -114,6 +114,10 @@ class TestPlaces:
     def test_place_coeff_normalization(self):
         assert poly_place(3, (4, 1)) == poly_place(3, (1, 1))
 
+    def test_residue_norm(self):
+        assert poly_place(7, (4, 1)).norm() == 7
+        assert infinite_place(7).norm() == 7
+
     def test_enumerate_places_rationals(self):
         ps = list(enumerate_places(QQ, 10))
         assert [p.p for p in ps] == [2, 3, 5, 7]
@@ -208,6 +212,15 @@ class TestFqtElt:
     def test_str(self):
         assert str(fqt_const(3, 2)) == "2"
         assert str(fqt_from_factors(3, 1, [((0, 1), 2)])) == "(t)^2"
+
+
+class TestResidueRep:
+    def test_function_field(self):
+        x = fqt_from_factors(7, 1, [((6, 1), 1)])  # t - 1
+        assert x.valuation(poly_place(7, (5, 1))) == 0
+        assert x.unit_residue(poly_place(7, (5, 1))) == (1,)  # at t=-5=2: 2-1=1
+        assert x.valuation(poly_place(7, (6, 1))) == 1  # zero at t=1
+        assert x.pow(-1).valuation(poly_place(7, (6, 1))) == -1  # pole at t=1
 
 
 class TestTrustedPlaces:
