@@ -67,8 +67,12 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
-def _bound(args, default: int) -> int:
-    return default if args.bound is None else args.bound
+def _bound(args, default):
+    if args.bound is None:
+        return default
+    if args.bound < 0:
+        raise ValidationError(f"--bound must be at least 0, got {args.bound}")
+    return args.bound
 
 
 def _places(M, texts):
@@ -215,7 +219,7 @@ def cmd_cover_scan(args):
         M,
         args.m,
         _places(M, args.places),
-        radicand_bound=args.bound,
+        radicand_bound=_bound(args, None),
         max_extra=args.max_extra,
     )
     # a miss is a bounded-search shortfall, not a refuted fact

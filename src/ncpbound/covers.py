@@ -20,15 +20,19 @@ from .arith import is_squarefree, prime_field, require_prime
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
+    _local_image,
+    _vector_adder,
+    class_span,
     cyclotomic_degree,
     gal_exponent,
     is_real_field,
-    local_degree,
+    local_class_group,
     r_value,
-    radicand_order,
+    radicand_class,
+    relative_degree,
     roots_of_unity_s,
 )
-from .fields import Place, fqt_const, fqt_from_factors, monic_irreducibles
+from .fields import QQ, Place, fqt_const, fqt_from_factors, monic_irreducibles
 from .isolation import d_value
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "full_local_degree",
     "candidate_radicands",
     "check_Bm",
+    "quadratic_cover_scan",
     "check_cor210",
     "bound_report",
 ]
@@ -84,11 +89,10 @@ def kernel_profile(C: Cover) -> tuple:
 
 
 def cover_local_degree(C: Cover, P: Place) -> int:
-    """[L:M]_P as the exact quotient of the two local degrees."""
-    above, below = local_degree(C.L, P), local_degree(C.M, P)
-    if above % below:
-        raise InvariantError(f"local degree {below} at {P} does not divide {above}")
-    return above // below
+    """[L:M]_P: the index of the local image of M's radicands in that of L's,
+    both read in K_P*/(K_P*)^n' (extensions.relative_degree)."""
+    G, k = local_class_group(C.L, P), len(C.M.radicands)
+    return relative_degree(G.span(k), G.images[k:], G.add)
 
 
 def full_local_degree(C: Cover, P: Place) -> bool:
@@ -145,15 +149,8 @@ def candidate_radicands(base, bound: int) -> list:
     return pool
 
 
-def _divisor_checks(C: Cover, m: int, places) -> list:
-    checks = []
-    for P in places:
-        need = d_value(P, m, C.M)
-        got = cover_local_degree(C, P)
-        checks.append(
-            (f"divisor at {P}", got % need == 0, f"required {need}, local degree {got}")
-        )
-    return checks
+def _divisor_row(P: Place, need: int, got: int) -> tuple:
+    return (f"divisor at {P}", got % need == 0, f"required {need}, local degree {got}")
 
 
 def check_Bm(M: AbExt, m: int, S, radicand_bound: Optional[int] = None,
@@ -165,34 +162,73 @@ def check_Bm(M: AbExt, m: int, S, radicand_bound: Optional[int] = None,
 
     The default bound is 100 over Q (absolute value) and 3 over F_q(t)
     (polynomial degree; the pool grows like q^d past that).
+
+    No cover is built until the witness: each pool radicand's class vector
+    and its images at the places of S are read once, a combination builds
+    when its classes are independent over M's span, and its local degrees
+    are span indices (extensions.relative_degree).
     """
     if m < 1:
         raise ValidationError("m must be a positive integer")
     if radicand_bound is None:
         radicand_bound = 100 if M.base.is_rationals() else 3
+    if radicand_bound < 0:
+        raise ValidationError(f"radicand bound must be at least 0, got {radicand_bound}")
+    if max_extra < 0:
+        raise ValidationError(f"max_extra must be at least 0, got {max_extra}")
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
+    need = [d_value(P, m, M) for P in places]
+    groups = [local_class_group(M, P) for P in places]
+    below = [G.span() for G in groups]
     pool = candidate_radicands(M.base, radicand_bound)
-    orders = [radicand_order(M.base, M.n, f) for f in pool]
+    # a cover that builds has [L:M] = the product of the extra orders, so
+    # only nontrivial classes of order dividing m can take part
+    cands = []
+    for f in pool:
+        key, o = radicand_class(M.base, M.n, f)
+        if o > 1 and m % o == 0:
+            cands.append((f, key, o, [_local_image(M.base, M.n, f, P) for P in places]))
+    span, add = class_span(M.n, M.vectors), _vector_adder(M.n)
     tried = 0
     for k in range(max_extra + 1):
-        for combo in combinations(zip(pool, orders), k):
-            # a cover that builds has [L:M] = the product of the extra
-            # orders, so no other combo can reach degree m
-            if prod(o for _, o in combo) != m:
+        for combo in combinations(cands, k):
+            if prod(o for _, _, o, _ in combo) != m:
                 continue
-            try:
-                C = build_cover(M, tuple(f for f, _ in combo), M.n)
-            except ValidationError:
+            # the cover builds iff the extra classes multiply M's span by m
+            if relative_degree(span, [key for _, key, _, _ in combo], add) != m:
                 continue
             tried += 1
-            checks = _divisor_checks(C, m, places)
+            got = [relative_degree(b, [c[3][j] for c in combo], G.add)
+                   for j, (b, G) in enumerate(zip(below, groups))]
+            checks = [_divisor_row(P, d, g) for P, d, g in zip(places, need, got)]
             if all(ok for _, ok, _ in checks):
-                return CertReport("Bm", m, places, C, tuple(checks))
+                witness = build_cover(M, tuple(f for f, _, _, _ in combo), M.n)
+                return CertReport("Bm", m, places, witness, tuple(checks))
     detail = (
         f"no abelian witness of relative degree {m} over {len(pool)} radicands"
         f" ({tried} candidates had the right degree)"
     )
     return CertReport("Bm", m, places, None, (("witness", False, detail),))
+
+
+def quadratic_cover_scan(M: AbExt, P: Place, bound: int) -> tuple[bool, int]:
+    """(blocked, built) for the covers M(sqrt d), d from the pool up to bound:
+    built counts the covers up to the first that moves the degree at P, and
+    blocked says that none does.
+
+    M(sqrt d) is a cover when d's class lies outside the span of M's
+    radicand classes, and it moves the degree at P when d's local image lies
+    outside the span of M's images there.
+    """
+    span, span_P = class_span(2, M.vectors), local_class_group(M, P).span()
+    built = 0
+    for d in candidate_radicands(QQ, bound):
+        if radicand_class(QQ, 2, d)[0] in span:
+            continue
+        built += 1
+        if _local_image(QQ, 2, d, P) not in span_P:
+            return False, built
+    return True, built
 
 
 def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
@@ -205,7 +241,7 @@ def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
     if C.rel_degree != pn:
         raise ValidationError(f"cover has relative degree {C.rel_degree}, need {pn}")
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
-    checks = _divisor_checks(C, pn, places)
+    checks = [_divisor_row(P, d_value(P, pn, M), cover_local_degree(C, P)) for P in places]
     profile = kernel_profile(C)
     rank = sum(1 for o in profile if o % p == 0)
     checks.append(("kernel-rank", rank <= 2, f"kernel factors {profile}"))

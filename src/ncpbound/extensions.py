@@ -21,7 +21,7 @@ unramified part by n-th power residue symbols.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -59,13 +59,15 @@ class AbExt:
     orders[i] is the order of radicands[i] modulo n-th powers; it is computed
     from the radicand's class vector, not passed.  The classes must be
     independent (no nontrivial product of powers is an n-th power), so
-    Gal(M/K) = prod Z/orders[i].
+    Gal(M/K) = prod Z/orders[i].  vectors keeps the class vectors; it takes
+    no part in equality, hashing or the repr.
     """
 
     base: BaseField
     n: int
     radicands: tuple
     orders: tuple = ()
+    vectors: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -84,9 +86,12 @@ class AbExt:
                 raise ValidationError(f"radicand {f} is already an n-th power")
             vectors.append(vec)
             orders.append(o)
-        orders = tuple(orders)
+        vectors, orders = tuple(vectors), tuple(orders)
         object.__setattr__(self, "orders", orders)
-        if not _independent(self.n, vectors, orders):
+        object.__setattr__(self, "vectors", vectors)
+        # the classes generate a group of order at most prod(orders), with
+        # equality exactly when they are independent
+        if len(class_span(self.n, vectors)) != prod(orders):
             # name the first dependent exponent tuple, in enumeration order
             e = next(e for e in _exponent_tuples(orders)
                      if any(e) and not _combine(self.n, vectors, e))
@@ -134,9 +139,11 @@ def _vector_order(n: int, vec: dict) -> int:
     return n // gcd(n, *vec.values())
 
 
-def radicand_order(base: BaseField, n: int, f) -> int:
-    """Order of the class of f in K*/(K*)^n (1 when f is an n-th power)."""
-    return _vector_order(n, _class_vector(base, n, f))
+def radicand_class(base: BaseField, n: int, f) -> tuple:
+    """The class of f in K*/(K*)^n as a span key (see class_span), with its
+    order (1 when f is an n-th power)."""
+    vec = _class_vector(base, n, f)
+    return _vector_key(vec), _vector_order(n, vec)
 
 
 def _combine(n: int, vectors, exps) -> dict:
@@ -148,19 +155,70 @@ def _combine(n: int, vectors, exps) -> dict:
     return {atom: x for atom, x in out.items() if x}
 
 
-def _independent(n: int, vectors, orders) -> bool:
-    """Whether the classes generate a group of order prod(orders): grow the
-    span one class at a time; each must multiply its size by its order,
-    that is, no nonzero multiple of it may already lie in the span."""
-    atoms = list(dict.fromkeys(atom for vec in vectors for atom in vec))
-    span = {(0,) * len(atoms)}
-    for i, (vec, o) in enumerate(zip(vectors, orders)):
-        multiples = [tuple(k * vec.get(atom, 0) % n for atom in atoms) for k in range(o)]
-        if any(m in span for m in multiples[1:]):
-            return False
-        if i + 1 < len(vectors):
-            span = {tuple((x + y) % n for x, y in zip(s, m)) for s in span for m in multiples}
-    return True
+# ---------------------------------------------------------------------------
+# spans of classes
+#
+# A span is a finite subgroup given as a frozenset of its members, with the
+# group's addition passed alongside.  Global radicand classes are keyed by
+# _vector_key; their images in a local class group are coordinate tuples.
+
+
+def _multiples(span: frozenset, g, add) -> list:
+    """g, 2g, ..., (k-1)g for the least k >= 1 with kg in the span.  k, one
+    more than their number, is the index of the span in <span, g>."""
+    out, x = [], g
+    while x not in span:
+        out.append(x)
+        x = add(x, g)
+    return out
+
+
+def _grow(span: frozenset, gens, add) -> frozenset:
+    """The group generated by the span and gens."""
+    for g in gens:
+        span = span.union([add(s, x) for s in span for x in _multiples(span, g, add)])
+    return span
+
+
+def relative_degree(span: frozenset, gens, add) -> int:
+    """|<span, gens>| / |span|.
+
+    By Kummer theory this is [L:M] when the span is W_M, the group of M's
+    radicand classes in K*/(K*)^n, and gens are the classes of the radicands
+    L adds; and it is [L:M]_P when both are read in K_P*/(K_P*)^n, where the
+    image of W has the local degree as its size.
+    """
+    grown = len(_grow(span, gens, add))
+    if grown % len(span):
+        raise InvariantError(f"span of size {len(span)} does not divide the size {grown}"
+                             " of the group it generates with the extra classes")
+    return grown // len(span)
+
+
+def _vector_key(vec: dict) -> frozenset:
+    return frozenset(vec.items())
+
+
+def _vector_adder(n: int):
+    """Addition of class vectors mod n in their _vector_key form."""
+
+    def add(x, y):
+        out = dict(x)
+        for atom, v in y:
+            # v is nonzero, so a zero sum means the atom was in x
+            v = (out.get(atom, 0) + v) % n
+            if v:
+                out[atom] = v
+            else:
+                del out[atom]
+        return frozenset(out.items())
+
+    return add
+
+
+def class_span(n: int, vectors) -> frozenset:
+    """The span of the class vectors in K*/(K*)^n, keyed by _vector_key."""
+    return _grow(frozenset((frozenset(),)), map(_vector_key, vectors), _vector_adder(n))
 
 
 def build_extension(base: BaseField, n: int, radicands) -> AbExt:
@@ -224,30 +282,14 @@ def gal_exponent(M: AbExt) -> int:
     return lcm(*M.orders) if M.orders else 1
 
 
-def subgroup_closure(members, add, zero):
-    """Closure of an iterable under a binary operation with identity."""
-    out = {zero}
-    frontier = set(members) - out
-    while frontier:
-        new = set()
-        for x in frontier:
-            for y in list(out) + list(frontier):
-                z = add(x, y)
-                if z not in out and z not in frontier:
-                    new.add(z)
-        out |= frontier
-        frontier = new
-    return out
-
-
 def greedy_generators(members, add, zero) -> tuple:
     """A small generating set for a subgroup given as a member list."""
     gens: list = []
-    have = {zero}
+    have = frozenset((zero,))
     for x in sorted(members):
         if x not in have:
             gens.append(x)
-            have = subgroup_closure(gens, add, zero)
+            have = _grow(have, (x,), add)
     return tuple(gens)
 
 
@@ -266,19 +308,26 @@ class LocalClassGroup:
     unram_gens: tuple
     symbol_coord: int | None
 
+    def add(self, x, y) -> tuple:
+        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+
+    def trivial(self) -> frozenset:
+        """The trivial subgroup."""
+        return frozenset(((0,) * len(self.moduli),))
+
     def image_of(self, exps) -> tuple:
         return tuple(
             sum(e * img[k] for e, img in zip(exps, self.images)) % self.moduli[k]
             for k in range(len(self.moduli))
         )
 
+    def span(self, count: int | None = None) -> frozenset:
+        """The image of W, or of the classes of the first count radicands:
+        its size is the local degree of the field they generate."""
+        return _grow(self.trivial(), self.images[:count], self.add)
+
     def unram_subgroup(self) -> frozenset:
-        zero = (0,) * len(self.moduli)
-
-        def add(x, y):
-            return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-        return frozenset(subgroup_closure(self.unram_gens, add, zero))
+        return _grow(self.trivial(), self.unram_gens, self.add)
 
     def symbol(self, coords) -> int:
         return 0 if self.symbol_coord is None else coords[self.symbol_coord]
@@ -295,30 +344,31 @@ def _dyadic_coords(f: int) -> tuple:
     return (e_m1, e_5, v % 2)
 
 
-def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
-    n = M.n
+def _local_image(base: BaseField, n: int, f, place: Place) -> tuple:
+    """The class of one radicand in K_P*/(K_P*)^n, in the coordinates of
+    local_class_group: the sign at the real place, the dyadic table at 2,
+    (valuation, unit class) at an odd prime or a tame place of F_q(t)."""
+    if not base.is_rationals():
+        # n | N(P) - 1 always holds since n | q - 1
+        return (f.valuation(place) % n, f.residue_symbol_dlog(place, n))
     if place.kind == "real":
-        if not M.base.is_rationals():
-            raise ValidationError("no real place over a function field")
-        images = tuple((0,) if f > 0 else (1,) for f in M.radicands)
+        return (0,) if f > 0 else (1,)
+    p = place.p
+    if p == 2:
+        return _dyadic_coords(f)
+    v = vp(f, p)
+    return (v % 2, 0 if _legendre_unchecked(f // p**v, p) == 1 else 1)
+
+
+def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
+    if place.base != M.base:
+        raise ValidationError("place and extension live over different fields")
+    images = tuple([_local_image(M.base, M.n, f, place) for f in M.radicands])
+    if place.kind == "real":
         return LocalClassGroup((2,), images, (), None)
-    if place.kind == "prime":
-        p = place.p
-        if p == 2:
-            images = tuple(_dyadic_coords(f) for f in M.radicands)
-            return LocalClassGroup((2, 2, 2), images, ((0, 1, 0),), 1)
-        imgs = []
-        for f in M.radicands:
-            v = vp(f, p)
-            u = f // p**v
-            imgs.append((v % 2, 0 if _legendre_unchecked(u, p) == 1 else 1))
-        return LocalClassGroup((2, 2), tuple(imgs), ((0, 1),), 1)
-    # tame place of F_q(t); n | N(P) - 1 always holds since n | q - 1
-    imgs = []
-    for f in M.radicands:
-        v = f.valuation(place)
-        imgs.append((v % n, f.residue_symbol_dlog(place, n)))
-    return LocalClassGroup((n, n), tuple(imgs), ((0, 1),), 1)
+    if place.kind == "prime" and place.p == 2:
+        return LocalClassGroup((2, 2, 2), images, ((0, 1, 0),), 1)
+    return LocalClassGroup((M.n, M.n), images, ((0, 1),), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +398,6 @@ class LocalData:
 def local_data(M: AbExt, place: Place) -> LocalData:
     """Splitting data of M at a place: the place's local class-group image,
     then the place-free splitting that image determines."""
-    if place.base != M.base:
-        raise ValidationError("place and extension live over different fields")
     G = local_class_group(M, place)
     return LocalData(place, *_splitting(M.n, M.orders, G))
 
@@ -422,8 +470,7 @@ def is_real_field(M: AbExt) -> bool:
 
 def _w_vectors(M: AbExt) -> dict:
     """The class vector of every element of W, keyed by its exponent tuple."""
-    vectors = [_class_vector(M.base, M.n, f) for f in M.radicands]
-    return {e: _combine(M.n, vectors, e) for e in w_exponents(M)}
+    return {e: _combine(M.n, M.vectors, e) for e in w_exponents(M)}
 
 
 def span_squarefree(M: AbExt) -> frozenset:

@@ -30,7 +30,13 @@ from .brauer import (
     restricted_index,
     restricted_local_index,
 )
-from .covers import build_cover, candidate_radicands, check_Bm, cover_local_degree
+from .covers import (
+    build_cover,
+    candidate_radicands,
+    check_Bm,
+    cover_local_degree,
+    quadratic_cover_scan,
+)
 from .errors import SearchExhausted, ValidationError
 from .extensions import (
     AbExt,
@@ -111,6 +117,8 @@ def run_ex41(l: int, q: int, bound: int = 1000) -> PaperReport:
     """
     if not (is_prime(l) and is_prime(q)) or 2 in (l, q) or l == q:
         raise ValidationError(f"need distinct odd primes, got l={l}, q={q}")
+    if bound < 0:
+        raise ValidationError(f"bound must be at least 0, got {bound}")
     params = (("l", l), ("q", q), ("bound", bound))
     hyp = (
         (q % 4 == 3, f"{q} = 3 (mod 4)"),
@@ -151,16 +159,7 @@ def run_ex41(l: int, q: int, bound: int = 1000) -> PaperReport:
         ("minus-one-nonsquare", legendre(-1, q) == -1, f"(-1 | {q}) = {legendre(-1, q)}")
     )
 
-    blocked, built = True, 0
-    for d in candidate_radicands(QQ, bound):
-        try:
-            C = build_cover(M, (d,), 2)
-        except ValidationError:
-            continue
-        built += 1
-        if cover_local_degree(C, place_l) != 1:
-            blocked = False
-            break
+    blocked, built = quadratic_cover_scan(M, place_l, bound)
     checks.append(
         (
             "cover-scan",
@@ -330,13 +329,17 @@ def run_prop42(
     The report records both realizations, full local degree at pp and q1 in
     the compositum, and that the compositum has no isolated primes.
 
-    Raises ValidationError when the base lacks p-th roots of unity or p
-    divides the residue norm of pp, and SearchExhausted when either search
-    runs out of candidates.
+    Raises ValidationError when the base lacks p-th roots of unity, p
+    divides the residue norm of pp or a bound is negative, and
+    SearchExhausted when either search runs out of candidates.
     """
     require_prime(p)
     if not isinstance(pp, Place) or pp.kind == "real":
         raise ValidationError("pp must be a nonarchimedean place")
+    if bound < 0:
+        raise ValidationError(f"bound must be at least 0, got {bound}")
+    if radicand_bound < 0:
+        raise ValidationError(f"radicand bound must be at least 0, got {radicand_bound}")
     base = pp.base
     s = _base_roots_of_unity(base, p)
     if s == 0:

@@ -159,3 +159,30 @@ class TestPrimeField:
         if a % p == 0:
             a += 1
         assert (p - 1) % PrimeField(p).mul_order(a) == 0
+
+
+class TestSympyOracle:
+    """factorize, is_squarefree and legendre against sympy, which the tests
+    use as an independent oracle (it is no runtime dependency)."""
+
+    def test_factorize_and_squarefree(self):
+        from sympy import factorint
+
+        for a in range(-20000, 20001):
+            if a == 0:
+                assert not is_squarefree(0)
+                continue
+            want = factorint(abs(a))
+            assert factorize(a) == want, a
+            assert is_squarefree(a) == all(e == 1 for e in want.values()), a
+
+    def test_legendre(self):
+        from sympy import primerange
+        from sympy.functions.combinatorial.numbers import legendre_symbol
+
+        # every residue class directly, then a spread out to |a| = 2 * 10^4
+        sample = sorted(set(range(-400, 401)) | set(range(-20000, 20001, 7)))
+        for p in primerange(3, 200):
+            table = [int(legendre_symbol(r, p)) for r in range(p)]
+            for a in sample:
+                assert legendre(a, p) == table[a % p], (a, p)

@@ -305,6 +305,58 @@ def test_non_prime_p_is_2(run, ext_file, argv, p):
     assert payload == {"error": "invalid-input", "detail": f"p must be prime, got {p}"}
 
 
+# every verb that reads --bound
+BOUND_VERBS = {
+    "search-frobenius": ("search", "frobenius", "--sigma", "1,1"),
+    "search-qsigma": ("search", "qsigma", "--p", "2", "--sigma", "1,1"),
+    "search-s0": ("search", "s0", "--p", "2", "--power", "3"),
+    "cover-scan": ("cover", "scan", "-m", "2", "7"),
+    "paper-ex41": ("paper", "ex41", "5", "23"),
+    "paper-prop42": ("paper", "prop42", "2", "5"),
+}
+
+
+class TestNegativeBounds:
+    @pytest.mark.parametrize("bound", [-1, -3])
+    @pytest.mark.parametrize("verb", sorted(BOUND_VERBS))
+    def test_negative_bound_is_2(self, run, ext_file, verb, bound):
+        for argv in ((*BOUND_VERBS[verb], f"--bound={bound}"),
+                     (f"--bound={bound}", *BOUND_VERBS[verb])):
+            code, payload, _ = run(*argv, "--ext", ext_file)
+            assert code == 2
+            assert payload == {"error": "invalid-input",
+                               "detail": f"--bound must be at least 0, got {bound}"}
+
+    @pytest.mark.parametrize("verb, code", [
+        ("search-frobenius", 3), ("search-qsigma", 3), ("search-s0", 3),
+        ("cover-scan", 3), ("paper-ex41", 0), ("paper-prop42", 3),
+    ])
+    def test_zero_bound_is_valid(self, run, ext_file, verb, code):
+        got, payload, _ = run(*BOUND_VERBS[verb], "--bound", "0", "--ext", ext_file)
+        assert got == code
+        if verb == "paper-ex41":
+            assert payload["checks"][6][2] == (
+                "no M(sqrt d), squarefree |d| <= 0, moves the degree at 5 (1 covers built)")
+
+    def test_negative_radicand_bound_is_2(self, run):
+        code, payload, _ = run("paper", "prop42", "2", "5", "--radicand-bound=-1")
+        assert code == 2
+        assert payload == {"error": "invalid-input",
+                           "detail": "radicand bound must be at least 0, got -1"}
+
+    def test_negative_max_extra_is_2(self, run, ext_file):
+        code, payload, _ = run("cover", "scan", "-m", "2", "7", "--max-extra=-1",
+                               "--ext", ext_file)
+        assert code == 2
+        assert payload == {"error": "invalid-input",
+                           "detail": "max_extra must be at least 0, got -1"}
+
+    def test_zero_max_extra_is_valid(self, run, ext_file):
+        code, payload, _ = run("cover", "scan", "-m", "1", "7", "--max-extra", "0",
+                               "--ext", ext_file)
+        assert code == 0 and payload["passed"] is True
+
+
 class TestGroupext:
     def test_scan_finds_quaternion_datum(self, run):
         code, payload, _ = run(
@@ -534,3 +586,64 @@ class TestGroupextFuzz:
     @given(argv=_verify_argv_strategy())
     def test_verify(self, argv):
         assert self._exit_code(argv) in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------- cover fuzz
+
+# well-formed extras and places first, then malformed texts
+_Q_TEXTS = (("-1", "3", "-3", "5", "6", "-7"), ("2", "3", "5", "7", "real"),
+            ("0", "1", "4", "x", "2.5", "t", "inf", ""))
+_F7_TEXTS = (("3", "t+1", "t+3", "t+5", "t^2+1"), ("t", "t+1", "t+3", "t^2+1", "inf"),
+             ("2*t", "(t+3)^3", "t^2", "t+", "q", "real", "7", ""))
+
+
+@pytest.fixture(scope="module")
+def cover_files(tmp_path_factory):
+    home = tmp_path_factory.mktemp("cover-fuzz")
+    files = {}
+    for name, body in (("Q", {"base": "Q", "n": 2, "radicands": [-1, 2]}),
+                       ("F7", {"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]})):
+        path = home / f"{name}.json"
+        path.write_text(json.dumps(body))
+        files[name] = str(path)
+    return files
+
+
+@st.composite
+def _cover_argv(draw):
+    """cover scan or cover check over Q (bound <= 30) or F_7(t) (bound <=
+    1), with extras and places from a short pool of texts.  Half the draws
+    are well formed (valid texts, m >= 1, bounds >= 0); the other half
+    mix in malformed texts and values down to -1."""
+    base = draw(st.sampled_from(("Q", "F7")))
+    extras, places, bad = _Q_TEXTS if base == "Q" else _F7_TEXTS
+    low = 0 if draw(st.booleans()) else -1
+    if low < 0:
+        extras, places = extras + bad, places + bad
+    bound = draw(st.integers(low, 30 if base == "Q" else 1))
+    chosen = draw(st.lists(st.sampled_from(places), min_size=1 + low, max_size=3))
+    if draw(st.booleans()):
+        argv = ["cover", "scan", "-m", str(draw(st.integers(low + 1, 9))),
+                f"--max-extra={draw(st.integers(low, 2))}", f"--bound={bound}"]
+    else:
+        argv = ["cover", "check", "--extra",
+                *draw(st.lists(st.sampled_from(extras), min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            argv.append(f"--nprime={draw(st.integers(low, 6))}")
+        if low < 0 and draw(st.booleans()):
+            argv += [f"--p={draw(st.integers(-1, 5))}", f"--n={draw(st.integers(-1, 3))}"]
+    # "--" ends --extra and keeps a place such as -1 from reading as a flag
+    return base, argv + ["--", *chosen]
+
+
+class TestCoverFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(draw=_cover_argv())
+    def test_exit_code_in_contract(self, cover_files, draw):
+        base, argv = draw
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(["--ext", cover_files[base], *argv])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        assert code in (0, 1, 2, 3)

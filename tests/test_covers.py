@@ -26,7 +26,7 @@ from ncpbound.fields import (
 )
 from ncpbound.jsonio import parse_place_text
 
-from helpers import ff3_quad, ff7_cubic, q_ext
+from helpers import ff3_quad, ff7_cubic, oracle_cover, oracle_local_degree, q_ext
 
 
 def poly7(*coeffs):
@@ -167,6 +167,40 @@ class TestCheckBm:
         with pytest.raises(ValidationError):
             check_Bm(q_ext(11), 0, [])
 
+    @pytest.mark.parametrize("kwargs, detail", [
+        ({"max_extra": -1}, "max_extra must be at least 0, got -1"),
+        ({"radicand_bound": -3}, "radicand bound must be at least 0, got -3"),
+    ])
+    def test_rejects_negative_bounds(self, kwargs, detail):
+        with pytest.raises(ValidationError, match=detail):
+            check_Bm(q_ext(11), 2, [prime_place(3)], **kwargs)
+
+    def test_zero_bounds_are_valid(self):
+        assert check_Bm(q_ext(11), 1, [prime_place(3)], max_extra=0).passed
+        # the pool at bound 0 over Q is just -1
+        report = check_Bm(q_ext(11), 2, [prime_place(3)], radicand_bound=0)
+        assert not report.passed
+        assert report.checks[0][2] == ("no abelian witness of relative degree 2 over 1"
+                                       " radicands (1 candidates had the right degree)")
+
+    @pytest.mark.parametrize("M, m, places, witnesses", [
+        (q_ext(11), 2, ("3",), 1),
+        (q_ext(11), 4, ("2",), 1),
+        (q_ext(3, -7), 2, ("3",), 0),
+        (q_ext(3, -7), 4, ("5", "11"), 0),
+        (q_ext(3, -7), 4, ("real",), 1),
+    ])
+    def test_only_the_witness_is_built(self, monkeypatch, M, m, places, witnesses):
+        from ncpbound import covers
+
+        built = []
+        real_build = covers.build_cover
+        monkeypatch.setattr(covers, "build_cover",
+                            lambda *args: built.append(args) or real_build(*args))
+        S = [parse_place_text(QQ, text) for text in places]
+        report = check_Bm(M, m, S, radicand_bound=30)
+        assert len(built) == witnesses == (report.witness is not None)
+
     def test_sub_cover_certificates_pass(self):
         # one extra radicand of an m-witness builds an m'-cover whose
         # certificate passes
@@ -195,11 +229,12 @@ class TestCheckBm:
 
 
 def _unfiltered_check_Bm(M, m, S, radicand_bound=None, max_extra=2):
-    """check_Bm as it was before the order prefilter: build every combo of
-    the pool and keep the ones whose relative degree is m."""
-    from itertools import combinations
-
-    from ncpbound.covers import CertReport, _divisor_checks
+    """check_Bm as it was before the order prefilter and the span test:
+    build every combo of the pool from scratch (oracle_cover), keep the
+    ones whose relative degree is m, and read each local degree as the
+    quotient of two local degrees."""
+    from ncpbound.covers import CertReport
+    from ncpbound.isolation import d_value
 
     if radicand_bound is None:
         radicand_bound = 100 if M.base.is_rationals() else 3
@@ -208,14 +243,15 @@ def _unfiltered_check_Bm(M, m, S, radicand_bound=None, max_extra=2):
     tried = 0
     for k in range(max_extra + 1):
         for combo in combinations(pool, k):
-            try:
-                C = build_cover(M, combo, M.n)
-            except ValidationError:
-                continue
-            if C.rel_degree != m:
+            C = oracle_cover(M, combo)
+            if isinstance(C, str) or C.rel_degree != m:
                 continue
             tried += 1
-            checks = _divisor_checks(C, m, places)
+            checks = []
+            for P in places:
+                need, got = d_value(P, m, M), oracle_local_degree(C, P)
+                checks.append((f"divisor at {P}", got % need == 0,
+                               f"required {need}, local degree {got}"))
             if all(ok for _, ok, _ in checks):
                 return CertReport("Bm", m, places, C, tuple(checks))
     detail = (

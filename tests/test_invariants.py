@@ -70,9 +70,15 @@ def test_build_cover_raises_named_error(monkeypatch):
 def test_cover_local_degree_raises_named_error(monkeypatch):
     M = AbExt(QQ, 2, (-1,))
     C = Cover(M, AbExt(QQ, 2, (-1, 2)), 2)
-    monkeypatch.setattr(covers, "local_degree", lambda E, P: 3 if E is M else 4)
-    with pytest.raises(InvariantError, match="does not divide"):
-        cover_local_degree(C, prime_place(5))
+    real_grow = extensions._grow
+
+    def broken(span, gens, add):
+        # M's image at 3 has 2 elements; what it grows into gets 3
+        return real_grow(span, gens, add) if len(span) == 1 else frozenset(range(3))
+
+    monkeypatch.setattr(extensions, "_grow", broken)
+    with pytest.raises(InvariantError, match="span of size 2 does not divide the size 3"):
+        cover_local_degree(C, prime_place(3))
 
 
 def test_isolation_report_raises_named_error():

@@ -86,6 +86,15 @@ class TestEx41:
         with pytest.raises(ValidationError):
             run_ex41(l, q)
 
+    def test_rejects_negative_bound(self):
+        with pytest.raises(ValidationError, match="bound must be at least 0, got -1"):
+            run_ex41(5, 23, bound=-1)
+
+    def test_zero_bound_scans_only_minus_one(self):
+        rep = run_ex41(5, 23, bound=0)
+        assert rep.verdict
+        assert check(rep, "cover-scan")[2].endswith("(1 covers built)")
+
     def test_reports_are_reproducible(self):
         assert run_ex41(3, 11, bound=50) == run_ex41(3, 11, bound=50)
 
@@ -154,6 +163,20 @@ class TestProp42:
         assert check(rep, "k1-realization")[2].startswith("radicand (t):")
         assert check(rep, "k2-realization")[2].startswith("radicand (t+1)*(t+4):")
         assert "is 9" in check(rep, "full-degree-at-pivots")[2]
+
+    @pytest.mark.parametrize("kwargs, detail", [
+        ({"bound": -1}, "bound must be at least 0, got -1"),
+        ({"radicand_bound": -1}, "radicand bound must be at least 0, got -1"),
+    ])
+    def test_rejects_negative_bounds(self, kwargs, detail):
+        with pytest.raises(ValidationError, match=detail):
+            run_prop42(2, prime_place(5), **kwargs)
+
+    def test_zero_bounds_exhaust_the_searches(self):
+        with pytest.raises(SearchExhausted, match="found 0/2 places"):
+            run_prop42(2, prime_place(5), bound=0)
+        with pytest.raises(SearchExhausted):
+            run_prop42(2, prime_place(5), radicand_bound=0)
 
     def test_reports_are_reproducible(self):
         assert run_prop42(2, prime_place(5)) == run_prop42(2, prime_place(5))
