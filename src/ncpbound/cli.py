@@ -75,6 +75,12 @@ def _bound(args, default):
     return args.bound
 
 
+def _count(args, least=1):
+    if args.count < least:
+        raise ValidationError(f"--count must be at least {least}, got {args.count}")
+    return args.count
+
+
 def _places(M, texts):
     return [parse_place_text(M.base, s) for s in texts]
 
@@ -182,7 +188,7 @@ def cmd_brauer_construct(args):
 
 def cmd_brauer_lemma21(args):
     M = _need_ext(args)
-    count = args.count
+    count = _count(args, 0)
     rng = random.Random(_seed(args))
     bad = 0
     for _ in range(count):
@@ -235,7 +241,7 @@ def cmd_search_frobenius(args):
     M = _need_ext(args)
     bound = _bound(args, 1000)
     sigma = _int_list(args.sigma, "sigma")
-    hits = find_places_with_frobenius(M, sigma, args.count, bound)
+    hits = find_places_with_frobenius(M, sigma, _count(args), bound)
     out = {"sigma": list(sigma), "count": len(hits), "places": [to_json(P) for P in hits]}
     return out, 0
 
@@ -244,7 +250,7 @@ def cmd_search_qsigma(args):
     M = _need_ext(args)
     bound = _bound(args, 2000)
     sigma = _int_list(args.sigma, "sigma")
-    hits = qsigma_search(M, args.p, sigma, args.count, bound)
+    hits = qsigma_search(M, args.p, sigma, _count(args), bound)
     out = {"p": args.p, "sigma": list(sigma), "count": len(hits),
            "places": [to_json(P) for P in hits]}
     return out, 0

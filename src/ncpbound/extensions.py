@@ -567,6 +567,11 @@ def restriction_order_to_cyclotomic(M: AbExt, p: int, sigma) -> int:
 # place searches
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
+
+
 def find_places_with_frobenius(
     M: AbExt, sigma, count: int = 1, bound: int = 1000, congruence=None
 ):
@@ -575,6 +580,7 @@ def find_places_with_frobenius(
     congruence = (a, m) keeps only norms = a mod m.  Raises SearchExhausted
     (carrying the partial list) when the bound runs out first.
     """
+    _require_count(count)
     sigma = validate_sigma(M, sigma)
     hits = []
     for P in enumerate_places(M.base, bound):
@@ -600,6 +606,7 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     ord(N mod p^(s+1)) > f_sigma for odd p, ord(N mod 2^(r+2)) > f_sigma for
     p = 2, and p never divides N.  f_sigma is the order of sigma on the
     p-power cyclotomic part of M."""
+    _require_count(count)
     require_prime(p)
     sigma = validate_sigma(M, sigma)
     f_sigma = restriction_order_to_cyclotomic(M, p, sigma)

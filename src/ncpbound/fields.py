@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
-from .arith import is_prime, prime_field, primes_upto
+from .arith import factorize, is_prime, prime_field, primes_upto
 from .errors import InvariantError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -111,28 +112,26 @@ def poly_mod(a, m, q: int) -> tuple:
     return poly_divmod(a, m, q)[1]
 
 
-def poly_pow_mod(a, e: int, m, q: int) -> tuple:
-    result, base = (1,), poly_mod(a, m, q)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, q), m, q)
-        base = poly_mod(poly_mul(base, base, q), m, q)
-        e >>= 1
-    return result
+def _resultant(a, b, q: int) -> int:
+    """Res(a, b) over F_q by the Euclidean algorithm: with r = a mod b,
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r),
+    and Res(a, c) = c^(deg a) for a constant c.  For monic irreducible a
+    this is the norm of b mod a from F_q[t]/(a) down to F_q."""
+    res = 1
+    while len(b) > 1:
+        r = poly_mod(a, b, q)
+        if not r:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        res = res * (-1) ** (m * n) * pow(b[-1], m - len(r) + 1, q) % q
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, q) % q if b else 0
 
 
 def poly_is_irreducible(a, q: int) -> bool:
-    """Trial division by all lower-degree monic irreducibles."""
-    if not a or len(a) == 1:
-        return False
-    d = poly_degree(a)
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for p in monic_irreducibles(q, e):
-            if not poly_divmod(a, p, q)[1]:
-                return False
-    return True
+    """Trial division by the sieved monic irreducibles of degree <= deg/2."""
+    return len(a) > 1 and all(poly_mod(a, p, q) for e in range(1, (len(a) - 1) // 2 + 1)
+                              for p in monic_irreducibles(q, e))
 
 
 def poly_str(a) -> str:
@@ -155,15 +154,27 @@ _irreducible_cache: dict[tuple[int, int], tuple] = {}
 
 
 def monic_irreducibles(q: int, degree: int) -> tuple:
-    """All monic irreducibles of the given degree, sorted by coefficient tuple."""
+    """All monic irreducibles of the given degree, sorted by coefficient tuple.
+
+    A multiplicative sieve: every reducible monic of degree d is f*g with f
+    monic irreducible of degree k <= d/2 and g monic of degree d - k.  The
+    count is checked against Gauss's formula (1/d) sum_{e | d} mu(e) q^(d/e).
+    """
     key = (q, degree)
     if key not in _irreducible_cache:
-        found = []
-        for lower in itertools.product(range(q), repeat=degree):
-            cand = lower + (1,)
-            if poly_is_irreducible(cand, q):
-                found.append(cand)
-        _irreducible_cache[key] = tuple(sorted(found))
+        reducible = {poly_mul(f, lower + (1,), q)
+                     for k in range(1, degree // 2 + 1) for f in monic_irreducibles(q, k)
+                     for lower in itertools.product(range(q), repeat=degree - k)}
+        # product() runs through the lower coefficients in tuple order
+        monics = (lower + (1,) for lower in itertools.product(range(q), repeat=degree))
+        found = tuple(c for c in monics if c not in reducible)
+        primes = list(factorize(degree))
+        subsets = (s for r in range(len(primes) + 1) for s in itertools.combinations(primes, r))
+        expected = sum((-1) ** len(s) * q ** (degree // prod(s)) for s in subsets) // degree
+        if len(found) != expected:
+            raise InvariantError(f"sieved {len(found)} monic irreducibles of degree {degree} "
+                                 f"over F_{q}; Gauss's formula gives {expected}")
+        _irreducible_cache[key] = found
     return _irreducible_cache[key]
 
 
@@ -341,41 +352,23 @@ class FqtElt:
             raise ValidationError("valuation needs a function-field place")
         return dict(self.factors).get(place.coeffs, 0)
 
-    def unit_residue(self, place: Place):
-        """Residue of self / pi^v at the place, for pi the canonical uniformizer
-        (the monic irreducible itself, or 1/t at infinity).
-
-        Returns an element of the residue field: a coefficient tuple mod the
-        place polynomial, or a unit of F_q at infinity.
-        """
-        if place.kind == "inf":
-            return self.c
-        m = place.coeffs
-        r = (self.c,)
-        for poly, e in self.factors:
-            if poly == m:
-                continue
-            base = poly_mod(poly, m, self.q)
-            r = poly_mul(r, poly_pow_mod(base, e, m, self.q) if e >= 0
-                         else poly_pow_mod(_poly_inverse(base, m, self.q), -e, m, self.q), self.q)
-            r = poly_mod(r, m, self.q)
-        return r
-
     def residue_symbol_dlog(self, place: Place, n: int) -> int:
-        """dlog base zeta_n of (unit residue)^((N-1)/n), the n-th power
-        residue symbol of the unit part at the place."""
-        norm = place.norm()
-        if (norm - 1) % n != 0:
+        """dlog base zeta_n of the n-th power residue symbol u^((N - 1)/n) of
+        the unit part u at a place of norm N.  As n | q - 1 it is read in F_q as
+        N(u)^((q - 1)/n): N(u) = c at infinity, and c^(deg P) * prod Res(P, Q)^e
+        over the other factors at a polynomial place P."""
+        if (place.norm() - 1) % n != 0:
             raise ValidationError("mu_n does not inject into the residue field")
-        u = self.unit_residue(place)
+        q, k = self.q, (self.q - 1) // n
         if place.kind == "inf":
-            val = pow(u, (norm - 1) // n, self.q)
+            val = pow(self.c, k, q)
         else:
-            r = poly_pow_mod(u, (norm - 1) // n, place.coeffs, self.q)
-            if len(r) > 1:
-                raise InvariantError("symbol did not land in the constants")
-            val = r[0] if r else 0
-        return prime_field(self.q).dlog_in_mu(val, n)
+            m = place.coeffs
+            val = pow(self.c, k * poly_degree(m), q)
+            for poly, e in self.factors:
+                if poly != m:
+                    val = val * pow(_resultant(m, poly, q), k * e, q) % q
+        return prime_field(q).dlog_in_mu(val, n)
 
     def is_nth_power(self, n: int) -> bool:
         """True iff self lies in (F_q(t)*)^n; requires n | q-1.
@@ -411,12 +404,6 @@ def _trusted_fqt(q: int, c: int, factors: tuple) -> FqtElt:
     object.__setattr__(elt, "c", c)
     object.__setattr__(elt, "factors", factors)
     return elt
-
-
-def _poly_inverse(a, m, q: int):
-    """Inverse of a mod m via Fermat in F_q[t]/(m) (m irreducible)."""
-    norm = q ** poly_degree(m)
-    return poly_pow_mod(a, norm - 2, m, q)
 
 
 def _divisors(n: int) -> list[int]:

@@ -1,9 +1,22 @@
 """Extension builders and oracles shared by several test modules."""
 
+import itertools
+from functools import lru_cache
+
+from ncpbound.arith import prime_field
 from ncpbound.covers import Cover
-from ncpbound.errors import ValidationError
+from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import AbExt, build_extension, local_degree
-from ncpbound.fields import QQ, FqtElt, fqt_from_factors, rational_function_field
+from ncpbound.fields import (
+    QQ,
+    FqtElt,
+    fqt_from_factors,
+    poly_degree,
+    poly_divmod,
+    poly_mod,
+    poly_mul,
+    rational_function_field,
+)
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
@@ -55,3 +68,63 @@ def oracle_cover(M, extra, n_prime=None):
 def oracle_local_degree(C, P):
     """[L:M]_P as the quotient of the two local degrees."""
     return local_degree(C.L, P) // local_degree(C.M, P)
+
+
+# ------------------------------------------------------------ F_q[t] oracles
+
+
+@lru_cache(maxsize=None)
+def oracle_monic_irreducibles(q, degree):
+    """The monic irreducibles of a degree by trial division: the candidates
+    no monic irreducible of degree <= degree/2 (found the same way) divides,
+    in coefficient-tuple order."""
+    divisors = [f for k in range(1, degree // 2 + 1) for f in oracle_monic_irreducibles(q, k)]
+    candidates = (lower + (1,) for lower in itertools.product(range(q), repeat=degree))
+    return tuple(c for c in candidates if all(poly_divmod(c, f, q)[1] for f in divisors))
+
+
+def poly_pow_mod(a, e, m, q):
+    """a^e mod m over F_q by square and multiply (e >= 0)."""
+    result, base = (1,), poly_mod(a, m, q)
+    while e > 0:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base, q), m, q)
+        base = poly_mod(poly_mul(base, base, q), m, q)
+        e >>= 1
+    return result
+
+
+def poly_inverse(a, m, q):
+    """Inverse of a mod m via Fermat in F_q[t]/(m) (m irreducible)."""
+    return poly_pow_mod(a, q ** poly_degree(m) - 2, m, q)
+
+
+@lru_cache(maxsize=None)
+def unit_residue(x, place):
+    """Residue of x / pi^v at the place, for pi the canonical uniformizer
+    (the monic irreducible itself, or 1/t at infinity): a coefficient tuple
+    mod the place polynomial, or a unit of F_q at infinity."""
+    if place.kind == "inf":
+        return x.c
+    m, q = place.coeffs, x.q
+    r = (x.c,)
+    for poly, e in x.factors:
+        if poly == m:
+            continue
+        base = poly_mod(poly, m, q)
+        if e < 0:
+            base, e = poly_inverse(base, m, q), -e
+        r = poly_mod(poly_mul(r, poly_pow_mod(base, e, m, q), q), m, q)
+    return r
+
+
+def oracle_residue_symbol_dlog(x, place, n):
+    """The n-th power residue symbol of x's unit part as dlog base zeta_n,
+    read as u^((N - 1)/n) in the residue field of norm N."""
+    u, k = unit_residue(x, place), (place.norm() - 1) // n
+    if place.kind == "inf":
+        return prime_field(x.q).dlog_in_mu(pow(u, k, x.q), n)
+    r = poly_pow_mod(u, k, place.coeffs, x.q)
+    if len(r) != 1:
+        raise InvariantError("symbol did not land in the constants")
+    return prime_field(x.q).dlog_in_mu(r[0], n)

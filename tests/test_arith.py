@@ -11,6 +11,7 @@ from ncpbound.arith import (
     is_prime,
     is_squarefree,
     legendre,
+    mul_order_mod,
     power_class_order,
     primes_upto,
     squarefree_part,
@@ -162,8 +163,33 @@ class TestPrimeField:
 
 
 class TestSympyOracle:
-    """factorize, is_squarefree and legendre against sympy, which the tests
-    use as an independent oracle (it is no runtime dependency)."""
+    """factorize, is_squarefree, legendre, is_prime, primitive roots and
+    multiplicative orders against sympy, which the tests use as an
+    independent oracle (it is no runtime dependency)."""
+
+    def test_is_prime(self):
+        from sympy import isprime
+
+        for n in range(-10, 20001):
+            assert is_prime(n) == isprime(n), n
+
+    def test_primitive_root_is_the_least(self):
+        from sympy import is_primitive_root, primerange, primitive_root
+
+        for p in primerange(2, 2000):
+            g = PrimeField(p).primitive_root()
+            assert is_primitive_root(g, p) and g == primitive_root(p), p
+
+    def test_mul_order_mod(self):
+        from math import gcd
+
+        from sympy import n_order
+
+        # every unit class mod m twice: once as a negative representative
+        for m in range(2, 200):
+            for a in range(-m, m):
+                if gcd(a, m) == 1:
+                    assert mul_order_mod(a, m) == n_order(a, m), (a, m)
 
     def test_factorize_and_squarefree(self):
         from sympy import factorint

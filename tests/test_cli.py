@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncpbound import cli, groupext
 from ncpbound.cli import main
+from ncpbound.fields import QQ
 from ncpbound.groupext import (
     _lines_for,
     ext_build,
@@ -357,6 +358,48 @@ class TestNegativeBounds:
         assert code == 0 and payload["passed"] is True
 
 
+# every verb that reads --count, with the least count it accepts
+COUNT_VERBS = {
+    "search-frobenius": (("search", "frobenius", "--sigma", "0,0"), 1),
+    "search-qsigma": (("search", "qsigma", "--p", "2", "--sigma", "1,1"), 1),
+    "brauer-lemma21": (("brauer", "lemma21", "--p", "2"), 0),
+}
+
+
+class TestNegativeCounts:
+    @pytest.mark.parametrize("verb, count", [
+        ("search-frobenius", 0), ("search-frobenius", -2),
+        ("search-qsigma", 0), ("search-qsigma", -2), ("brauer-lemma21", -1),
+    ])
+    def test_count_below_least_is_2(self, run, ext_file, verb, count):
+        argv, least = COUNT_VERBS[verb]
+        code, payload, _ = run(*argv, f"--count={count}", "--ext", ext_file)
+        assert code == 2
+        assert payload == {"error": "invalid-input",
+                           "detail": f"--count must be at least {least}, got {count}"}
+
+    def test_zero_count_is_valid_for_lemma21(self, run, ext_file):
+        code, payload, _ = run(*COUNT_VERBS["brauer-lemma21"][0], "--count", "0",
+                               "--ext", ext_file)
+        assert code == 0
+        assert payload["count"] == 0 and payload["violations"] == 0
+
+    def test_searches_reject_count_before_enumerating(self, monkeypatch):
+        from ncpbound import extensions
+        from ncpbound.errors import ValidationError
+
+        def forbidden(*args):
+            raise AssertionError("enumerated places for an empty request")
+
+        M = extensions.build_extension(QQ, 2, (-1, 2))
+        monkeypatch.setattr(extensions, "enumerate_places", forbidden)
+        for count in (0, -2):
+            with pytest.raises(ValidationError, match=f"count must be at least 1, got {count}"):
+                extensions.find_places_with_frobenius(M, (0, 0), count)
+            with pytest.raises(ValidationError, match=f"count must be at least 1, got {count}"):
+                extensions.qsigma_search(M, 2, (1, 1), count)
+
+
 class TestGroupext:
     def test_scan_finds_quaternion_datum(self, run):
         code, payload, _ = run(
@@ -647,3 +690,58 @@ class TestCoverFuzz:
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
         assert code in (0, 1, 2, 3)
+
+
+# --------------------------------------------------------------- search fuzz
+
+
+@pytest.fixture(scope="module")
+def search_files(tmp_path_factory):
+    home = tmp_path_factory.mktemp("search-fuzz")
+    files = {}
+    for name, body in (("q37", {"base": "Q", "n": 2, "radicands": [3, -7]}),
+                       ("ff7", {"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]})):
+        path = home / f"{name}.json"
+        path.write_text(json.dumps(body))
+        files[name] = str(path)
+    return files
+
+
+@st.composite
+def _search_argv(draw):
+    """search frobenius or search qsigma over Q(sqrt 3, sqrt -7) (bound <=
+    300) or the cubic Kummer extension of F_7(t) (bound <= 49).  Half the
+    draws are well formed (count >= 1, bound >= 0, a sigma of the right
+    length and range, a prime p); the other half draw each value from a
+    wider range that includes malformed ones."""
+    name = draw(st.sampled_from(("q37", "ff7")))
+    n, top = (2, 300) if name == "q37" else (3, 49)
+    if draw(st.booleans()):
+        count, bound = draw(st.integers(1, 4)), draw(st.integers(0, top))
+        sigma = _csv(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+    else:
+        count, bound = draw(st.integers(-2, 4)), draw(st.integers(-1, top))
+        sigma = draw(st.one_of(st.lists(_entry, max_size=3).map(_csv),
+                               st.sampled_from(("", "x", "1,", "1.5,0"))))
+        p = draw(st.integers(-2, 9))
+    argv = ["search", draw(st.sampled_from(("frobenius", "qsigma"))), f"--sigma={sigma}",
+            f"--count={count}", f"--bound={bound}"]
+    if argv[1] == "qsigma":
+        argv.append(f"--p={p}")
+    return name, count, argv
+
+
+class TestSearchFuzz:
+    @settings(deadline=None, max_examples=200)
+    @given(draw=_search_argv())
+    def test_exit_code_in_contract(self, search_files, draw):
+        name, count, argv = draw
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(["--ext", search_files[name], *argv])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        assert code in (0, 1, 2, 3)
+        if count < 1:  # an empty request is malformed, never a search
+            assert code == 2

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import fqt_mul
+from helpers import (
+    fqt_mul,
+    oracle_monic_irreducibles,
+    oracle_residue_symbol_dlog,
+    poly_pow_mod,
+    unit_residue,
+)
 from ncpbound.errors import ValidationError
 from ncpbound.fields import (
     QQ,
@@ -18,7 +24,6 @@ from ncpbound.fields import (
     poly_is_irreducible,
     poly_mul,
     poly_place,
-    poly_pow_mod,
     poly_str,
     prime_place,
     rational_function_field,
@@ -90,6 +95,109 @@ class TestPolynomials:
         for i, c in enumerate(r):
             lhs[i] = (lhs[i] + c) % 3
         assert poly_trim(lhs) == a
+
+
+class TestSieve:
+    """monic_irreducibles sieves; trial division and sympy are the oracles."""
+
+    @pytest.mark.parametrize("q, top", [(2, 8), (3, 5), (5, 4), (7, 4), (13, 2)])
+    def test_matches_trial_division(self, q, top):
+        for d in range(1, top + 1):
+            assert monic_irreducibles(q, d) == oracle_monic_irreducibles(q, d)
+
+    def test_sympy_agrees_on_members_and_non_members(self):
+        from itertools import product
+
+        from sympy import Poly, symbols
+
+        t = symbols("t")
+        members = set(monic_irreducibles(7, 3))
+        for lower in product(range(7), repeat=3):
+            c = lower + (1,)
+            assert Poly(list(reversed(c)), t, modulus=7).is_irreducible == (c in members)
+
+    def test_trial_division_reads_the_sieve(self):
+        for d in range(1, 5):
+            for c in monic_irreducibles(7, d):
+                assert poly_is_irreducible(c, 7)
+        assert not poly_is_irreducible(poly_mul((1, 0, 1), (2, 1), 3), 3)
+
+
+def _sympy_resultant(a, b, q):
+    """Res(a, b) mod q from sympy.  sympy 1.14's resultant drops the sign
+    (-1)^(deg a * deg b) when deg a < deg b and the product of the degrees
+    is odd (seen at degrees (1, 3), (1, 5), (3, 5)), so that case reads the
+    determinant of the Sylvester matrix instead."""
+    from sympy import resultant, symbols
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    t = symbols("t")
+    f, g = (sum(c * t**i for i, c in enumerate(p)) for p in (a, b))
+    if len(a) >= len(b):
+        return int(resultant(f, g, t, modulus=q)) % q
+    return int(sylvester(f, g, t).det()) % q
+
+
+class TestResidueSymbol:
+    """residue_symbol_dlog reads the symbol as a norm (resultants in F_q);
+    the unit residue raised to (N - 1)/n in F_q[t]/(P) is the oracle."""
+
+    @staticmethod
+    def _elements(q):
+        lin, quad, cub = (monic_irreducibles(q, d) for d in (1, 2, 3))
+        return [
+            fqt_const(q, q - 1),
+            fqt_const(q, 2),  # not a square mod 5, 7 or 13
+            fqt_from_factors(q, 3, [(lin[0], 1), (lin[-1], -2), (quad[0], 1)]),
+            fqt_from_factors(q, 1, [(quad[-1], -1), (cub[0], 2), (cub[-1], -3)]),
+        ]
+
+    @pytest.mark.parametrize("q, ns", [(7, (2, 3, 6)), (13, (2, 3, 4, 6, 12)), (5, (2, 4))])
+    def test_matches_unit_residue_power(self, q, ns):
+        places = list(enumerate_places(rational_function_field(q), q**3))
+        assert sum(P.kind == "inf" for P in places) == 1
+        for x in self._elements(q):
+            for P in places:
+                for n in ns:
+                    assert x.residue_symbol_dlog(P, n) == oracle_residue_symbol_dlog(x, P, n)
+
+    def test_constant_reads_its_power_of_the_degree(self):
+        # 3 is not a square mod 7, but 3^2 is: the norm of the constant 3
+        # from F_49 is 9
+        three = fqt_const(7, 3)
+        assert three.residue_symbol_dlog(poly_place(7, (6, 1)), 2) == 1
+        assert three.residue_symbol_dlog(poly_place(7, (1, 0, 1)), 2) == 0
+        assert three.residue_symbol_dlog(infinite_place(7), 2) == 1
+
+    def test_the_place_factor_is_skipped(self):
+        P = poly_place(7, (1, 0, 1))
+        for e in (-2, -1, 1, 3):
+            x = fqt_from_factors(7, 3, [((1, 0, 1), e), ((0, 1), 1)])
+            for n in (2, 3, 6):
+                assert x.residue_symbol_dlog(P, n) == oracle_residue_symbol_dlog(x, P, n)
+
+    def test_mu_n_must_inject(self):
+        with pytest.raises(ValidationError, match="mu_n does not inject into the residue field"):
+            fqt_const(7, 3).residue_symbol_dlog(poly_place(7, (0, 1)), 4)
+
+    def test_resultant_matches_sympy(self):
+        from ncpbound.fields import _resultant
+
+        polys = [c for d in (1, 2, 3) for c in monic_irreducibles(5, d)[:4]]
+        polys += [(3,), (0, 2), (1, 0, 4), (2, 3, 0, 1), (4, 1, 1, 0, 3)]
+        for a in polys:
+            for b in polys:
+                assert _resultant(a, b, 5) == _sympy_resultant(a, b, 5), (a, b)
+        assert _resultant((1, 1), (2, 2), 5) == 0  # a common root at t = -1
+
+    @given(st.sampled_from([2, 3, 7, 13]), st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    def test_resultant_matches_sympy_on_random_pairs(self, q, a, b):
+        from ncpbound.fields import _resultant, poly_normalize
+
+        a, b = poly_normalize(a, q), poly_normalize(b, q)
+        if a and b:
+            assert _resultant(a, b, q) == _sympy_resultant(a, b, q)
 
 
 class TestPlaces:
@@ -168,14 +276,14 @@ class TestFqtElt:
     def test_unit_residue_finite(self):
         # (t-1)(t-2) at (t): residue is (-1)(-2) = 2 over F_7
         x = fqt_from_factors(7, 1, [((6, 1), 1), ((5, 1), 1)])
-        assert x.unit_residue(poly_place(7, (0, 1))) == (2,)
+        assert unit_residue(x, poly_place(7, (0, 1))) == (2,)
         # t at (t): unit part is 1 w.r.t. uniformizer t
         t = fqt_from_factors(7, 1, [((0, 1), 1)])
-        assert t.unit_residue(poly_place(7, (0, 1))) == (1,)
+        assert unit_residue(t, poly_place(7, (0, 1))) == (1,)
 
     def test_unit_residue_infinity(self):
         x = fqt_from_factors(7, 3, [((0, 1), 2)])
-        assert x.unit_residue(infinite_place(7)) == 3
+        assert unit_residue(x, infinite_place(7)) == 3
 
     def test_residue_symbol_dlog(self):
         # cubes in F_7* are {1,6}; smallest primitive root is 3, zeta_3 = 3^2 = 2
@@ -218,7 +326,7 @@ class TestResidueRep:
     def test_function_field(self):
         x = fqt_from_factors(7, 1, [((6, 1), 1)])  # t - 1
         assert x.valuation(poly_place(7, (5, 1))) == 0
-        assert x.unit_residue(poly_place(7, (5, 1))) == (1,)  # at t=-5=2: 2-1=1
+        assert unit_residue(x, poly_place(7, (5, 1))) == (1,)  # at t=-5=2: 2-1=1
         assert x.valuation(poly_place(7, (6, 1))) == 1  # zero at t=1
         assert x.pow(-1).valuation(poly_place(7, (6, 1))) == -1  # pole at t=1
 

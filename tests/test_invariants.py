@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ncpbound import covers, extensions, groupext
+from ncpbound import covers, extensions, fields, groupext
 from ncpbound.cli import main
 from ncpbound.covers import Cover, build_cover, cover_local_degree
 from ncpbound.errors import InvariantError
@@ -79,6 +79,20 @@ def test_cover_local_degree_raises_named_error(monkeypatch):
     monkeypatch.setattr(extensions, "_grow", broken)
     with pytest.raises(InvariantError, match="span of size 2 does not divide the size 3"):
         cover_local_degree(C, prime_place(3))
+
+
+def test_irreducible_sieve_checks_gauss_count(monkeypatch):
+    real_mul = fields.poly_mul
+
+    def dropping(a, b, q):
+        # t * t is the one way the sieve reaches t^2 over F_2
+        return () if (a, b, q) == ((0, 1), (0, 1), 2) else real_mul(a, b, q)
+
+    monkeypatch.setattr(fields, "_irreducible_cache", {})
+    monkeypatch.setattr(fields, "poly_mul", dropping)
+    with pytest.raises(InvariantError, match="sieved 2 monic irreducibles of degree 2 over F_2; "
+                                             "Gauss's formula gives 1"):
+        fields.monic_irreducibles(2, 2)
 
 
 def test_isolation_report_raises_named_error():
@@ -152,6 +166,12 @@ try:
     groupext.prop32_scan(2, 1, (2, 2))
 except InvariantError:
     caught.append("prop32_scan")
+real_mul = fields.poly_mul
+fields.poly_mul = lambda a, b, q: () if (a, b, q) == ((0, 1), (0, 1), 2) else real_mul(a, b, q)
+try:
+    fields.monic_irreducibles(2, 2)
+except InvariantError:
+    caught.append("monic_irreducibles")
 print(",".join(caught))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -159,4 +179,5 @@ print(",".join(caught))
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "splitting,class_order,isolation_report,prop32_scan"
+    assert out.stdout.strip() == ("splitting,class_order,isolation_report,prop32_scan,"
+                                  "monic_irreducibles")
