@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .arith import factorize
 from .brauer import (
@@ -470,6 +471,35 @@ def parse_args(argv) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
 # ------------------------------------------------------------------ output
 
 
+def _indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for trees of dict, list,
+    str, int, bool and None; with indent set, the json module encodes in pure
+    Python and is slower than this."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the encoder raises TypeError on a key that is not a string
+        items = [_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"no indented JSON for {type(value).__name__}")
+
+
 def _compact(value) -> str:
     if isinstance(value, dict) and "str" in value:
         return value["str"]
@@ -512,7 +542,7 @@ def main(argv=None) -> int:
         if exc.partial:
             payload["partial"] = to_json(exc.partial)
         code = 3
-    print(json.dumps(payload, indent=2))
+    print(_indented(payload))
     if args.pretty:
         _render(payload, sys.stderr)
     return code

@@ -59,8 +59,9 @@ class AbExt:
     orders[i] is the order of radicands[i] modulo n-th powers; it is computed
     from the radicand's class vector, not passed.  The classes must be
     independent (no nontrivial product of powers is an n-th power), so
-    Gal(M/K) = prod Z/orders[i].  vectors keeps the class vectors; it takes
-    no part in equality, hashing or the repr.
+    Gal(M/K) = prod Z/orders[i].  vectors keeps the class vectors and _hash
+    the hash, computed once since every local_data lookup hashes M; neither
+    takes part in equality, hashing or the repr.
     """
 
     base: BaseField
@@ -68,6 +69,7 @@ class AbExt:
     radicands: tuple
     orders: tuple = ()
     vectors: tuple = field(default=(), init=False, compare=False, repr=False)
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -96,6 +98,11 @@ class AbExt:
             e = next(e for e in _exponent_tuples(orders)
                      if any(e) and not _combine(self.n, vectors, e))
             raise ValidationError(f"radicand classes are dependent at exponents {e}")
+        # the tuple the dataclass hash would build, over the compared fields
+        object.__setattr__(self, "_hash", hash((self.base, self.n, self.radicands, orders)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:

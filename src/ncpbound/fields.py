@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
+from types import SimpleNamespace
 
 from .arith import factorize, is_prime, prime_field, primes_upto
 from .errors import InvariantError, ValidationError
@@ -128,10 +129,28 @@ def _resultant(a, b, q: int) -> int:
     return res * pow(b[0], len(a) - 1, q) % q if b else 0
 
 
+# Proving a polynomial of degree d irreducible trial-divides it by the monic
+# irreducibles of degree <= d/2, which the sieve finds among q^(d/2) monics.
+# A polynomial that would need a larger sieve is refused, not left to run.
+MAX_SIEVE = 10**5
+
+
+def require_sieve_fits(q: int, degree: int) -> None:
+    k = degree // 2
+    # q >= 2, so an exponent past the ceiling's bit length is too large already
+    if k > MAX_SIEVE.bit_length() or q**k > MAX_SIEVE:
+        raise ValidationError(f"degree {degree} over F_{q} is out of range: proving it "
+                              f"irreducible would sieve {q}^{k} > {MAX_SIEVE} polynomials")
+
+
 def poly_is_irreducible(a, q: int) -> bool:
-    """Trial division by the sieved monic irreducibles of degree <= deg/2."""
-    return len(a) > 1 and all(poly_mod(a, p, q) for e in range(1, (len(a) - 1) // 2 + 1)
-                              for p in monic_irreducibles(q, e))
+    """Trial division by the sieved monic irreducibles of degree <= deg/2;
+    ValidationError past the sieve ceiling."""
+    if len(a) <= 1:
+        return False
+    require_sieve_fits(q, len(a) - 1)
+    return all(poly_mod(a, p, q) for e in range(1, (len(a) - 1) // 2 + 1)
+               for p in monic_irreducibles(q, e))
 
 
 def poly_str(a) -> str:
@@ -273,32 +292,66 @@ def _trusted_place(base: BaseField, kind: str, p=None, coeffs=None) -> Place:
     return place
 
 
+# The trusted places every walk shares, so that one process builds each place
+# once.  Over F_q(t): one tuple per (q, degree), made when a walk first enters
+# that degree.  Over Q: the place of every prime <= _primes.end, in order; a
+# walk that runs past the end extends the list by one whole chunk before it
+# yields again, so nested and interleaved walks read one sorted list without
+# duplicates, and the list stops at about twice the largest norm any walk has
+# passed.
+_degree_places: dict[tuple[int, int], tuple] = {}
+_primes = SimpleNamespace(places=[], end=1)
+_FIRST_PRIME_CHUNK = 64
+
+
+def _prime_walk(bound: int):
+    """The shared prime places up to bound, extended one chunk at a time:
+    up to twice the end, at least 64, at most bound."""
+    done = 0
+    while True:
+        # the list iterator also reads places another walk appends meanwhile
+        for P in itertools.islice(_primes.places, done, None):
+            if P.p > bound:
+                return
+            yield P
+        if _primes.end >= bound:
+            return
+        done, end = len(_primes.places), min(bound, max(2 * _primes.end, _FIRST_PRIME_CHUNK))
+        _primes.places.extend(_trusted_place(QQ, "prime", p=p)
+                              for p in primes_upto(end) if p > _primes.end)
+        _primes.end = end
+
+
+def _places_of_degree(base: BaseField, d: int) -> tuple:
+    """The places of F_q(t) of degree d in sort_key order: monic_irreducibles
+    is sorted by coefficient tuple, and the degree place ends degree one."""
+    key = (base.q, d)
+    if key not in _degree_places:
+        places = tuple(_trusted_place(base, "poly", coeffs=c) for c in monic_irreducibles(*key))
+        _degree_places[key] = places + (_trusted_place(base, "inf"),) if d == 1 else places
+    return _degree_places[key]
+
+
 def enumerate_places(base: BaseField, bound: int, include_real: bool = False):
     """Nonarchimedean places with residue norm <= bound, in (norm, repr) order.
 
     Lazy: consumers that stop early never pay for the places past their
-    stopping norm, which matters for large bounds over F_q(t).  Over Q the
-    real place comes last when include_real is set.  Over F_q(t) the degree
-    place sorts after the degree-one polynomials of equal norm.
+    stopping norm, which matters for large bounds.  Over Q the real place
+    comes last when include_real is set.  Over F_q(t) the degree place sorts
+    after the degree-one polynomials of equal norm.
 
     The places are trusted, not re-validated: the sieve and
     monic_irreducibles have already proved primality and irreducibility.
+    Every walk in a process yields the same Place objects.
     """
     if base.is_rationals():
-        for p in primes_upto(bound):
-            yield _trusted_place(base, "prime", p=p)
+        yield from _prime_walk(bound)
         if include_real:
             yield real_place()
         return
     q, d = base.q, 1
     while q**d <= bound:
-        # monic_irreducibles is sorted by coefficient tuple, which matches
-        # sort_key within one degree; the degree place slots in after the
-        # linear block
-        for c in monic_irreducibles(q, d):
-            yield _trusted_place(base, "poly", coeffs=c)
-        if d == 1:
-            yield _trusted_place(base, "inf")
+        yield from _places_of_degree(base, d)
         d += 1
 
 

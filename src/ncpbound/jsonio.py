@@ -30,6 +30,7 @@ from .fields import (
     prime_place,
     rational_function_field,
     real_place,
+    require_sieve_fits,
 )
 from .groupext import CentralExt, Lemma35Report, ext_build
 from .isolation import IsolationReport
@@ -258,13 +259,16 @@ _TERM = re.compile(r"^(\d+)?\*?(?:t(?:\^(\d+))?)?$")
 
 def parse_poly_text(text: str, q: int) -> tuple:
     """Coefficient tuple (constant first) from text like "t^2+2*t-1"."""
-    s = text.replace(" ", "")
+    s = "".join(text.split())  # any whitespace, not only spaces
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if not s:
         raise ValidationError("empty polynomial")
+    pieces = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(pieces) != s:  # a sign with no term after it
+        raise ValidationError(f"cannot read polynomial {text!r}")
     coeffs: dict[int, int] = {}
-    for piece in re.findall(r"[+-]?[^+-]+", s):
+    for piece in pieces:
         sign = -1 if piece.startswith("-") else 1
         body = piece.lstrip("+-")
         m = _TERM.fullmatch(body)
@@ -277,6 +281,7 @@ def parse_poly_text(text: str, q: int) -> tuple:
             deg = 0
         coeffs[deg] = (coeffs.get(deg, 0) + sign * coeff) % q
     top = max(coeffs)
+    require_sieve_fits(q, top)  # before a tuple of top + 1 coefficients is built
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
 
 
@@ -286,7 +291,7 @@ def parse_fqt_text(text: str, q: int) -> FqtElt:
     Each parenthesized or bare chunk must itself be irreducible; composite
     chunks are rejected by the element constructor, not factored here.
     """
-    s = text.replace(" ", "")
+    s = "".join(text.split())  # any whitespace, not only spaces
     chunks = re.findall(r"\((?:[^()]+)\)(?:\^\d+)?|[^*()]+", s)
     if "*".join(chunks).replace("*", "") != s.replace("*", ""):
         raise ValidationError(f"cannot read factored element {text!r}")
@@ -310,8 +315,11 @@ def fqt_from_json(obj, q: int) -> FqtElt:
     if isinstance(obj, str):
         return parse_fqt_text(obj, q)
     if isinstance(obj, dict):
+        rows = obj.get("factors", [])
+        if not isinstance(rows, list):
+            raise ValidationError(f"factors must be a list of rows, got {rows!r}")
         factors = []
-        for row in obj.get("factors", []):
+        for row in rows:
             if not isinstance(row, list) or len(row) != 2:
                 raise ValidationError(f"factor rows are [coeffs, exponent], got {row!r}")
             coeffs, e = row
@@ -381,7 +389,7 @@ def ext_from_json(obj) -> AbExt:
 
 def class_from_json(obj) -> BrauerClass:
     """Brauer class from {"invariants": [[place, "a/b"], ...], "base": ...}."""
-    if not isinstance(obj, dict) or "invariants" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("invariants"), list):
         raise ValidationError("Brauer class JSON needs an 'invariants' list")
     base = base_from_json(obj["base"]) if "base" in obj else None
     pairs = []

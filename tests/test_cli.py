@@ -745,3 +745,34 @@ class TestSearchFuzz:
         assert code in (0, 1, 2, 3)
         if count < 1:  # an empty request is malformed, never a search
             assert code == 2
+
+
+# every tree the command line prints: dict, list, str, int, bool and None
+_JSON_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "😀", 'a"b\\c\n'])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_STRINGS, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestIndentedWriter:
+    """cli._indented prints byte for byte what json.dumps(indent=2) prints."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(tree=_JSON_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("tree", [
+        [], {}, [[]], {"a": {}}, [{}, [], [[], {}]], {"": []},
+        [True, 1, False, 0, None], {"n": True, "m": 1}, -(10**30),
+    ])
+    def test_empty_containers_and_bools(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("tree", [1.5, (1, 2), {1: "a"}, {"a": {None: 1}}, [set()], b"x"])
+    def test_other_types_raise_type_error(self, tree):
+        with pytest.raises(TypeError):
+            cli._indented(tree)

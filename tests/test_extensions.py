@@ -682,3 +682,34 @@ class TestLocalDataMemo:
         # 2 (dyadic), 3 and 7 (ramified) and four Frobenius classes
         assert _splitting.cache_info().currsize == len(images) == 7
         local_data.cache_clear()
+
+
+class TestStoredHash:
+    """AbExt hashes once, at construction; the stored hash is invisible to
+    equality, the repr and the JSON encoding."""
+
+    @pytest.mark.parametrize("build", [lambda: q_ext(3, -7), ff7_cubic],
+                             ids=["Q(sqrt3,sqrt-7)", "F7(t) cubic"])
+    def test_separate_builds_compare_and_hash_equal(self, build):
+        M, N = build(), build()
+        assert M is not N and M == N and hash(M) == hash(N)
+        assert hash(M) == hash((M.base, M.n, M.radicands, M.orders))
+        P = next(enumerate_places(M.base, 7))
+        assert local_data(M, P) is local_data(N, P)  # one memo entry serves both
+
+    def test_different_extensions_differ(self):
+        assert q_ext(3, -7) != q_ext(-7, 3) and q_ext(3) != q_ext(3, -7)
+
+    def test_stored_hash_is_not_compared_shown_or_encoded(self):
+        import dataclasses
+
+        from ncpbound.jsonio import to_json
+
+        M, N = q_ext(3, -7), q_ext(3, -7)
+        object.__setattr__(N, "_hash", M._hash + 1)
+        assert M == N
+        assert "_hash" not in repr(M) and str(M._hash) not in repr(M)
+        encoded = to_json(M)
+        assert "_hash" not in encoded and M._hash not in encoded.values()
+        stored = next(f for f in dataclasses.fields(AbExt) if f.name == "_hash")
+        assert not (stored.init or stored.compare or stored.repr)

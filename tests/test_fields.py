@@ -1,5 +1,7 @@
 """Places, polynomial arithmetic over F_q, and factored rational functions."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from helpers import (
     poly_pow_mod,
     unit_residue,
 )
+from ncpbound import fields
 from ncpbound.errors import ValidationError
 from ncpbound.fields import (
     QQ,
@@ -392,6 +395,138 @@ class TestTrustedPlaces:
             place_from_json({"kind": "poly", "q": 7, "coeffs": [6, 0, 1]})
         with pytest.raises(ValidationError):
             Place(F7, "poly", coeffs=(6, 0, 1))
+
+
+@pytest.fixture
+def fresh_places(monkeypatch):
+    """Empty shared place lists, as in a new process; restored afterwards."""
+    monkeypatch.setattr(fields, "_primes", SimpleNamespace(places=[], end=1))
+    monkeypatch.setattr(fields, "_degree_places", {})
+
+
+def _walk_with_inner(outer_base, outer_bound, inner_base, inner_bound, at):
+    """Walk to outer_bound; after `at` places, run a whole inner walk."""
+    outer, inner = [], None
+    for P in enumerate_places(outer_base, outer_bound):
+        outer.append(P)
+        if len(outer) == at:
+            inner = list(enumerate_places(inner_base, inner_bound))
+    return outer, inner
+
+
+def _expected_fqt(q, bound):
+    out, d = [], 1
+    while q**d <= bound:
+        out += [("poly", c) for c in oracle_monic_irreducibles(q, d)]
+        if d == 1:
+            out.append(("inf", None))
+        d += 1
+    return out
+
+
+class TestSharedPlaces:
+    """Every walk in a process yields from the same place lists: in order,
+    without duplicates, however the walks nest or interleave."""
+
+    @pytest.mark.parametrize("outer, inner", [(5_000, 20_000), (20_000, 5_000)])
+    def test_nested_walks_over_q(self, fresh_places, outer, inner):
+        from sympy import primerange
+
+        fresh = list(enumerate_places(QQ, outer))
+        assert [P.p for P in fresh] == list(primerange(2, outer + 1))
+        fields._primes.places.clear()
+        fields._primes.end = 1
+        got_outer, got_inner = _walk_with_inner(QQ, outer, QQ, inner, len(fresh) // 2)
+        assert [P.p for P in got_outer] == list(primerange(2, outer + 1))
+        assert [P.p for P in got_inner] == list(primerange(2, inner + 1))
+        assert [P.p for P in fields._primes.places] == list(primerange(2, fields._primes.end + 1))
+
+    def test_growing_walks_over_q(self, fresh_places):
+        from sympy import primerange
+
+        # prime bounds end the list on a prime, which the next chunk must not repeat
+        for bound in (2, 3, 13, 127, 1_009, 7_919, 20_000, 10):
+            assert [P.p for P in enumerate_places(QQ, bound)] == list(primerange(2, bound + 1))
+        assert [P.p for P in fields._primes.places] == list(primerange(2, 20_001))
+
+    def test_lockstep_walks_over_q(self, fresh_places):
+        from itertools import zip_longest
+
+        from sympy import primerange
+
+        a, b = [], []
+        for P, R in zip_longest(enumerate_places(QQ, 3_000), enumerate_places(QQ, 9_000)):
+            a += [P] if P else []
+            b.append(R)
+        assert [P.p for P in a] == list(primerange(2, 3_001))
+        assert [P.p for P in b] == list(primerange(2, 9_001))
+
+    @pytest.mark.parametrize("outer, inner", [(7**3, 7**4), (7**4, 7**3)])
+    def test_nested_walks_over_function_field(self, fresh_places, outer, inner):
+        def kinds(places):
+            return [(P.kind, P.coeffs) for P in places]
+
+        got_outer, got_inner = _walk_with_inner(F7, outer, rational_function_field(7), inner, 30)
+        assert kinds(got_outer) == _expected_fqt(7, outer)
+        assert kinds(got_inner) == _expected_fqt(7, inner)
+
+    @pytest.mark.parametrize("q, bound", [(None, 2_000), (7, 7**3)])
+    def test_walks_yield_the_same_objects(self, q, bound):
+        # a second, equal base object reads the same lists
+        bases = (QQ, QQ) if q is None else (rational_function_field(q), rational_function_field(q))
+        first, again = (list(enumerate_places(base, bound)) for base in bases)
+        assert len(first) == len(again) and all(P is R for P, R in zip(first, again))
+
+    def test_cached_places_equal_validated_twins(self, fresh_places):
+        list(enumerate_places(QQ, 3_000))
+        list(enumerate_places(F3, 3**4))
+        assert fields._primes.places
+        for P in fields._primes.places:
+            twin = prime_place(P.p)
+            assert P == twin and hash(P) == hash(twin)
+        for (q, _), places in fields._degree_places.items():
+            for P in places:
+                twin = infinite_place(q) if P.kind == "inf" else poly_place(q, P.coeffs)
+                assert P == twin and hash(P) == hash(twin)
+
+    @pytest.mark.parametrize("stop", [2, 61, 1_000, 4_099])
+    def test_early_stop_bounds_the_q_list(self, fresh_places, stop):
+        # the bound has no cap; only the places a walk reaches are built
+        for P in enumerate_places(QQ, 10**12):
+            if P.p >= stop:
+                break
+        ceiling = max(2 * P.p, fields._FIRST_PRIME_CHUNK)
+        assert fields._primes.end <= ceiling
+        assert fields._primes.places[-1].p <= ceiling
+
+    def test_early_stop_builds_no_higher_degree(self, fresh_places):
+        for P in enumerate_places(F7, 7**9):
+            if P.degree == 2:
+                break
+        assert set(fields._degree_places) == {(7, 1), (7, 2)}
+
+
+class TestSieveCeiling:
+    """Validating a polynomial sieves q^(deg/2) monics; past MAX_SIEVE the
+    input is refused before any sieve or coefficient tuple is built."""
+
+    def test_inside_the_ceiling_is_validated(self):
+        assert poly_place(7, (3, 2) + (0,) * 8 + (1,)).degree == 10  # 7^5 monics
+        with pytest.raises(ValidationError, match="not a monic irreducible"):
+            poly_place(7, (3,) + (0,) * 9 + (1,))
+
+    @pytest.mark.parametrize("q, degree", [(7, 12), (2, 40), (317, 4), (100_003, 2), (10**9 + 7, 3)])
+    def test_past_the_ceiling_is_refused(self, q, degree):
+        with pytest.raises(ValidationError, match="out of range"):
+            poly_place(q, (1,) * degree + (1,))
+        with pytest.raises(ValidationError, match="out of range"):
+            fqt_from_factors(q, 1, [((1,) * degree + (1,), 1)])
+
+    def test_text_with_a_huge_degree_is_refused_before_it_is_built(self):
+        from ncpbound.jsonio import parse_place_text
+
+        with pytest.raises(ValidationError, match="out of range"):
+            parse_place_text(F7, "t^999999999999+1")
 
 
 class TestTrustedElements:

@@ -1,6 +1,7 @@
 """Round trips and input validation for the JSON layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncpbound.arith import QZ
 from ncpbound.brauer import construct_class, make_class
@@ -191,3 +192,64 @@ class TestDecoderTypes:
         M = ext_from_json({"base": "F7(t)", "n": 3,
                            "radicands": [{"c": 1, "factors": [[[0, 1], 1]]}]})
         assert M.orders == (3,)
+
+
+# ------------------------------------------------------------------ fuzzing
+#
+# Every decoder either returns a value or raises ValidationError, whatever
+# JSON it is handed.  Integers stay small and strings short, so no draw asks
+# for a huge sieve or a long trial division: those are bounded separately.
+
+_KEYS = st.sampled_from(["kind", "q", "p", "coeffs", "base", "n", "radicands", "orders",
+                         "invariants", "c", "factors", "a", "t"])
+_WORDS = st.sampled_from(["Q", "F7(t)", "F_5(t)", "F3(t)", "Fq", "prime", "poly", "inf",
+                          "real", "t", "t+1", "t^2+1", "(t-1)*(t-2)", "3*t^2", "1/2", "3/4"])
+_TEXT = st.text(alphabet="0123456789tQF_inf()*^+-/. \n", max_size=9)
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 30) | _WORDS | _TEXT
+            | st.floats(-4, 4, allow_nan=False))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_KEYS | st.text(max_size=2), kids, max_size=5),
+    max_leaves=14,
+)
+_BASES = st.sampled_from([None, QQ, F7, rational_function_field(3)])
+
+
+def _value_or_validation_error(decode, *args):
+    try:
+        decode(*args)
+    except ValidationError:
+        pass
+
+
+class TestDecoderFuzz:
+    @settings(deadline=None, max_examples=400)
+    @given(doc=_JSON)
+    def test_structured_decoders(self, doc):
+        for decode in (base_from_json, ext_from_json, class_from_json, central_from_json):
+            _value_or_validation_error(decode, doc)
+
+    @settings(deadline=None, max_examples=300)
+    @given(doc=_JSON, base=_BASES)
+    def test_place_from_json(self, doc, base):
+        _value_or_validation_error(place_from_json, doc, base)
+
+    @settings(deadline=None, max_examples=400)
+    @given(text=_TEXT | _WORDS, q=st.sampled_from([2, 3, 5, 7]))
+    def test_text_forms(self, text, q):
+        _value_or_validation_error(parse_fqt_text, text, q)
+        _value_or_validation_error(parse_place_text, rational_function_field(q), text)
+        _value_or_validation_error(parse_place_text, QQ, text)
+
+    @settings(deadline=None, max_examples=200)
+    @given(kind=st.sampled_from(["Q", "F7(t)", "F3(t)", {"kind": "Fq", "q": 5}]),
+           n=st.integers(-1, 7), radicands=st.lists(_JSON, max_size=3))
+    def test_extension_shaped(self, kind, n, radicands):
+        _value_or_validation_error(ext_from_json, {"base": kind, "n": n, "radicands": radicands})
+
+    @settings(deadline=None, max_examples=200)
+    @given(base=_JSON | _WORDS, rows=st.lists(st.tuples(_JSON, _SCALARS | _WORDS), max_size=3))
+    def test_class_shaped(self, base, rows):
+        _value_or_validation_error(class_from_json,
+                                   {"base": base, "invariants": [list(r) for r in rows]})

@@ -4,6 +4,7 @@ them must fail here, not only when `perfbench/run.py --trace 1` runs."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,23 @@ def test_traced_name_resolves(layer, kind, path):
     assert attr in owner.__dict__, f"ncpbound.{layer}.{path} is gone"
     assert callable(owner.__dict__[attr])
 
+
+
+GEN_PATHS = [(layer, path) for layer, kind, path in PATHS if kind == "gen"]
+
+
+@pytest.mark.parametrize("layer, path", GEN_PATHS, ids=[f"{layer}.{path}" for layer, path in GEN_PATHS])
+def test_traced_generators_stay_generator_functions(layer, path):
+    # the gen wrapper steps the result with next() and closes it with .close()
+    home = importlib.import_module(f"ncpbound.{layer}")
+    owner_name, _, attr = path.rpartition(".")
+    owner = getattr(home, owner_name) if owner_name else home
+    assert inspect.isgeneratorfunction(owner.__dict__[attr])
+
+
+def test_local_data_exposes_cache_info():
+    # the tracer reads the memo's hits, misses and size from cache_info()
+    from ncpbound.extensions import local_data
+
+    info = local_data.cache_info()
+    assert {"hits", "misses", "currsize"} <= set(info._fields)
