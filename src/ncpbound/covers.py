@@ -237,6 +237,9 @@ def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
     of the cyclotomic complement (automatic for these abelian covers)."""
     if C.M != M:
         raise ValidationError("cover does not extend this M")
+    require_prime(p)
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
     pn = p**n
     if C.rel_degree != pn:
         raise ValidationError(f"cover has relative degree {C.rel_degree}, need {pn}")

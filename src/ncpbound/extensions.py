@@ -16,6 +16,10 @@ Z/n x Z/n (valuation, unit class); the dyadic and real completions of Q get
 explicit small tables.  Decomposition and inertia subgroups are annihilators
 of the corresponding kernels, and the Frobenius is pinned down on the
 unramified part by n-th power residue symbols.
+
+The place searches read the Frobenius over Q once per Artin class p mod the
+conductor, since by quadratic reciprocity the Legendre symbols depend on
+nothing else; over F_q(t) they read it per place.
 """
 
 from __future__ import annotations
@@ -574,6 +578,50 @@ def restriction_order_to_cyclotomic(M: AbExt, p: int, sigma) -> int:
 # place searches
 
 
+def _conductor(M: AbExt) -> int:
+    """The conductor f of M over Q: the lcm over the radicands a of the
+    discriminant of Q(sqrt a) up to sign, |a| when a = 1 mod 4 and 4|a|
+    otherwise.  By quadratic reciprocity the Legendre symbol (a/p) at a
+    prime p not dividing f depends only on p mod f."""
+    return lcm(*[abs(a) if a % 4 == 1 else 4 * abs(a) for a in M.radicands])
+
+
+@lru_cache(maxsize=None)
+def _frobenius_reader(M: AbExt):
+    """The function taking a finite place P to the Frobenius of M at P, or
+    to None when P is ramified; one per extension for the process, like
+    local_data, and bound once per search.
+
+    Over Q the Frobenius at a prime p not dividing the conductor f is read
+    from its Artin class p mod f, in a memo filled from local_data once per
+    class.  A prime dividing f, and every place of F_q(t), reads local_data
+    itself.
+    """
+
+    def read_local(P: Place):
+        ld = local_data(M, P)
+        return ld.frobenius if ld.is_unramified() else None
+
+    if not M.base.is_rationals():
+        return read_local
+    f, memo = _conductor(M), {}
+
+    def read(P: Place):
+        if f % P.p == 0:
+            return read_local(P)
+        key = P.p % f
+        frob = memo.get(key)
+        if frob is None:
+            ld = local_data(M, P)
+            if not ld.is_unramified():
+                raise InvariantError(f"{P} is prime to the conductor {f} of {M.describe()}"
+                                     " but ramified")
+            frob = memo[key] = ld.frobenius
+        return frob
+
+    return read
+
+
 def _require_count(count: int) -> None:
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
@@ -589,16 +637,13 @@ def find_places_with_frobenius(
     """
     _require_count(count)
     sigma = validate_sigma(M, sigma)
-    hits = []
+    frobenius, hits = _frobenius_reader(M), []
     for P in enumerate_places(M.base, bound):
         if congruence is not None:
             a, m = congruence
             if P.norm() % m != a % m:
                 continue
-        ld = local_data(M, P)
-        if not ld.is_unramified():
-            continue
-        if ld.frobenius == sigma:
+        if frobenius(P) == sigma:
             hits.append(P)
             if len(hits) >= count:
                 return hits
@@ -621,13 +666,12 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
         modulus = 2 ** (r_value(M) + 2)
     else:
         modulus = p ** (roots_of_unity_s(M, p) + 1)
-    hits = []
+    frobenius, hits = _frobenius_reader(M), []
     for P in enumerate_places(M.base, bound):
         N = P.norm()
         if N % p == 0:
             continue
-        ld = local_data(M, P)
-        if not ld.is_unramified() or ld.frobenius != sigma:
+        if frobenius(P) != sigma:
             continue
         if mul_order_mod(N, modulus) > f_sigma:
             hits.append(P)

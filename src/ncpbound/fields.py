@@ -204,12 +204,16 @@ def monic_irreducibles(q: int, degree: int) -> tuple:
 @dataclass(frozen=True)
 class Place:
     """A place of Q (finite prime or the real place) or of F_q(t) (monic
-    irreducible or the degree place at infinity)."""
+    irreducible or the degree place at infinity).
+
+    _hash is the hash, computed once since every local_data lookup hashes
+    the place; it takes no part in equality or the repr."""
 
     base: BaseField
     kind: str  # "prime" | "real" | "poly" | "inf"
     p: int | None = None
     coeffs: tuple | None = field(default=None)
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "prime":
@@ -230,6 +234,11 @@ class Place:
                 raise ValidationError("degree place needs a function field")
         else:
             raise ValidationError(f"unknown place kind {self.kind!r}")
+        # the tuple the dataclass hash would build, over the compared fields
+        object.__setattr__(self, "_hash", hash((self.base, self.kind, self.p, self.coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -289,6 +298,7 @@ def _trusted_place(base: BaseField, kind: str, p=None, coeffs=None) -> Place:
     object.__setattr__(place, "kind", kind)
     object.__setattr__(place, "p", p)
     object.__setattr__(place, "coeffs", coeffs)
+    object.__setattr__(place, "_hash", hash((base, kind, p, coeffs)))
     return place
 
 

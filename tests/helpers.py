@@ -9,10 +9,11 @@ from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import AbExt, build_extension, local_degree
 from ncpbound.fields import (
     QQ,
-    FqtElt,
+    _trusted_fqt,
     fqt_from_factors,
     poly_degree,
     poly_divmod,
+    poly_is_irreducible,
     poly_mod,
     poly_mul,
     rational_function_field,
@@ -37,13 +38,32 @@ def ff3_quad():
     return build_extension(rational_function_field(3), 2, (t, g))
 
 
+@lru_cache(maxsize=None)
+def _monic_irreducible(poly, q):
+    """Whether a polynomial is monic irreducible over F_q, proved once per
+    polynomial: the products below reuse a few factors many times."""
+    return poly[-1] == 1 and poly_is_irreducible(poly, q)
+
+
 def fqt_mul(a, b):
-    """The product of two factored elements of F_q(t), built by the
-    validated constructor: the oracle for multiplying radicands out."""
-    exps = dict(a.factors)
+    """The product of two factored elements of F_q(t): the oracle for
+    multiplying radicands out.  It checks what the validating constructor
+    checks, with each distinct factor proved irreducible once, and then
+    builds through the trusted one: c reduced and a unit, zero exponents
+    dropped, factors sorted."""
+    q, exps = a.q, dict(a.factors)
     for poly, e in b.factors:
         exps[poly] = exps.get(poly, 0) + e
-    return FqtElt(a.q, a.c * b.c, tuple(exps.items()))
+    c = a.c * b.c % q
+    if not c:
+        raise ValidationError("constant part must be a unit")
+    factors = []
+    for poly, e in exps.items():
+        if not _monic_irreducible(poly, q):
+            raise ValidationError(f"factor {poly} is not monic irreducible")
+        if e:
+            factors.append((poly, e))
+    return _trusted_fqt(q, c, tuple(sorted(factors)))
 
 
 def check(report, name: str):

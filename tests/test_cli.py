@@ -299,11 +299,20 @@ class TestCoverAndSearch:
     ("search", "s0", "--power", "3"),
     ("brauer", "lemma21", "--count", "2"),
     ("bound-report", "--chi-order", "4"),
-], ids=["qsigma", "s0", "lemma21", "bound-report"])
+    ("cover", "check", "--n", "1", "--extra", "3"),
+], ids=["qsigma", "s0", "lemma21", "bound-report", "cover-check"])
 def test_non_prime_p_is_2(run, ext_file, argv, p):
     code, payload, err = run(*argv, f"--p={p}", "--ext", ext_file)
     assert code == 2 and err == ""
     assert payload == {"error": "invalid-input", "detail": f"p must be prime, got {p}"}
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, -1), (0, -1)])
+def test_cover_check_exponent_below_one_is_2(run, ext_file, p, n):
+    # p = 0 with n = -1 once escaped as ZeroDivisionError from 0**-1
+    code, payload, err = run("cover", "check", "--extra", "3", f"--p={p}", f"--n={n}",
+                             "--ext", ext_file)
+    assert code == 2 and err == "" and payload["error"] == "invalid-input"
 
 
 # every verb that reads --bound

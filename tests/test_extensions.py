@@ -9,12 +9,14 @@ import itertools
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from helpers import fqt_mul
 from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
     AbExt,
+    _frobenius_reader,
     build_extension,
     constant_classes,
     constant_field_degree,
@@ -682,6 +684,69 @@ class TestLocalDataMemo:
         # 2 (dyadic), 3 and 7 (ramified) and four Frobenius classes
         assert _splitting.cache_info().currsize == len(images) == 7
         local_data.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius read from its Artin class mod the conductor, against local_data
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty local_data and Frobenius-reader memos, as in a new process."""
+    local_data.cache_clear()
+    _frobenius_reader.cache_clear()
+    yield
+    local_data.cache_clear()
+    _frobenius_reader.cache_clear()
+
+
+def _assert_reader_matches_local_data(M, bound):
+    read = _frobenius_reader(M)
+    for P in enumerate_places(M.base, bound):
+        ld = local_data(M, P)
+        assert read(P) == (ld.frobenius if ld.is_unramified() else None), str(P)
+
+
+# radicands -> conductor.  (5, -3): every radicand is 1 mod 4, so 2 is
+# unramified and keyed like the odd primes; (-1, -5) and (-5,) need the sign
+# of a, since -5 = 3 mod 4 but 5 = 1 mod 4
+ARTIN_CASES = {(3, -7): 84, (-1, 2): 8, (5, -3): 15, (-1, -5): 20, (-5,): 20}
+
+
+class TestArtinClasses:
+    """Over Q the Frobenius at a prime p prime to the conductor f is read
+    from a memo keyed by p mod f and filled from local_data once per class;
+    it must equal local_data's at every prime."""
+
+    @pytest.mark.parametrize("radicands", list(ARTIN_CASES), ids=str)
+    def test_matches_local_data_to_5e4(self, fresh_memos, radicands):
+        _assert_reader_matches_local_data(q_ext(*radicands), 5 * 10**4)
+
+    @given(st.lists(st.integers(-60, 60).filter(lambda a: a not in (0, 1) and is_squarefree(a)),
+                    min_size=1, max_size=3, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_local_data_for_squarefree_sets(self, radicands):
+        try:
+            M = AbExt(QQ, 2, tuple(radicands))
+        except ValidationError:
+            reject()  # dependent classes
+        _assert_reader_matches_local_data(M, 3000)
+
+    def test_conductor(self):
+        from ncpbound.extensions import _conductor
+
+        assert {r: _conductor(q_ext(*r)) for r in ARTIN_CASES} == ARTIN_CASES
+
+    def test_one_local_data_miss_per_class(self, fresh_memos):
+        M = q_ext(3, -7)
+        with pytest.raises(SearchExhausted):
+            find_places_with_frobenius(M, (0, 0), count=10**4, bound=5 * 10**4)
+        # phi(84) = 24 Artin classes, and the ramified primes 2, 3 and 7
+        assert local_data.cache_info().misses <= 24 + 3
+
+    def test_function_field_reads_local_data_per_place(self, fresh_memos):
+        _assert_reader_matches_local_data(ff7_cubic(), 7**3)
+        assert local_data.cache_info().misses == len(list(enumerate_places(F7, 7**3)))
 
 
 class TestStoredHash:

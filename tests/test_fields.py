@@ -1,5 +1,6 @@
 """Places, polynomial arithmetic over F_q, and factored rational functions."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -397,6 +398,47 @@ class TestTrustedPlaces:
             Place(F7, "poly", coeffs=(6, 0, 1))
 
 
+class TestStoredPlaceHash:
+    """Place hashes once, in both constructors; the stored hash is invisible
+    to equality, the repr and the JSON encoding."""
+
+    @staticmethod
+    def _twins():
+        """(validated, trusted) pairs of each kind of place."""
+        trusted = {(P.kind, P.p, P.coeffs): P
+                   for base, bound in ((QQ, 50), (F7, 49)) for P in enumerate_places(base, bound)}
+        validated = [prime_place(2), prime_place(47), poly_place(7, (0, 1)),
+                     poly_place(7, monic_irreducibles(7, 2)[-1]), infinite_place(7)]
+        return [(P, trusted[P.kind, P.p, P.coeffs]) for P in validated]
+
+    def test_both_constructors_compare_and_hash_equal(self):
+        for P, twin in self._twins() + [(real_place(), real_place())]:
+            assert P is not twin and P == twin and hash(P) == hash(twin)
+            assert hash(P) == hash((P.base, P.kind, P.p, P.coeffs))
+            assert hash(twin) == hash((twin.base, twin.kind, twin.p, twin.coeffs))
+
+    def test_different_places_differ(self):
+        assert prime_place(3) != prime_place(5) and prime_place(3) != real_place()
+        assert poly_place(7, (0, 1)) != poly_place(7, (1, 1)) != infinite_place(7)
+
+    def test_stored_hash_is_not_compared_shown_or_encoded(self):
+        import dataclasses
+
+        from ncpbound.jsonio import to_json
+
+        for P, twin in self._twins():
+            object.__setattr__(twin, "_hash", P._hash + 1)
+            try:
+                assert P == twin
+                assert "_hash" not in repr(P) and str(P._hash) not in repr(P)
+                encoded = to_json(P)
+                assert "_hash" not in encoded and P._hash not in encoded.values()
+            finally:
+                object.__setattr__(twin, "_hash", P._hash)  # a shared place
+        stored = next(f for f in dataclasses.fields(Place) if f.name == "_hash")
+        assert not (stored.init or stored.compare or stored.repr)
+
+
 @pytest.fixture
 def fresh_places(monkeypatch):
     """Empty shared place lists, as in a new process; restored afterwards."""
@@ -566,6 +608,23 @@ class TestTrustedElements:
         monkeypatch.setattr(fields, "poly_is_irreducible", forbidden)
         for a in products:
             a.pow(3).pow(-1)
+
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_helper_products_match_the_validating_constructor(self, q):
+        pool = self._pool(q)
+        for a, b in itertools.product(pool, repeat=2):
+            exps = dict(a.factors)
+            for poly, e in b.factors:
+                exps[poly] = exps.get(poly, 0) + e
+            twin = FqtElt(q, a.c * b.c, tuple(exps.items()))
+            product = fqt_mul(a, b)
+            assert product == twin and 0 < product.c < q
+            assert all(e for _, e in product.factors)
+            assert list(product.factors) == sorted(product.factors)
+        # a factor the helper has not seen is still proved irreducible
+        bad = fields._trusted_fqt(7, 1, (((6, 0, 1), 1),))  # (t - 1)(t + 1)
+        with pytest.raises(ValidationError):
+            fqt_mul(bad, fqt_const(7, 1))
 
     def test_user_factors_are_still_validated(self):
         from ncpbound.jsonio import ext_from_json, fqt_from_json, parse_fqt_text

@@ -95,6 +95,18 @@ def test_irreducible_sieve_checks_gauss_count(monkeypatch):
         fields.monic_irreducibles(2, 2)
 
 
+def test_frobenius_reader_raises_named_error(monkeypatch):
+    # a conductor without the factor 3 files the ramified prime 3 under a class
+    monkeypatch.setattr(extensions, "_conductor", lambda M: 28)
+    extensions._frobenius_reader.cache_clear()
+    try:
+        read = extensions._frobenius_reader(AbExt(QQ, 2, (3, -7)))
+        with pytest.raises(InvariantError, match="3 is prime to the conductor 28 .* but ramified"):
+            read(prime_place(3))
+    finally:
+        extensions._frobenius_reader.cache_clear()
+
+
 def test_isolation_report_raises_named_error():
     with pytest.raises(InvariantError, match="gap"):
         IsolationReport(2, 1, 3, 5, None)
@@ -172,6 +184,12 @@ try:
     fields.monic_irreducibles(2, 2)
 except InvariantError:
     caught.append("monic_irreducibles")
+import ncpbound.extensions as extensions
+extensions._conductor = lambda M: 28
+try:
+    extensions._frobenius_reader(extensions.AbExt(fields.QQ, 2, (3, -7)))(fields.prime_place(3))
+except InvariantError:
+    caught.append("frobenius_reader")
 print(",".join(caught))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -180,4 +198,4 @@ print(",".join(caught))
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == ("splitting,class_order,isolation_report,prop32_scan,"
-                                  "monic_irreducibles")
+                                  "monic_irreducibles,frobenius_reader")
