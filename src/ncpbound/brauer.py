@@ -9,14 +9,15 @@ multiplied by the local degree, independent of the chosen place above.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import lcm
 
 from .arith import QZ, QZ_ZERO, factorize, require_prime, vp
-from .errors import IncompleteLocalData, SearchExhausted, ValidationError
+from .errors import IncompleteLocalData, ValidationError
 from .extensions import AbExt, gal_exponent, is_real_field, local_degree
-from .fields import BaseField, Place, enumerate_places, real_place
+from .fields import BaseField, Place, enumerate_places, first_places, real_place
 from .isolation import isolation_report
 
 
@@ -133,31 +134,14 @@ def fiber_index(alpha: BrauerClass, M: AbExt, chi_order: int) -> int:
     return chi_order * restricted_index(alpha, M)
 
 
-def splits(local_degrees, alpha: BrauerClass, over: str = "K", M: AbExt = None,
-           complete: bool = False) -> bool:
-    """Whether a field with the given local degrees kills every invariant.
-
-    over="K": the map carries [L:K]_P and the test is local_index | degree.
-    over="M": the map carries [L:M]_P and the test uses the restricted
-    local index of alpha over M, which must then be supplied.
-    A support place missing from the map is an error unless complete=True,
-    in which case it reads as degree 1.
-    """
-    if over not in ("K", "M"):
-        raise ValidationError('over must be "K" or "M"')
-    if over == "M":
-        if M is None:
-            raise ValidationError("the over-M test needs the extension")
-        _check_base(alpha, M)
+def splits(local_degrees, alpha: BrauerClass) -> bool:
+    """Whether a field with the local degrees [L:K]_P kills every invariant:
+    local_index | degree at each support place, and a support place missing
+    from the map is an error."""
     for place, inv in alpha.invariants:
-        if place in local_degrees:
-            deg = local_degrees[place]
-        elif complete:
-            deg = 1
-        else:
+        if place not in local_degrees:
             raise IncompleteLocalData(f"no local degree supplied at {place}")
-        need = inv.order if over == "K" else restricted_local_index(alpha, M, place)
-        if deg % need != 0:
+        if local_degrees[place] % inv.order != 0:
             return False
     return True
 
@@ -168,15 +152,9 @@ _WITNESS_BOUND = 1000
 def _find_witness(M: AbExt, p: int, value: int, exclude, preferred) -> Place:
     """First finite place with v_p(local degree) == value: members of the
     preferred list first, then all places by increasing norm."""
-    for P in preferred:
-        if P not in exclude and vp(local_degree(M, P), p) == value:
-            return P
-    for P in enumerate_places(M.base, _WITNESS_BOUND):
-        if P not in exclude and vp(local_degree(M, P), p) == value:
-            return P
-    raise SearchExhausted(
-        f"no place with v_{p}(local degree) = {value} below norm {_WITNESS_BOUND}"
-    )
+    walk = itertools.chain(preferred, enumerate_places(M.base, _WITNESS_BOUND))
+    found = (P for P in walk if P not in exclude and vp(local_degree(M, P), p) == value)
+    return first_places(found, 1, _WITNESS_BOUND, f"places with v_{p}(local degree) = {value}")[0]
 
 
 def construct_class(M: AbExt, m: int, S) -> BrauerClass:
@@ -253,10 +231,10 @@ def check_lemma_2_1(alpha: BrauerClass, M: AbExt, p: int) -> bool:
     return local <= max(total - rep.gap, 0)
 
 
-def random_class(base: BaseField, rng: random.Random, max_norm: int = 200) -> BrauerClass:
-    """Random valid class: 2 to 6 finite support places of norm <= max_norm,
+def random_class(base: BaseField, rng: random.Random) -> BrauerClass:
+    """Random valid class: 2 to 6 finite support places of norm <= 200,
     random small-order invariants, the last place balancing the sum."""
-    pool = list(enumerate_places(base, max_norm))
+    pool = list(enumerate_places(base, 200))
     chosen = rng.sample(pool, rng.randint(2, 6))
     entries: dict[Place, QZ] = {}
     total = QZ_ZERO

@@ -14,7 +14,7 @@ class ValidationError(ValueError):
 
 
 class IncompleteLocalData(ValidationError):
-    """A local-degree map is missing a support place and was not flagged complete."""
+    """A local-degree map is missing a support place."""
 
 
 class InvariantError(RuntimeError):

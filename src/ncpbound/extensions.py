@@ -19,7 +19,8 @@ unramified part by n-th power residue symbols.
 
 The place searches read the Frobenius over Q once per Artin class p mod the
 conductor, since by quadratic reciprocity the Legendre symbols depend on
-nothing else; over F_q(t) they read it per place.
+nothing else; over F_q(t) they read it per place.  Each search tests the
+norm before it reads the Frobenius, and takes its places through first_places.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .fields import (
     FqtElt,
     Place,
     enumerate_places,
+    first_places,
     infinite_place,
     prime_place,
     real_place,
@@ -273,10 +275,6 @@ def pairing(M: AbExt, sigma, exps) -> int:
 
 def _pair(n: int, sigma, exps) -> int:
     return sum(s * e for s, e in zip(sigma, exps)) % n
-
-
-def sigma_order(M: AbExt, sigma) -> int:
-    return M.n // gcd(M.n, *sigma) if any(sigma) else 1
 
 
 def validate_sigma(M: AbExt, sigma) -> tuple:
@@ -622,35 +620,15 @@ def _frobenius_reader(M: AbExt):
     return read
 
 
-def _require_count(count: int) -> None:
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
-
-
-def find_places_with_frobenius(
-    M: AbExt, sigma, count: int = 1, bound: int = 1000, congruence=None
-):
+def find_places_with_frobenius(M: AbExt, sigma, count: int = 1, bound: int = 1000):
     """Unramified places with Frobenius exactly sigma, by increasing norm.
 
-    congruence = (a, m) keeps only norms = a mod m.  Raises SearchExhausted
-    (carrying the partial list) when the bound runs out first.
-    """
-    _require_count(count)
+    Raises SearchExhausted (carrying the partial list) when the bound runs
+    out first."""
     sigma = validate_sigma(M, sigma)
-    frobenius, hits = _frobenius_reader(M), []
-    for P in enumerate_places(M.base, bound):
-        if congruence is not None:
-            a, m = congruence
-            if P.norm() % m != a % m:
-                continue
-        if frobenius(P) == sigma:
-            hits.append(P)
-            if len(hits) >= count:
-                return hits
-    raise SearchExhausted(
-        f"found {len(hits)}/{count} places with the requested Frobenius below norm {bound}",
-        partial=hits,
-    )
+    frobenius = _frobenius_reader(M)
+    return first_places((P for P in enumerate_places(M.base, bound) if frobenius(P) == sigma),
+                        count, bound, "places with the requested Frobenius")
 
 
 def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
@@ -658,7 +636,6 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     ord(N mod p^(s+1)) > f_sigma for odd p, ord(N mod 2^(r+2)) > f_sigma for
     p = 2, and p never divides N.  f_sigma is the order of sigma on the
     p-power cyclotomic part of M."""
-    _require_count(count)
     require_prime(p)
     sigma = validate_sigma(M, sigma)
     f_sigma = restriction_order_to_cyclotomic(M, p, sigma)
@@ -666,21 +643,11 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
         modulus = 2 ** (r_value(M) + 2)
     else:
         modulus = p ** (roots_of_unity_s(M, p) + 1)
-    frobenius, hits = _frobenius_reader(M), []
-    for P in enumerate_places(M.base, bound):
-        N = P.norm()
-        if N % p == 0:
-            continue
-        if frobenius(P) != sigma:
-            continue
-        if mul_order_mod(N, modulus) > f_sigma:
-            hits.append(P)
-            if len(hits) >= count:
-                return hits
-    raise SearchExhausted(
-        f"found {len(hits)}/{count} places meeting the norm-order condition below {bound}",
-        partial=hits,
-    )
+    frobenius = _frobenius_reader(M)
+    # the norm test runs first: a place whose norm p divides needs no Frobenius
+    found = (P for P in enumerate_places(M.base, bound) if P.norm() % p
+             and frobenius(P) == sigma and mul_order_mod(P.norm(), modulus) > f_sigma)
+    return first_places(found, count, bound, "places meeting the norm-order condition")
 
 
 def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
@@ -688,19 +655,22 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     trivial), an unramified place with that Frobenius and norm = 1 mod
     p^power.  Raises SearchExhausted with the partial dict on failure."""
     require_prime(p)
+    if power < 0:
+        raise ValidationError(f"power must be at least 0, got {power}")
     zero = gal_identity(M)
 
     def add(x, y):
         return tuple((a + b) % M.n for a, b in zip(x, y))
 
     gens = greedy_generators(gal_fixing_cyclotomic(M, p), add, zero) or (zero,)
+    modulus, frobenius = p**power, _frobenius_reader(M)
     out = {}
     missing = []
     for sigma in gens:
+        found = (P for P in enumerate_places(M.base, bound)
+                 if (P.norm() - 1) % modulus == 0 and frobenius(P) == sigma)
         try:
-            out[sigma] = find_places_with_frobenius(
-                M, sigma, count=1, bound=bound, congruence=(1, p**power)
-            )[0]
+            out[sigma] = first_places(found, 1, bound, "places with the requested Frobenius")[0]
         except SearchExhausted:
             missing.append(sigma)
     if missing:

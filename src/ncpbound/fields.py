@@ -10,6 +10,8 @@ Conventions:
   valuations and unit-part residues exact and cheap; nothing in scope needs
   to add two such elements.
 * Places of Q are the finite primes and the one real place.
+* Every place search filters a walk of enumerate_places in its own
+  generator expression; first_places bounds it and reports exhaustion.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import prod
 from types import SimpleNamespace
 
 from .arith import factorize, is_prime, prime_field, primes_upto
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, SearchExhausted, ValidationError
 
 # ---------------------------------------------------------------------------
 # base fields
@@ -342,13 +344,12 @@ def _places_of_degree(base: BaseField, d: int) -> tuple:
     return _degree_places[key]
 
 
-def enumerate_places(base: BaseField, bound: int, include_real: bool = False):
+def enumerate_places(base: BaseField, bound: int):
     """Nonarchimedean places with residue norm <= bound, in (norm, repr) order.
 
     Lazy: consumers that stop early never pay for the places past their
-    stopping norm, which matters for large bounds.  Over Q the real place
-    comes last when include_real is set.  Over F_q(t) the degree place sorts
-    after the degree-one polynomials of equal norm.
+    stopping norm, which matters for large bounds.  Over F_q(t) the degree
+    place sorts after the degree-one polynomials of equal norm.
 
     The places are trusted, not re-validated: the sieve and
     monic_irreducibles have already proved primality and irreducibility.
@@ -356,13 +357,28 @@ def enumerate_places(base: BaseField, bound: int, include_real: bool = False):
     """
     if base.is_rationals():
         yield from _prime_walk(bound)
-        if include_real:
-            yield real_place()
         return
     q, d = base.q, 1
     while q**d <= bound:
         yield from _places_of_degree(base, d)
         d += 1
+
+
+def first_places(found, count: int, bound: int, what: str) -> list:
+    """The first count places of found, a filtered walk of the places below
+    norm bound, with count >= 1 and bound >= 0 checked before it draws one.
+    Raises SearchExhausted, carrying the places found and naming them by
+    what, when the walk ends short of count."""
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
+    if bound < 0:
+        raise ValidationError(f"bound must be at least 0, got {bound}")
+    # islice stops at the count-th place without drawing another
+    hits = list(itertools.islice(found, count))
+    if len(hits) < count:
+        raise SearchExhausted(f"found {len(hits)}/{count} {what} below norm {bound}",
+                              partial=hits)
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
     gal_exponent,
-    galois_group,
     is_real_field,
     local_degree,
     ramified_places,
-    sigma_order,
 )
 from .fields import Place
 
@@ -58,7 +56,9 @@ def isolation_report(M: AbExt, p: int) -> IsolationReport:
         raise ValidationError(
             f"p = {p} equals the field characteristic; the gap is only defined tamely"
         )
-    frob_values = {vp(sigma_order(M, s), p) for s in galois_group(M)}
+    # in prod Z/o_i the p-valuations of the element orders are exactly
+    # 0, ..., v_p(exponent)
+    frob_values = set(range(vp(gal_exponent(M), p) + 1))
     ram_values = {P: vp(local_degree(M, P), p) for P in ramified_places(M)}
     u1 = max(frob_values | set(ram_values.values()))
     holders = [P for P, v in ram_values.items() if v == u1]

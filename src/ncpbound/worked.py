@@ -52,6 +52,7 @@ from .fields import (
     QQ,
     Place,
     enumerate_places,
+    first_places,
     fqt_from_factors,
     prime_place,
     rational_function_field,
@@ -336,8 +337,6 @@ def run_prop42(
     require_prime(p)
     if not isinstance(pp, Place) or pp.kind == "real":
         raise ValidationError("pp must be a nonarchimedean place")
-    if bound < 0:
-        raise ValidationError(f"bound must be at least 0, got {bound}")
     if radicand_bound < 0:
         raise ValidationError(f"radicand bound must be at least 0, got {radicand_bound}")
     base = pp.base
@@ -348,22 +347,10 @@ def run_prop42(
         raise ValidationError(f"{p} divides the residue norm of {pp}")
     n = p**s
 
-    found = []
-    for P in enumerate_places(base, bound):
-        if P == pp:
-            continue
-        N = P.norm()
-        if (N - 1) % n == 0 and (N - 1) % (n * p) != 0:
-            found.append(P)
-            if len(found) == 2:
-                break
-    if len(found) < 2:
-        raise SearchExhausted(
-            f"found {len(found)}/2 places with norm 1 mod {n} but not mod {n * p}"
-            f" below {bound}",
-            partial=found,
-        )
-    q1, q2 = found
+    # N = 1 mod n but not mod n*p: N - 1 mod n*p is a nonzero multiple of n
+    found = (P for P in enumerate_places(base, bound)
+             if P != pp and (P.norm() - 1) % (n * p) in range(n, n * p, n))
+    q1, q2 = first_places(found, 2, bound, f"places with norm 1 mod {n} but not mod {n * p}")
 
     cond1 = ((pp, "inert"), (q1, "totally-ramified"), (q2, "split"))
     cond2 = ((q1, "inert"), (pp, "totally-ramified"), (q2, "totally-ramified"))

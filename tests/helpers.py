@@ -2,6 +2,7 @@
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 from ncpbound.arith import prime_field
 from ncpbound.covers import Cover
@@ -36,6 +37,12 @@ def ff3_quad():
     t = fqt_from_factors(3, 1, [(T_, 1)])
     g = fqt_from_factors(3, 1, [((2, 1), 1), ((1, 1), 1)])  # (t-1)(t-2)
     return build_extension(rational_function_field(3), 2, (t, g))
+
+
+def sigma_order(M, sigma) -> int:
+    """The order of a Galois element sigma = (s_1, ..., s_r), each s_i a
+    multiple of n/o_i in Z/n."""
+    return M.n // gcd(M.n, *sigma) if any(sigma) else 1
 
 
 @lru_cache(maxsize=None)

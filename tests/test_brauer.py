@@ -159,10 +159,10 @@ class TestSplits:
     def test_own_degrees_do_not_split(self):
         M = q_ext(3, -7)
         degrees = {P: local_degree(M, P) for P in self.alpha.support}
-        assert splits(degrees, self.alpha, over="K") is False
+        assert splits(degrees, self.alpha) is False
 
     def test_zero_class_splits(self):
-        assert splits({}, make_class({}), over="K") is True
+        assert splits({}, make_class({})) is True
 
     def test_divisible_degrees_split(self):
         assert splits({prime_place(3): 8, prime_place(7): 8}, self.alpha) is True
@@ -170,20 +170,6 @@ class TestSplits:
     def test_missing_place_is_an_error(self):
         with pytest.raises(IncompleteLocalData):
             splits({prime_place(3): 8}, self.alpha)
-        assert splits({prime_place(3): 8}, self.alpha, complete=True) is False
-
-    def test_over_M_uses_restricted_orders(self):
-        M = q_ext(3, -7)
-        rel = {prime_place(3): 2, prime_place(7): 2}
-        assert splits(rel, self.alpha, over="M", M=M) is True
-        assert splits({prime_place(3): 2, prime_place(7): 1}, self.alpha,
-                      over="M", M=M) is False
-
-    def test_argument_validation(self):
-        with pytest.raises(ValidationError):
-            splits({}, self.alpha, over="L", complete=True)
-        with pytest.raises(ValidationError):
-            splits({}, self.alpha, over="M", complete=True)
 
     def test_split_iff_restricted_index_one(self):
         M = q_ext(3, -7)

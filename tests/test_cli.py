@@ -307,6 +307,21 @@ def test_non_prime_p_is_2(run, ext_file, argv, p):
     assert payload == {"error": "invalid-input", "detail": f"p must be prime, got {p}"}
 
 
+@pytest.mark.parametrize("power", [-1, -3])
+def test_s0_negative_power_is_2(run, ext_file, power):
+    # p**power was once a float below 1, which every norm is congruent to
+    code, payload, err = run("search", "s0", "--p", "2", f"--power={power}", "--ext", ext_file)
+    assert code == 2 and err == ""
+    assert payload == {"error": "invalid-input",
+                       "detail": f"power must be at least 0, got {power}"}
+
+
+def test_s0_zero_power_is_valid(run, ext_file):
+    # a congruence mod p^0 = 1 always holds
+    code, payload, _ = run("search", "s0", "--p", "2", "--power", "0", "--ext", ext_file)
+    assert code == 0 and payload["pairs"]
+
+
 @pytest.mark.parametrize("p, n", [(2, 0), (2, -1), (0, -1)])
 def test_cover_check_exponent_below_one_is_2(run, ext_file, p, n):
     # p = 0 with n = -1 once escaped as ZeroDivisionError from 0**-1
@@ -398,7 +413,10 @@ class TestNegativeCounts:
         from ncpbound.errors import ValidationError
 
         def forbidden(*args):
+            # a generator function, like enumerate_places: its body runs
+            # only when the walk draws its first place
             raise AssertionError("enumerated places for an empty request")
+            yield
 
         M = extensions.build_extension(QQ, 2, (-1, 2))
         monkeypatch.setattr(extensions, "enumerate_places", forbidden)
@@ -718,11 +736,11 @@ def search_files(tmp_path_factory):
 
 @st.composite
 def _search_argv(draw):
-    """search frobenius or search qsigma over Q(sqrt 3, sqrt -7) (bound <=
-    300) or the cubic Kummer extension of F_7(t) (bound <= 49).  Half the
-    draws are well formed (count >= 1, bound >= 0, a sigma of the right
-    length and range, a prime p); the other half draw each value from a
-    wider range that includes malformed ones."""
+    """search frobenius, qsigma or s0 over Q(sqrt 3, sqrt -7) (bound <= 300)
+    or the cubic Kummer extension of F_7(t) (bound <= 49).  Half the draws
+    are well formed (count >= 1, bound >= 0, a sigma of the right length and
+    range, a prime p); the other half draw each value from a wider range
+    that includes malformed ones.  The s0 power is drawn from [-2, 4]."""
     name = draw(st.sampled_from(("q37", "ff7")))
     n, top = (2, 300) if name == "q37" else (3, 49)
     if draw(st.booleans()):
@@ -734,25 +752,29 @@ def _search_argv(draw):
         sigma = draw(st.one_of(st.lists(_entry, max_size=3).map(_csv),
                                st.sampled_from(("", "x", "1,", "1.5,0"))))
         p = draw(st.integers(-2, 9))
-    argv = ["search", draw(st.sampled_from(("frobenius", "qsigma"))), f"--sigma={sigma}",
-            f"--count={count}", f"--bound={bound}"]
-    if argv[1] == "qsigma":
+    verb = draw(st.sampled_from(("frobenius", "qsigma", "s0")))
+    if verb == "s0":
+        power = draw(st.integers(-2, 4))
+        return name, 1, power, ["search", "s0", f"--p={p}", f"--power={power}",
+                                f"--bound={bound}"]
+    argv = ["search", verb, f"--sigma={sigma}", f"--count={count}", f"--bound={bound}"]
+    if verb == "qsigma":
         argv.append(f"--p={p}")
-    return name, count, argv
+    return name, count, 0, argv
 
 
 class TestSearchFuzz:
     @settings(deadline=None, max_examples=200)
     @given(draw=_search_argv())
     def test_exit_code_in_contract(self, search_files, draw):
-        name, count, argv = draw
+        name, count, power, argv = draw
         try:
             with redirect_stdout(io.StringIO()):
                 code = main(["--ext", search_files[name], *argv])
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
         assert code in (0, 1, 2, 3)
-        if count < 1:  # an empty request is malformed, never a search
+        if count < 1 or power < 0:  # an empty request or a fractional modulus
             assert code == 2
 
 

@@ -97,7 +97,9 @@ class TestLocalDegrees:
             build_cover(ff7_cubic(), (poly7(4, 1),), 3),
         ]
         for C in cases:
-            places = list(enumerate_places(C.M.base, 25, include_real=True))
+            places = list(enumerate_places(C.M.base, 25))
+            if C.M.base.is_rationals():
+                places.append(real_place())
             for P in places:
                 assert (
                     cover_local_degree(C, P) * local_degree(C.M, P)

@@ -11,7 +11,8 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import fqt_mul
+from helpers import fqt_mul, sigma_order
+from ncpbound import brauer, extensions, worked
 from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
@@ -38,7 +39,6 @@ from ncpbound.extensions import (
     restriction_order_to_cyclotomic,
     roots_of_unity_s,
     s0_search,
-    sigma_order,
     span_squarefree,
     validate_sigma,
     w_exponents,
@@ -47,6 +47,7 @@ from ncpbound.fields import (
     QQ,
     FqtElt,
     enumerate_places,
+    first_places,
     fqt_const,
     fqt_from_factors,
     infinite_place,
@@ -56,6 +57,7 @@ from ncpbound.fields import (
     rational_function_field,
     real_place,
 )
+from ncpbound.worked import run_prop42
 
 F3 = rational_function_field(3)
 F7 = rational_function_field(7)
@@ -572,17 +574,25 @@ class TestSearches:
         assert [P.p for P in hits] == [11]
 
     def test_congruence_filter(self):
+        # s0_search keeps, per generator, the first place with its Frobenius
+        # whose norm is 1 mod p^power: 13 and 29 are 5 mod 8
         M = q_ext(3, -7)
-        hits = find_places_with_frobenius(
-            M, (0, 0), count=1, bound=40, congruence=(1, 4)
-        )
-        assert [P.p for P in hits] == [37]
+        out = s0_search(M, 2, 3, bound=200)
+        assert {s: P.p for s, P in out.items()} == {(0, 1): 73, (1, 0): 113}
+        for sigma, P in out.items():
+            walk = find_places_with_frobenius(M, sigma, count=6, bound=200)
+            assert P == next(Q for Q in walk if Q.p % 8 == 1)
+        # a congruence mod p^0 = 1 always holds
+        out = s0_search(M, 2, 0, bound=200)
+        assert {s: P.p for s, P in out.items()} == {(0, 1): 13, (1, 0): 29}
 
     def test_exhaustion_carries_partial(self):
         M = q_ext(3, -7)
         with pytest.raises(SearchExhausted) as exc:
             find_places_with_frobenius(M, (0, 0), count=5, bound=20)
         assert [P.p for P in exc.value.partial] == [11]
+        assert str(exc.value) == (
+            "found 1/5 places with the requested Frobenius below norm 20")
 
     def test_function_field_frobenius_search(self):
         hits = find_places_with_frobenius(ff7_cubic(), (1, 2), count=1, bound=7)
@@ -626,6 +636,97 @@ class TestSearches:
 
 
 # ---------------------------------------------------------------------------
+# the one bounded walk behind every place search
+
+
+def _unwalked(*args):
+    """Stands in for enumerate_places.  Like it, this is a generator
+    function, so a search may call it to build its walk; the body, which
+    would yield the first place, must not run."""
+    raise AssertionError("a place was enumerated for a malformed request")
+    yield
+
+
+# the five place searches; the last three ask for a fixed number of places
+_SEARCHES = {
+    "frobenius": lambda count, bound: find_places_with_frobenius(
+        q_ext(3, -7), (0, 0), count, bound),
+    "qsigma": lambda count, bound: qsigma_search(q_ext(3, -7), 2, (0, 0), count, bound),
+    "s0": lambda count, bound: s0_search(q_ext(3, -7), 2, 2, bound),
+    "prop42": lambda count, bound: run_prop42(2, prime_place(5), bound=bound),
+    "witness": lambda count, bound: brauer._find_witness(q_ext(3, -7), 2, 1, set(), ()),
+}
+
+
+class TestBoundedWalk:
+    @pytest.fixture
+    def unwalked(self, monkeypatch):
+        for module in (extensions, brauer, worked):
+            monkeypatch.setattr(module, "enumerate_places", _unwalked)
+
+    @pytest.mark.parametrize("name", sorted(_SEARCHES))
+    def test_negative_bound_rejected_before_walking(self, unwalked, monkeypatch, name):
+        monkeypatch.setattr(brauer, "_WITNESS_BOUND", -1)
+        with pytest.raises(ValidationError, match="bound must be at least 0, got -1"):
+            _SEARCHES[name](1, -1)
+
+    @pytest.mark.parametrize("name", ["frobenius", "qsigma"])
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_empty_count_rejected_before_walking(self, unwalked, name, count):
+        with pytest.raises(ValidationError, match=f"count must be at least 1, got {count}"):
+            _SEARCHES[name](count, 10)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_fixed_count_searches_share_the_check(self, count):
+        # s0, prop42 and the witness search pass their count to the same walk
+        with pytest.raises(ValidationError, match=f"count must be at least 1, got {count}"):
+            first_places(_unwalked(), count, 10, "places")
+
+    def test_stops_at_the_count(self):
+        def walk():
+            yield from (prime_place(2), prime_place(3))
+            raise AssertionError("drew a place past the count")
+
+        assert first_places(walk(), 2, 10, "places") == [prime_place(2), prime_place(3)]
+
+    @pytest.mark.parametrize("name, bound, partial, message", [
+        ("qsigma", 20, [11],
+         "found 1/3 places meeting the norm-order condition below norm 20"),
+        ("prop42", 5, [3],
+         "found 1/2 places with norm 1 mod 2 but not mod 4 below norm 5"),
+    ])
+    def test_exhaustion_message_and_partial(self, name, bound, partial, message):
+        with pytest.raises(SearchExhausted) as exc:
+            _SEARCHES[name](3, bound)
+        assert str(exc.value) == message
+        assert [P.p for P in exc.value.partial] == partial
+
+    def test_witness_exhaustion(self):
+        # no place of Q(sqrt 3, sqrt -7) has local degree 2^5
+        with pytest.raises(SearchExhausted) as exc:
+            brauer._find_witness(q_ext(3, -7), 2, 5, set(), ())
+        assert str(exc.value) == "found 0/1 places with v_2(local degree) = 5 below norm 1000"
+
+    def test_witness_prefers_the_given_places(self):
+        # 3 and 7 ramify with local degree 4 = 2^2; the preferred 7 comes first
+        M = q_ext(3, -7)
+        assert brauer._find_witness(M, 2, 2, set(), (prime_place(7),)) == prime_place(7)
+        assert brauer._find_witness(M, 2, 2, set(), ()) == prime_place(3)
+        assert brauer._find_witness(M, 2, 2, {prime_place(3)}, ()) == prime_place(7)
+
+    def test_qsigma_tests_the_norm_first(self):
+        # every norm over F_7(t) is a power of 7, so with p = 7 no place
+        # reaches the Frobenius and local_data is never consulted
+        M = ff7_cubic()
+        before = local_data.cache_info()
+        with pytest.raises(SearchExhausted) as exc:
+            qsigma_search(M, 7, (0, 0), count=1, bound=49)
+        after = local_data.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits)
+        assert exc.value.partial == []
+
+
+# ---------------------------------------------------------------------------
 # the two-level local-data memo against a per-place brute force
 
 
@@ -663,7 +764,9 @@ class TestLocalDataMemo:
         ids=["Q(sqrt3,sqrt-7)", "Q(sqrt-1,sqrt2)", "F7(t) cubic"],
     )
     def test_matches_per_place_oracle(self, M, bound):
-        places = list(enumerate_places(M.base, bound, include_real=M.base.is_rationals()))
+        places = list(enumerate_places(M.base, bound))
+        if M.base.is_rationals():
+            places.append(real_place())
         # the dyadic, real and ramified places are all in the sweep
         assert set(ramified_places(M)) <= set(places)
         if M.base.is_rationals():

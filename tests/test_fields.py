@@ -233,8 +233,7 @@ class TestPlaces:
     def test_enumerate_places_rationals(self):
         ps = list(enumerate_places(QQ, 10))
         assert [p.p for p in ps] == [2, 3, 5, 7]
-        with_real = list(enumerate_places(QQ, 3, include_real=True))
-        assert with_real[-1].kind == "real"
+        assert all(P.kind == "prime" for P in enumerate_places(QQ, 3))
 
     def test_enumerate_places_function_field(self):
         ps = list(enumerate_places(F3, 3))
@@ -343,9 +342,7 @@ class TestTrustedPlaces:
     def test_rational_places_match_validated_twins(self):
         from sympy import isprime, primerange
 
-        places = list(enumerate_places(QQ, 10**4, include_real=True))
-        assert places[-1] == real_place()
-        finite = places[:-1]
+        finite = list(enumerate_places(QQ, 10**4))
         assert [P.p for P in finite] == list(primerange(2, 10**4 + 1))
         for P in finite:
             twin = prime_place(P.p)

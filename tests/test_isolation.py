@@ -4,12 +4,22 @@ The u-value pairs asserted here were recomputed by hand from the local
 degree tables in test_extensions.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
-from helpers import ff3_quad, ff7_cubic, q_ext
-from ncpbound.arith import vp
+from helpers import ff3_quad, ff7_cubic, q_ext, sigma_order
+from ncpbound.arith import factorize, vp
 from ncpbound.errors import ValidationError
-from ncpbound.extensions import build_extension, local_degree
+from ncpbound.extensions import (
+    AbExt,
+    build_extension,
+    gal_exponent,
+    galois_group,
+    local_degree,
+    ramified_places,
+)
 from ncpbound.fields import (
     enumerate_places,
     fqt_from_factors,
@@ -60,6 +70,53 @@ class TestUValues:
         rep = isolation_report(q_ext(-1, 2), 2)
         assert isinstance(rep, IsolationReport)
         assert (rep.p, rep.u1, rep.u2) == (2, 2, 1)
+
+
+def _report_by_enumeration(M, p):
+    """(u1, u2, isolated place) with the Frobenius values read from the
+    order of every element of the Galois group."""
+    frob = {vp(sigma_order(M, s), p) for s in galois_group(M)}
+    ram = {P: vp(local_degree(M, P), p) for P in ramified_places(M)}
+    u1 = max(frob | set(ram.values()))
+    holders = [P for P, v in ram.items() if v == u1]
+    if u1 in frob or len(holders) != 1:
+        return u1, u1, None
+    return u1, max(frob | {v for v in ram.values() if v != u1}), holders[0]
+
+
+def _mixed_order_extensions():
+    t = fqt_from_factors(13, 1, [((0, 1), 1)])
+    t1_cubed = fqt_from_factors(13, 1, [((12, 1), 3)])  # class of order 4
+    u = fqt_from_factors(7, 1, [((0, 1), 1)])
+    u1_squared = fqt_from_factors(7, 1, [((6, 1), 2)])  # class of order 3
+    three = fqt_from_factors(7, 3, [])  # a primitive root mod 7: order 6
+    return [AbExt(rational_function_field(13), 12, (t, t1_cubed)),
+            AbExt(rational_function_field(7), 6, (u, u1_squared, three))]
+
+
+class TestFrobeniusValues:
+    def test_closed_form_matches_enumeration(self):
+        # in prod Z/o_i the p-valuations of the element orders are exactly
+        # 0, ..., v_p(exponent)
+        for n in (2, 3, 4, 6, 8, 9, 12):
+            divisors = [d for d in range(2, n + 1) if n % d == 0]
+            for r in range(1, 4):
+                for orders in itertools.combinations_with_replacement(divisors, r):
+                    G = SimpleNamespace(n=n, orders=orders)
+                    for p in (2, 3, 5):
+                        values = {vp(sigma_order(G, s), p) for s in galois_group(G)}
+                        assert values == set(range(vp(gal_exponent(G), p) + 1)), (orders, p)
+
+    @pytest.mark.parametrize("M", [
+        q_ext(3, -7), q_ext(-1, 2), q_ext(-1, 5), q_ext(-1, 10), q_ext(11),
+        ff7_cubic(), ff3_quad(), *_mixed_order_extensions(),
+    ], ids=lambda M: M.describe())
+    def test_report_matches_enumeration(self, M):
+        for p in factorize(gal_exponent(M)):
+            if p == M.base.char:
+                continue
+            rep = isolation_report(M, p)
+            assert (rep.u1, rep.u2, rep.isolated_place) == _report_by_enumeration(M, p)
 
 
 class TestIsolatedPlaces:

@@ -8,6 +8,11 @@ as a caller.  Tests are not callers: a function only the tests use belongs
 in the tests.  References are matched by name (a Name or an attribute),
 so dunder methods, which the language calls, and functions registered with
 a dispatcher are exempt.  Every module import must be used as well.
+
+Every option must have a caller too: some call in `src/` or `perfbench/`
+must pass each defaulted parameter of a function or method in
+`src/ncpbound`, by position or by keyword.  Calls are matched by name as
+above; a call with `*` or `**` counts as passing every parameter.
 """
 
 import ast
@@ -17,7 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ncpbound"
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _boundary() -> set:
@@ -88,3 +94,49 @@ def test_every_import_is_used():
                     if not used[bound]:
                         unused.append(f"{module}: {bound}")
     assert unused == [], f"unused imports: {unused}"
+
+
+def _calls():
+    """name -> [(positional count, keyword names, has * or **)] over every
+    call in src/ and perfbench/, matched by a Name or an attribute."""
+    trees = [*TREES.values(), *(ast.parse(path.read_text(encoding="utf-8"))
+                                for path in sorted(PERFBENCH.glob("*.py")))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _defaulted(qualname, node):
+    """(position as the caller counts it, name) of each defaulted parameter;
+    a method's caller does not pass self or cls."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = (qualname.count(".") == 2 and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_option_has_a_caller():
+    calls = _calls()
+    unpassed = []
+    for qualname, node in _definitions():
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        for position, name in _defaulted(qualname, node):
+            if not any(starred or name in keywords
+                       or position is not None and position < count
+                       for count, keywords, starred in calls.get(node.name, ())):
+                unpassed.append(f"{qualname}({name})")
+    assert unpassed == [], f"defaulted parameters no call passes: {unpassed}"
