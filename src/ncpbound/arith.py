@@ -112,6 +112,12 @@ def require_prime(n: int, name: str = "p") -> None:
         raise ValidationError(f"{name} must be prime, got {n}")
 
 
+def require_tame(M, p: int, why: str) -> None:
+    """Reject p equal to the characteristic of M's base field, saying why."""
+    if M.base.char == p:
+        raise ValidationError(f"p = {p} equals the field characteristic; {why}")
+
+
 def primes_upto(bound: int):
     """Yield primes <= bound (sieve)."""
     if bound < 2:

@@ -338,8 +338,8 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-# the global flags; the verbs' copies default to SUPPRESS so that a value
-# given before the verb is not clobbered
+# the global flags; the whole tree's verb copies default to SUPPRESS so that
+# a value given before the verb is not clobbered
 GLOBALS = {
     "--ext": {"metavar": "FILE", "help": "extension JSON file"},
     "--bound": {"type": int, "metavar": "N", "help": "search or scan bound"},
@@ -397,9 +397,18 @@ VERBS = {
 }
 
 
-def build_parser(verb: tuple | None = None) -> argparse.ArgumentParser:
-    """The whole parser tree, or with a verb path only that verb's sub-parser
-    (and its group's) under the global flags."""
+def _add_verb(parser: argparse.ArgumentParser, path: tuple, **global_default) -> None:
+    """Give a verb's parser the global flags, the verb's arguments and its handler."""
+    handler, arguments = VERBS[path]
+    for flag, kwargs in GLOBALS.items():
+        parser.add_argument(flag, **kwargs, **global_default)
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, the one source of usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="ncpbound",
         description="Local-degree bookkeeping for abelian extensions of Q and F_q(t): "
@@ -410,28 +419,32 @@ def build_parser(verb: tuple | None = None) -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
     groups = {}
-    for path, (handler, arguments) in VERBS.items():
-        if verb is not None and path != verb:
-            continue
+    for path in VERBS:
         *group, name = path
         if group and group[0] not in groups:
             groups[group[0]] = sub.add_parser(group[0]).add_subparsers(
                 dest="subcommand", required=True
             )
-        sp = (groups[group[0]] if group else sub).add_parser(name)
-        for flag, kwargs in GLOBALS.items():
-            sp.add_argument(flag, **kwargs, default=argparse.SUPPRESS)
-        for flags, kwargs in arguments:
-            sp.add_argument(*flags, **kwargs)
-        sp.set_defaults(func=handler)
+        _add_verb((groups[group[0]] if group else sub).add_parser(name), path,
+                  default=argparse.SUPPRESS)
     return parser
 
 
-def _verb_path(argv) -> tuple | None:
-    """The verb path argv invokes, or None where only the whole tree words the
-    outcome as before: no verb or an unknown one, or a token before the verb
-    other than an exact global flag with a well-formed value (-h, an
-    abbreviation, a value that starts with "-" or does not convert)."""
+def _leaf_parser(path: tuple) -> argparse.ArgumentParser:
+    """The verb's parser alone, which parses argv without the verb tokens to
+    the namespace the whole tree gives."""
+    parser = argparse.ArgumentParser(prog=" ".join(("ncpbound", *path)))
+    _add_verb(parser, path)
+    parser.set_defaults(**dict(zip(("command", "subcommand"), path)))
+    return parser
+
+
+def _verb_path(argv) -> tuple[tuple, int] | None:
+    """The verb path argv invokes and the index of its first token, or None
+    where only the whole tree words the outcome as before: no verb or an
+    unknown one, or a token before the verb other than an exact global flag
+    with a well-formed value (-h, an abbreviation, a value that starts with
+    "-" or does not convert)."""
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
         flag, eq, value = argv[i].partition("=")
@@ -451,21 +464,24 @@ def _verb_path(argv) -> tuple | None:
         i += 1
     for n in (1, 2):
         if tuple(argv[i:i + n]) in VERBS:
-            return tuple(argv[i:i + n])
+            return tuple(argv[i:i + n]), i
     return None
 
 
 def parse_args(argv) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
-    """Parse argv as the whole tree does, building only the invoked verb.
-    Returns the parser that parsed argv (the whole tree when no verb was
-    found) together with the namespace."""
-    parser = build_parser(_verb_path(argv))
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        # the whole tree's usage line names every verb
-        parser = build_parser()
-        return parser, parser.parse_args(argv)
-    return parser, args
+    """Parse argv as the whole tree does, with only the invoked verb's leaf
+    parser where one is found.  Returns the parser that parsed argv together
+    with the namespace."""
+    found = _verb_path(argv)
+    if found is not None:
+        path, i = found
+        parser = _leaf_parser(path)
+        args, extras = parser.parse_known_args([*argv[:i], *argv[i + len(path):]])
+        if not extras:
+            return parser, args
+    # the whole tree's usage line names every verb
+    parser = build_parser()
+    return parser, parser.parse_args(argv)
 
 
 # ------------------------------------------------------------------ output

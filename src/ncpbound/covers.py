@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Optional
 
-from .arith import is_squarefree, prime_field, require_prime
+from .arith import is_squarefree, prime_field, require_prime, require_tame
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
@@ -282,10 +282,7 @@ class BoundReport:
 
 def bound_report(M: AbExt, p: int, chi_order: int) -> BoundReport:
     require_prime(p)
-    if p == M.base.char:
-        raise ValidationError(
-            f"p = {p} equals the field characteristic; the ceiling analysis is tame only"
-        )
+    require_tame(M, p, "the ceiling analysis is tame only")
     if chi_order < 1 or chi_order % gal_exponent(M) != 0:
         raise ValidationError(
             f"character order {chi_order} is incompatible with the Galois exponent"

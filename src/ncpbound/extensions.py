@@ -36,6 +36,7 @@ from .arith import (
     mul_order_mod,
     prime_field,
     require_prime,
+    require_tame,
     vp,
 )
 from .errors import InvariantError, SearchExhausted, ValidationError
@@ -635,8 +636,9 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     """Unramified places with Frobenius sigma whose norm N has large order:
     ord(N mod p^(s+1)) > f_sigma for odd p, ord(N mod 2^(r+2)) > f_sigma for
     p = 2, and p never divides N.  f_sigma is the order of sigma on the
-    p-power cyclotomic part of M."""
+    p-power cyclotomic part of M.  p must not be the characteristic."""
     require_prime(p)
+    require_tame(M, p, "the search needs residue norms prime to p")
     sigma = validate_sigma(M, sigma)
     f_sigma = restriction_order_to_cyclotomic(M, p, sigma)
     if p == 2:
@@ -653,10 +655,14 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
 def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     """For each generator of Gal(M/T) (just the identity when that group is
     trivial), an unramified place with that Frobenius and norm = 1 mod
-    p^power.  Raises SearchExhausted with the partial dict on failure."""
+    p^power.  Raises SearchExhausted with the partial dict on failure.  With
+    power >= 1, p must not be the characteristic, whose powers are all the
+    residue norms; every norm is 1 mod p^0."""
     require_prime(p)
     if power < 0:
         raise ValidationError(f"power must be at least 0, got {power}")
+    if power:
+        require_tame(M, p, "the search needs residue norms prime to p")
     zero = gal_identity(M)
 
     def add(x, y):

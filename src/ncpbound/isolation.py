@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .arith import factorize, vp
+from .arith import factorize, require_tame, vp
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
@@ -52,10 +52,7 @@ def isolation_report(M: AbExt, p: int) -> IsolationReport:
     Raises for p = char K: wild ramification has no bounded valuation
     family and is outside what this tool measures.
     """
-    if M.base.char == p:
-        raise ValidationError(
-            f"p = {p} equals the field characteristic; the gap is only defined tamely"
-        )
+    require_tame(M, p, "the gap is only defined tamely")
     # in prod Z/o_i the p-valuations of the element orders are exactly
     # 0, ..., v_p(exponent)
     frob_values = set(range(vp(gal_exponent(M), p) + 1))

@@ -316,10 +316,31 @@ def test_s0_negative_power_is_2(run, ext_file, power):
                        "detail": f"power must be at least 0, got {power}"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "qsigma", "--sigma", "0,0"),
+    ("search", "s0", "--power", "1"),
+], ids=["qsigma", "s0"])
+def test_p_equal_to_char_is_2(run, ff7_file, argv):
+    # every residue norm over F_7(t) is a power of 7: the walk once ran to the bound, exit 3
+    code, payload, err = run(*argv, "--p", "7", "--bound", "2401", "--ext", ff7_file)
+    assert code == 2 and err == ""
+    assert payload == {"error": "invalid-input", "detail": "p = 7 equals the field "
+                       "characteristic; the search needs residue norms prime to p"}
+
+
 def test_s0_zero_power_is_valid(run, ext_file):
     # a congruence mod p^0 = 1 always holds
     code, payload, _ = run("search", "s0", "--p", "2", "--power", "0", "--ext", ext_file)
     assert code == 0 and payload["pairs"]
+
+
+def test_s0_zero_power_with_p_equal_to_char_is_valid(run, ff7_file):
+    # every norm is 1 mod 7^0, so only power >= 1 needs norms prime to p
+    code, payload, _ = run("search", "s0", "--p", "7", "--power", "0", "--bound", "2401",
+                           "--ext", ff7_file)
+    assert code == 0
+    assert [(pair["sigma"], pair["place"]["str"]) for pair in payload["pairs"]] == [
+        ([0, 1], "(t^2+1)"), ([1, 0], "(t+3)")]
 
 
 @pytest.mark.parametrize("p, n", [(2, 0), (2, -1), (0, -1)])

@@ -1,10 +1,11 @@
-"""The CLI builds only the invoked verb's sub-parser.  The whole tree
+"""The CLI parses with only the invoked verb's leaf parser.  The whole tree
 (`cli.build_parser()`) is the oracle: every argv must parse to the same
 namespace, or fail with the same exit code and the same output."""
 
 import argparse
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -39,9 +40,13 @@ def _outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+# built once: argparse does not change a parser while it parses
+WHOLE_TREE = cli.build_parser()
+
+
 def _same_as_whole_tree(argv):
     got = _outcome(lambda a: cli.parse_args(a)[1], argv)
-    want = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    want = _outcome(WHOLE_TREE.parse_args, argv)
     assert got == want, argv
 
 
@@ -125,6 +130,25 @@ def test_token_sequences_parse_as_whole_tree(argv):
     _same_as_whole_tree(argv)
 
 
+class TestRepeatedCalls:
+    """One process calling `parse_args` again: nothing of one call reaches the next."""
+    VERIFY = ["groupext", "verify", "--p", "2", "--a", "1", "--orders", "2,2", "--t", "0,0",
+              "--c", "1"]
+    S0 = ["search", "s0", "--p", "2", "--power", "1"]
+
+    def test_interleaved_verbs_parse_as_whole_tree(self):
+        for argv in (self.VERIFY, self.S0, self.VERIFY, self.VERIFY):
+            _same_as_whole_tree(argv)
+
+    @pytest.mark.parametrize("flags", [
+        ["--pretty"], ["--ext", "q.json"], ["--seed", "3"], ["--bound=9", "--seed=3"],
+        ["--pretty", "--ext=q.json", "--seed", "3"],
+    ], ids=" ".join)
+    def test_flags_are_not_carried_into_the_next_call(self, flags):
+        for argv in (flags + self.VERIFY, self.VERIFY, self.VERIFY + flags, self.VERIFY):
+            _same_as_whole_tree(argv)
+
+
 class TestParsersBuilt:
     @staticmethod
     def _count_parsers(monkeypatch):
@@ -138,19 +162,20 @@ class TestParsersBuilt:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         return built
 
-    @pytest.mark.parametrize("argv, count", [
-        (["groupext", "verify", "--p", "2", "--a", "1", "--orders", "2,2", "--t", "0,0",
-          "--c", "1"], 3),  # top level, the group, the leaf
+    @pytest.mark.parametrize("argv, leaf", [
+        (TestRepeatedCalls.VERIFY, "ncpbound groupext verify"),
         (["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1",
-          "--profile-max", "2"], 3),
-        (["paper", "ex43", "2", "3", "2"], 3),
-        (["suite", "--classes", "2", "--pairs", "2", "--elements", "2"], 2),
-    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
-    def test_main_builds_only_the_verb(self, monkeypatch, capsys, argv, count):
+          "--profile-max", "2"], "ncpbound groupext scan"),
+        (["paper", "ex43", "2", "3", "2"], "ncpbound paper ex43"),
+        (["suite", "--classes", "2", "--pairs", "2", "--elements", "2"], "ncpbound suite"),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+    def test_main_builds_only_the_verb(self, monkeypatch, capsys, argv, leaf):
         built = self._count_parsers(monkeypatch)
         cli.main(argv)
+        assert built == [leaf]
+        cli.main(argv)  # a repeat builds its own leaf, and only that
         capsys.readouterr()
-        assert len(built) == count
+        assert built == [leaf, leaf]
 
     @pytest.mark.parametrize("argv", [[], ["--pretty"]], ids=["bare", "pretty"])
     def test_no_verb_builds_the_tree_once(self, monkeypatch, capsys, argv):
@@ -166,7 +191,7 @@ class TestParsersBuilt:
 
         monkeypatch.setattr(cli, "build_parser", counting)
         assert cli.main(argv) == 2
-        assert calls == [(None,)]
+        assert calls == [()]
         assert capsys.readouterr() == ("", want)
 
     def test_whole_tree_builds_every_verb(self, monkeypatch):
@@ -185,6 +210,8 @@ class TestParsersBuilt:
             "import ncpbound.cli\n"
             "print(len(built))\n"
         )
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={"PYTHONPATH": str(ROOT / "src")}, check=True)
+        # -B and the caller's environment: the child writes no bytecode into src/
+        done = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              check=True)
         assert done.stdout.strip() == "0"

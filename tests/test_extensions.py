@@ -715,12 +715,13 @@ class TestBoundedWalk:
         assert brauer._find_witness(M, 2, 2, {prime_place(3)}, ()) == prime_place(7)
 
     def test_qsigma_tests_the_norm_first(self):
-        # every norm over F_7(t) is a power of 7, so with p = 7 no place
-        # reaches the Frobenius and local_data is never consulted
-        M = ff7_cubic()
+        # the only place up to norm 2 is 2 itself, which divides the conductor
+        # 84; p = 2 divides its norm, so it never reaches the Frobenius and
+        # local_data is never consulted
+        M = q_ext(3, -7)
         before = local_data.cache_info()
         with pytest.raises(SearchExhausted) as exc:
-            qsigma_search(M, 7, (0, 0), count=1, bound=49)
+            qsigma_search(M, 2, (0, 0), count=1, bound=2)
         after = local_data.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits)
         assert exc.value.partial == []
