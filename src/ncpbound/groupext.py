@@ -13,16 +13,17 @@ Commutators here are [g, h] = g^-1 h^-1 g h.
 The group has class 2, so (gh)^n = g^n h^n [h, g]^C(n,2) and [., .] is
 bilinear.  Powers and commutators of lifts are therefore closed forms in
 (t, c): `_power_form` gives the kernel part of s(x)^n and `beta` the
-alternating form.  `ext_mul`, `ext_inv` and the fiber closure are the
-independent collection route: `fiber_is_cyclic` decides cyclicity by it,
-and the tests check those forms against it.
+alternating form.  `ext_mul` and `ext_inv` are the independent collection
+route: `fiber` collects the powers of one lift of x and takes their kernel
+translates, `fiber_is_cyclic` decides cyclicity by collecting p-th powers,
+and the tests check the closed forms against that route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from math import gcd, lcm
 
 from .arith import is_prime
@@ -47,6 +48,23 @@ __all__ = [
     "verify_lemma_35",
     "prop32_scan",
 ]
+
+
+# The largest group order ext_build and prop32_scan accept; the largest scan
+# the tests and the benchmark run, 5 * 25^3, is 78 125.
+MAX_GROUP_ORDER = 10**5
+
+
+def _require_fits(p: int, a: int, factors, what: str) -> None:
+    """ValidationError once a partial product of p^a and the factors passes
+    MAX_GROUP_ORDER, so p^a is never formed; a p below 2 or a factor below
+    1 counts as 1 and is rejected later."""
+    size = 1
+    for f in chain(factors, repeat(p, a if p > 1 else 0)):
+        size *= max(f, 1)
+        if size > MAX_GROUP_ORDER:
+            raise ValidationError(f"{what} exceeds the group order ceiling"
+                                  f" {MAX_GROUP_ORDER} (p = {p}, a = {a})")
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,7 @@ def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
     """Validated constructor.  c may be a dict keyed by (i, j) with i < j,
     or a flat sequence in lexicographic pair order."""
     orders = tuple(orders)
+    _require_fits(p, a, orders, "p^a*prod(orders)")
     pa = p**a if a >= 0 else 0
     t = tuple(v % pa if pa else 0 for v in t)
     if isinstance(c, dict):
@@ -168,20 +187,18 @@ def ext_pow(E: CentralExt, g, n: int) -> tuple:
 
 
 def fiber(E: CentralExt, x) -> tuple:
-    """The preimage of <x>: closure of the kernel and one lift of x."""
-    gens = [lift(E, x)]
-    if E.a > 0:
-        gens.append((1, (0,) * len(E.orders)))
-    seen = {identity(E)}
-    frontier = [identity(E)]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            nxt = ext_mul(E, g, h)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
+    """The preimage of <x>, sorted: every kernel translate (alpha, e) of the
+    powers (beta, e) of one lift L of x, as gen_A acts on the left by adding
+    to alpha.  L, L^2, ... are collected by ext_mul up to the first power
+    in the kernel, n - 1 products for x of order n."""
+    g = L = lift(E, x)
+    zero = (0,) * len(E.orders)
+    exps = [zero]
+    while g[1] != zero:
+        exps.append(g[1])
+        g = ext_mul(E, g, L)
+    exps.sort()
+    return tuple((alpha, e) for alpha in range(E.kernel_order) for e in exps)
 
 
 def fiber_is_cyclic(E: CentralExt, x) -> bool:
@@ -242,12 +259,13 @@ def power_criterion(E: CentralExt, x) -> bool:
 def fiber_cyclicity(E: CentralExt) -> dict:
     """Whether the fiber over <x> is cyclic, for every nontrivial x of the
     quotient.  The fiber is the preimage of the subgroup <x>, which m x
-    generates too for m prime to ord(x), so one closure per cyclic subgroup
+    generates too for m prime to ord(x), so one fiber per cyclic subgroup
     decides all of its generators."""
     cyclic = {}
-    for n, x in _lines_for(E.orders):
+    for n, x in _lines_for(E.p, E.orders):
         verdict = fiber_is_cyclic(E, x)
-        for y in _generators(x, n, E.orders):
+        units = [m for m in range(1, n) if gcd(m, n) == 1]
+        for y in _multiples(x, units, E.orders):
             cyclic[y] = verdict
     return cyclic
 
@@ -295,8 +313,13 @@ def verify_lemma_35(E: CentralExt) -> Lemma35Report:
     return Lemma35Report(E.p, hom, criterion)
 
 
+def _capped(p: int, profile_max) -> list:
+    """The scan's bound on each quotient factor."""
+    return [min(m, p * p) for m in profile_max]
+
+
 def _profiles(p: int, profile_max):
-    caps = [min(m, p * p) for m in profile_max]
+    caps = _capped(p, profile_max)
     out = []
     for rank in range(2, len(profile_max) + 1):
         choices = []
@@ -313,24 +336,31 @@ def _profiles(p: int, profile_max):
     return out
 
 
-def _generators(x, n: int, orders) -> list:
-    """The phi(n) generators m x (0 < m < n, m prime to n) of the cyclic
-    subgroup <x> of order n, x first."""
-    units = [m for m in range(1, n) if gcd(m, n) == 1]
-    return list(zip(*([m * v % o for m in units] for v, o in zip(x, orders))))
+def _multiples(x, ms, orders) -> list:
+    """m x for each m of the sequence ms."""
+    return list(zip(*([m * v % o for m in ms] for v, o in zip(x, orders))))
 
 
-def _lines_for(orders):
-    """(order, generator) for one generator per cyclic subgroup of the
-    product of the given cyclic groups, smallest order first."""
+def _lines_for(p: int, orders):
+    """(order, least generator) per cyclic subgroup of the product of the
+    given cyclic p-groups, smallest order first.  A unit keeps the valuation
+    of the first nonzero coordinate, so that generator has some p^v there:
+    only such tuples are walked, and of each line only the generators m x
+    with m = 1 mod the order of p^v are marked as seen."""
     lines = []
-    seen = set()
-    for x in product(*(range(o) for o in orders)):
-        if not any(x) or x in seen:
-            continue
-        n = _vec_order(x, orders)
-        seen.update(_generators(x, n, orders))
-        lines.append((n, x))
+    for i, o in enumerate(orders):
+        rest = [range(r) for r in orders[i + 1:]]
+        pv = 1
+        while pv < o:
+            lead = (0,) * i + (pv,)
+            seen = set()
+            for tail in product(*rest):
+                x = lead + tail
+                if x not in seen:
+                    n = _vec_order(x, orders)
+                    seen.update(_multiples(x, range(1, n, o // pv), orders))
+                    lines.append((n, x))
+            pv *= p
     lines.sort()
     return lines
 
@@ -362,7 +392,7 @@ def _good_residues(p: int, a: int, orders) -> set:
     that is identically zero vanishes everywhere.
     """
     forms = {
-        tuple(v % p for v in _power_form(p, a, orders, x, n)) for n, x in _lines_for(orders)
+        tuple(v % p for v in _power_form(p, a, orders, x, n)) for n, x in _lines_for(p, orders)
     }
     if any(not any(form) for form in forms):
         return set()
@@ -394,9 +424,13 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
     The fiber over <x> is cyclic iff s(x)^ord(x) generates the kernel mod
     p, and that kernel element is a linear form in (t, c), so candidates
     are prefiltered by the residues of their data mod p; every survivor is
-    re-verified by the direct fiber closure, and a disagreement between the
-    two routes is a hard failure.
+    re-verified by `fiber_is_cyclic` on the collected fibers, and a
+    disagreement between the two routes is a hard failure.  A negative
+    a_max or a scan past MAX_GROUP_ORDER is refused before any work.
     """
+    if a_max < 0:
+        raise ValidationError(f"a_max must be at least 0, got {a_max}")
+    _require_fits(p, a_max, _capped(p, b_profile_max), "p^a_max*prod(capped profile)")
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     hits = []
@@ -412,7 +446,7 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
             if not good:
                 continue
             # smallest fibers first, so a disagreement surfaces early
-            lines = [x for _, x in _lines_for(orders)]
+            lines = [x for _, x in _lines_for(p, orders)]
             for t in product(*t_space):
                 t_res = tuple(v % p for v in t)
                 for c in product(*c_space):
@@ -421,7 +455,7 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
                     E = CentralExt(p, a, orders, t, c)
                     if not all(fiber_is_cyclic(E, x) for x in lines):
                         raise InvariantError(
-                            f"linear criterion and fiber closure disagree on {E}"
+                            f"linear criterion and collected fiber disagree on {E}"
                         )
                     if E.kernel_order != 2:
                         raise InvariantError(

@@ -2,7 +2,7 @@
 
 import itertools
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ncpbound.arith import prime_field
 from ncpbound.covers import Cover
@@ -19,6 +19,7 @@ from ncpbound.fields import (
     poly_mul,
     rational_function_field,
 )
+from ncpbound.groupext import ext_mul, identity, lift
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
@@ -155,3 +156,42 @@ def oracle_residue_symbol_dlog(x, place, n):
     if len(r) != 1:
         raise InvariantError("symbol did not land in the constants")
     return prime_field(x.q).dlog_in_mu(r[0], n)
+
+
+# ------------------------------------------------------------ groupext oracles
+
+
+def oracle_fiber(E, x):
+    """The preimage of <x> as the closure of a lift of x and the kernel
+    generator under ext_mul, by a search from the identity, sorted."""
+    gens = [lift(E, x)]
+    if E.a > 0:
+        gens.append((1, (0,) * len(E.orders)))
+    seen = {identity(E)}
+    frontier = [identity(E)]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            nxt = ext_mul(E, g, h)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(seen))
+
+
+def oracle_lines_for(orders):
+    """(order, generator) per cyclic subgroup of the product of the cyclic
+    groups, by a sweep of every element in lexicographic order: the first
+    element of a subgroup met is its least generator, and all its
+    generators m x (m prime to the order) are marked as seen."""
+    lines = []
+    seen = set()
+    for x in itertools.product(*(range(o) for o in orders)):
+        if not any(x) or x in seen:
+            continue
+        n = lcm(*(o // gcd(o, v) for v, o in zip(x, orders)))
+        units = [m for m in range(1, n) if gcd(m, n) == 1]
+        seen.update(tuple(m * v % o for v, o in zip(x, orders)) for m in units)
+        lines.append((n, x))
+    lines.sort()
+    return lines

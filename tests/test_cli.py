@@ -516,6 +516,38 @@ class TestGroupext:
         assert code == 2
         assert payload["detail"] == "profile must be comma-separated integers, got ''"
 
+    def test_scan_negative_a_max_is_2(self, run):
+        code, payload, _ = run(
+            "groupext", "scan", "--p", "2", "--a-max", "-3", "--profile-max", "4,4"
+        )
+        assert code == 2
+        assert payload == {"error": "invalid-input", "detail": "a_max must be at least 0, got -3"}
+
+    def test_scan_zero_a_max_is_empty(self, run):
+        code, payload, _ = run(
+            "groupext", "scan", "--p", "2", "--a-max", "0", "--profile-max", "4,4"
+        )
+        assert code == 0 and payload["count"] == 0 and payload["hits"] == []
+
+    @pytest.mark.parametrize("argv, detail", [
+        (("verify", "--p", "2", "--a", "40", "--orders", "2,2", "--t", "0,0", "--c", "0"),
+         "p^a*prod(orders) exceeds the group order ceiling {} (p = 2, a = 40)"),
+        (("scan", "--p", "2", "--a-max", "40", "--profile-max", "4,4"),
+         "p^a_max*prod(capped profile) exceeds the group order ceiling {} (p = 2, a = 40)"),
+        (("scan", "--p", "5", "--a-max", "2", "--profile-max", "125,125,125"),
+         "p^a_max*prod(capped profile) exceeds the group order ceiling {} (p = 5, a = 2)"),
+    ], ids=["verify", "scan", "scan-capped"])
+    def test_past_the_group_order_ceiling_is_2(self, run, argv, detail):
+        code, payload, _ = run("groupext", *argv)
+        assert code == 2
+        assert payload["detail"] == detail.format(groupext.MAX_GROUP_ORDER)
+
+    def test_verify_file_past_the_ceiling_is_2(self, run, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": 2, "a": 40, "orders": [2, 2], "t": [0, 0], "c": [0]}))
+        code, payload, _ = run("groupext", "verify", str(path))
+        assert code == 2 and payload["detail"].startswith("p^a*prod(orders) exceeds")
+
     @pytest.mark.parametrize("p", [-2, 0, 1, 4])
     def test_scan_non_prime_p_is_2(self, run, p):
         code, payload, _ = run(
@@ -627,7 +659,7 @@ class TestVerifyPerSubgroup:
         )
         assert main(_verify_argv(p, a, orders, t, c)) == 0
         capsys.readouterr()
-        assert sorted(closed) == sorted(x for _, x in _lines_for(orders))
+        assert sorted(closed) == sorted(x for _, x in _lines_for(p, orders))
 
 
 _entry = st.integers(-2, 9)

@@ -1,12 +1,17 @@
 import random
 from collections import Counter
 from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
+from helpers import oracle_fiber, oracle_lines_for
 
+from ncpbound import groupext
 from ncpbound.errors import ValidationError
 from ncpbound.groupext import (
+    MAX_GROUP_ORDER,
     CentralExt,
+    _lines_for,
     beta,
     ext_build,
     ext_inv,
@@ -25,6 +30,8 @@ from ncpbound.groupext import (
 
 # The closed forms (ext_pow, beta, the prefilter's _power_form) are checked
 # against the collection route: products and inverses built with ext_mul.
+# fiber and _lines_for are checked against the closure and the element sweep
+# of tests/helpers.py.
 
 
 def elements(E):
@@ -78,6 +85,10 @@ def order_stats(E):
     return Counter(ext_order(E, g) for g in elements(E))
 
 
+def _forbidden(*args):
+    raise AssertionError("work started before the input was checked")
+
+
 class TestBuild:
     def test_q8_order_statistics(self):
         assert order_stats(q8()) == {1: 1, 2: 1, 4: 6}
@@ -116,6 +127,19 @@ class TestBuild:
         for o in (0, -2, -4):
             with pytest.raises(ValidationError, match=f"quotient factor {o} "):
                 ext_build(2, 1, (o, 2), (0, 0), (0,))
+
+    def test_ceiling_covers_the_largest_scan_tested(self):
+        assert 5 * 25**3 <= MAX_GROUP_ORDER
+
+    @pytest.mark.parametrize("p,a,orders", [
+        (2, 15, (2, 2)), (2, 10**9, (2, 2)), (2, 1, (2,) * 17), (5, 1, (25, 25, 25, 5)),
+        (1, 2, (10**6,)),
+    ])
+    def test_past_the_ceiling_rejected_before_any_work(self, monkeypatch, p, a, orders):
+        monkeypatch.setattr(groupext, "is_prime", _forbidden)
+        k = len(orders)
+        with pytest.raises(ValidationError, match=f"ceiling {MAX_GROUP_ORDER} "):
+            ext_build(p, a, orders, (0,) * k, (0,) * (k * (k - 1) // 2))
 
     def test_associativity_on_random_triples(self):
         rng = random.Random(7)
@@ -166,6 +190,29 @@ class TestFiber:
     def test_split_fiber_noncyclic(self):
         assert not fiber_is_cyclic(split_c4_c2(), (1,))
 
+    def test_matches_closure_oracle_at_every_x(self):
+        # the named extensions, the power-form data and the scan grids of
+        # TestFiberCyclicityByCount, at every quotient element
+        exts = [q8(), d4(), split_c4_c2(), heis3(), *(ext_build(*d) for d in POWER_DATA)]
+        for grid in SMALL_GRIDS:
+            exts.extend(_scan_space(*grid))
+        for E in exts:
+            for x in product(*(range(o) for o in E.orders)):
+                assert fiber(E, x) == oracle_fiber(E, x), (E, x)
+
+    def test_collects_n_minus_one_products(self, monkeypatch):
+        # n - 1 ext_mul for x of order n in the quotient, none for x = 0
+        calls = []
+        monkeypatch.setattr(
+            groupext, "ext_mul", lambda E, g, h: calls.append(g) or ext_mul(E, g, h)
+        )
+        for E in (q8(), heis3(), ext_build(*POWER_DATA[3]), ext_build(*POWER_DATA[4])):
+            for x in product(*(range(o) for o in E.orders)):
+                calls.clear()
+                fiber(E, x)
+                n = lcm(*(o // gcd(o, v) for v, o in zip(x, E.orders)))
+                assert len(calls) == n - 1, (E, x)
+
     def test_cyclicity_per_subgroup_matches_each_closure(self):
         for E in (q8(), d4(), split_c4_c2(), heis3(), ext_build(2, 2, (4, 2), (1, 2), (2,))):
             want = {
@@ -174,6 +221,25 @@ class TestFiber:
                 if any(x)
             }
             assert fiber_cyclicity(E) == want, E
+
+
+def _line_shapes(p):
+    """Every orders tuple of rank 0 to 4 with factors p, p^2 and p^3, in
+    any order, of product at most 7^4, so rank 4 is reached for every p."""
+    for rank in range(5):
+        for orders in product((p, p * p, p**3), repeat=rank):
+            if prod(orders) <= 7**4:
+                yield orders
+
+
+class TestLinesFor:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_sweep_oracle(self, p):
+        # equal lists: the same least generators, in the same order
+        shapes = list(_line_shapes(p))
+        assert any(list(o) != sorted(o) for o in shapes)
+        for orders in shapes:
+            assert _lines_for(p, orders) == oracle_lines_for(orders), orders
 
 
 class TestBeta:
@@ -298,8 +364,6 @@ class TestLemma35:
         assert report.homomorphism and report.criterion and report.consistent
 
     def test_sweep_small_range(self):
-        from math import gcd
-
         count = 0
         for p, a_range, orders in ((2, (1, 2), (2, 2)), (3, (1, 2), (3, 3))):
             for a in a_range:
@@ -331,12 +395,12 @@ class TestPowerForm:
     def test_linear_form_matches_concrete_powers(self):
         # the scan's prefilter rests on this identity, so check it against
         # the actual group arithmetic across kernel sizes and ranks
-        from ncpbound.groupext import _lines_for, _power_form
+        from ncpbound.groupext import _power_form
 
         for p, a, orders, t, c in POWER_DATA:
             E = ext_build(p, a, orders, t, c)
             datum = tuple(t) + tuple(c)
-            for n, x in _lines_for(orders):
+            for n, x in _lines_for(p, orders):
                 form = _power_form(p, a, orders, x, n)
                 want = collected_power(E, lift(E, x), n)
                 got = sum(fv * dv for fv, dv in zip(form, datum)) % p**a
@@ -366,9 +430,8 @@ class TestPowerForm:
         # that generate the valid (t, c) checks it on every extension: t_i
         # is free, c_ij ranges over the multiples of p^a / gcd(o_i, o_j, p^a)
         from itertools import combinations
-        from math import gcd
 
-        from ncpbound.groupext import _lines_for, _power_form, _profiles
+        from ncpbound.groupext import _power_form, _profiles
 
         checked = 0
         for a in range(1, a_max + 1):
@@ -382,7 +445,7 @@ class TestPowerForm:
                     data.append(tuple(unit * (s == k + slot) for s in range(k + len(pair_idx))))
                 for datum in data:
                     E = CentralExt(p, a, orders, datum[:k], datum[k:])
-                    for n, x in _lines_for(orders):
+                    for n, x in _lines_for(p, orders):
                         form = _power_form(p, a, orders, x, n)
                         got = sum(fv * dv for fv, dv in zip(form, datum)) % pa
                         assert (got, (0,) * k) == collected_power(E, lift(E, x), n), (E, x)
@@ -393,12 +456,10 @@ class TestPowerForm:
 def _good_residues_by_enumeration(p, a, orders):
     """The prefilter's pass set by testing every residue tuple against every
     line's form: the oracle for groupext._good_residues."""
-    from ncpbound import groupext
-
     k = len(orders)
     forms = [
         tuple(v % p for v in groupext._power_form(p, a, orders, x, n))
-        for n, x in groupext._lines_for(orders)
+        for n, x in _lines_for(p, orders)
     ]
     return {
         res
@@ -430,8 +491,6 @@ class TestGoodResidues:
     def test_matches_enumeration_on_synthetic_forms(self, monkeypatch, p, orders):
         # seeded forms with many zero coefficients, so forms close at every
         # coordinate, and some draws contain an identically zero form
-        from ncpbound import groupext
-
         rng = random.Random(f"{p}{orders}")
         d = len(orders) + len(orders) * (len(orders) - 1) // 2
         zero_seen = False
@@ -454,10 +513,12 @@ class TestGoodResidues:
         assert zero_seen
 
 
+SMALL_GRIDS = [(2, 2, (4, 2)), (3, 1, (3, 3)), (2, 2, (2, 2, 2))]
+
+
 def _scan_space(p, a_max, profile_max):
     """Every extension the scan enumerates, with no prefilter."""
     from itertools import combinations
-    from math import gcd
 
     from ncpbound.groupext import _profiles
 
@@ -476,11 +537,9 @@ def _scan_space(p, a_max, profile_max):
 
 def _scan_by_closure(p, a_max, profile_max):
     """The scan's defining enumeration with no prefilter, for cross-checking."""
-    from ncpbound.groupext import _lines_for
-
     return [
         E for E in _scan_space(p, a_max, profile_max)
-        if all(fiber_is_cyclic(E, x) for _, x in _lines_for(E.orders))
+        if all(fiber_is_cyclic(E, x) for _, x in _lines_for(p, E.orders))
     ]
 
 
@@ -504,9 +563,7 @@ class TestFiberCyclicityByCount:
                 verdicts.add(got)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize(
-        "p,a_max,profile", [(2, 2, (4, 2)), (3, 1, (3, 3)), (2, 2, (2, 2, 2))]
-    )
+    @pytest.mark.parametrize("p,a_max,profile", SMALL_GRIDS)
     def test_matches_order_route_on_scan_grids(self, p, a_max, profile):
         self._assert_routes_agree(_scan_space(p, a_max, profile))
 
@@ -520,14 +577,30 @@ class TestProp32Scan:
         hits = prop32_scan(2, 1, (2, 2))
         assert hits == [CentralExt(2, 1, (2, 2), (1, 1), (1,))]
 
-    @pytest.mark.parametrize(
-        "p,a_max,profile", [(2, 2, (4, 2)), (3, 1, (3, 3)), (2, 2, (2, 2, 2))]
-    )
+    @pytest.mark.parametrize("p,a_max,profile", SMALL_GRIDS)
     def test_matches_unfiltered_closure_scan(self, p, a_max, profile):
         assert prop32_scan(p, a_max, profile) == _scan_by_closure(p, a_max, profile)
 
     def test_odd_p_has_no_hits(self):
         assert prop32_scan(3, 2, (9, 9)) == []
+
+    def test_negative_a_max_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(groupext, "is_prime", _forbidden)
+        for a_max in (-1, -3):
+            with pytest.raises(ValidationError, match=f"^a_max must be at least 0, got {a_max}$"):
+                prop32_scan(2, a_max, (4, 4))
+
+    def test_zero_a_max_is_an_empty_scan(self):
+        assert prop32_scan(2, 0, (4, 4)) == []
+
+    @pytest.mark.parametrize("p,a_max,profile", [
+        (2, 15, (4, 4)), (2, 10**9, (4, 4)), (5, 2, (25, 25, 25)), (3, 1, (9,) * 6),
+        (4, 40, (4, 4)),
+    ])
+    def test_past_the_ceiling_rejected_before_any_work(self, monkeypatch, p, a_max, profile):
+        monkeypatch.setattr(groupext, "is_prime", _forbidden)
+        with pytest.raises(ValidationError, match=f"ceiling {MAX_GROUP_ORDER} "):
+            prop32_scan(p, a_max, profile)
 
     @pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
     def test_non_prime_p_rejected(self, p):

@@ -115,7 +115,7 @@ def test_isolation_report_raises_named_error():
 
 
 def test_prop32_scan_raises_named_errors(monkeypatch):
-    # the closure disagreeing with the prefilter
+    # the fiber test disagreeing with the prefilter
     monkeypatch.setattr(groupext, "fiber_is_cyclic", lambda E, x: False)
     with pytest.raises(InvariantError, match="disagree"):
         prop32_scan(2, 1, (2, 2))
