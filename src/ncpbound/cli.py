@@ -8,11 +8,11 @@ malformed input, 3 when a bounded search ran out of candidates.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import SimpleNamespace
 
 from .arith import factorize
 from .brauer import (
@@ -266,7 +266,7 @@ def cmd_search_s0(args):
 
 
 def cmd_groupext_scan(args):
-    profile = _int_list(args.profile_max, "profile")
+    profile = _int_list(args.profile_max, "--profile-max")
     hits = prop32_scan(args.p, args.a_max, profile)
     out = {"p": args.p, "a_max": args.a_max, "profile_max": list(profile),
            "count": len(hits), "hits": [to_json(E) for E in hits]}
@@ -281,9 +281,10 @@ def cmd_groupext_verify(args):
         if missing:
             raise ValidationError("give an extension file or all of --p --a --orders --t --c")
         # an empty --c lists no pairs (rank 1)
-        c = _int_list(args.c, "profile") if args.c else ()
-        orders, t = _int_list(args.orders, "profile"), _int_list(args.t, "profile")
+        c = _int_list(args.c, "--c") if args.c else ()
+        orders, t = _int_list(args.orders, "--orders"), _int_list(args.t, "--t")
         E = ext_build(args.p, args.a, orders, t, c)
+    rep = verify_lemma_35(E)  # first: it refuses a rank past the pair ceiling
     noncyclic = []
     law_holds = True
     # sorted: noncyclic_fibers lists x in lexicographic order
@@ -292,7 +293,6 @@ def cmd_groupext_verify(args):
             law_holds = False
         if not cyclic:
             noncyclic.append(list(x))
-    rep = verify_lemma_35(E)
     out = {
         "ext": to_json(E),
         "power_criterion_all": law_holds,
@@ -397,18 +397,10 @@ VERBS = {
 }
 
 
-def _add_verb(parser: argparse.ArgumentParser, path: tuple, **global_default) -> None:
-    """Give a verb's parser the global flags, the verb's arguments and its handler."""
-    handler, arguments = VERBS[path]
-    for flag, kwargs in GLOBALS.items():
-        parser.add_argument(flag, **kwargs, **global_default)
-    for flags, kwargs in arguments:
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=handler)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The whole parser tree, the one source of usage, help and error text."""
+    import argparse  # only here: a regular argv is scanned without it
+
     parser = argparse.ArgumentParser(
         prog="ncpbound",
         description="Local-degree bookkeeping for abelian extensions of Q and F_q(t): "
@@ -419,66 +411,108 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
     groups = {}
-    for path in VERBS:
+    for path, (handler, arguments) in VERBS.items():
         *group, name = path
         if group and group[0] not in groups:
             groups[group[0]] = sub.add_parser(group[0]).add_subparsers(
                 dest="subcommand", required=True
             )
-        _add_verb((groups[group[0]] if group else sub).add_parser(name), path,
-                  default=argparse.SUPPRESS)
+        verb = (groups[group[0]] if group else sub).add_parser(name)
+        for flag, kwargs in GLOBALS.items():
+            verb.add_argument(flag, **kwargs, default=argparse.SUPPRESS)
+        for flags, kwargs in arguments:
+            verb.add_argument(*flags, **kwargs)
+        verb.set_defaults(func=handler)
     return parser
 
 
-def _leaf_parser(path: tuple) -> argparse.ArgumentParser:
-    """The verb's parser alone, which parses argv without the verb tokens to
-    the namespace the whole tree gives."""
-    parser = argparse.ArgumentParser(prog=" ".join(("ncpbound", *path)))
-    _add_verb(parser, path)
-    parser.set_defaults(**dict(zip(("command", "subcommand"), path)))
-    return parser
+def _dest(name: str) -> str:
+    """argparse's dest for an argument of one flag or name, as each in the tables is."""
+    return name.lstrip("-").replace("-", "_")
 
 
-def _verb_path(argv) -> tuple[tuple, int] | None:
-    """The verb path argv invokes and the index of its first token, or None
-    where only the whole tree words the outcome as before: no verb or an
-    unknown one, or a token before the verb other than an exact global flag
-    with a well-formed value (-h, an abbreviation, a value that starts with
-    "-" or does not convert)."""
-    i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        flag, eq, value = argv[i].partition("=")
-        spec = GLOBALS.get(flag)
-        if spec is None or eq and "action" in spec:
+def _default(spec):
+    return spec.get("default", False if "action" in spec else None)
+
+
+def _scan(argv) -> dict | None:
+    """The whole tree's namespace for a regular argv, read from GLOBALS and
+    VERBS, else None.  Regular: exact flags or --flag=value, separate values
+    not starting with "-", every conversion succeeding, no flag with nargs,
+    the positionals one contiguous run that fills them exactly, required
+    flags given; the last occurrence of a flag wins, as in the tree."""
+    specs = dict(GLOBALS)
+    given, path = {}, None
+    i = start = end = 0  # argv[start:end] is the positional run
+    while i < len(argv):
+        token = argv[i]
+        if not token.startswith("-"):
+            if path is None:
+                path = next((p for p in (tuple(argv[i:i + 1]), tuple(argv[i:i + 2]))
+                             if p in VERBS), None)
+                if path is None:
+                    return None
+                specs.update((flag, kwargs) for (flag,), kwargs in VERBS[path][1]
+                             if flag.startswith("-"))
+                i += len(path)
+                continue
+            if start == end:
+                start = i
+            elif end != i:
+                return None
+            end = i = i + 1
+            continue
+        flag, eq, value = token.partition("=")
+        spec = specs.get(flag)
+        if spec is None or "nargs" in spec or eq and "action" in spec:
             return None
-        if "action" not in spec:
+        i += 1
+        if "action" in spec:
+            value = True
+        else:
             if not eq:
-                i += 1
                 if i == len(argv) or argv[i].startswith("-"):
                     return None
                 value = argv[i]
+                i += 1
             try:
-                spec.get("type", str)(value)
+                value = spec.get("type", str)(value)
             except ValueError:
                 return None
-        i += 1
-    for n in (1, 2):
-        if tuple(argv[i:i + n]) in VERBS:
-            return tuple(argv[i:i + n]), i
-    return None
+        given[_dest(flag)] = value
+    if path is None:
+        return None
+    handler, arguments = VERBS[path]
+    ns = {"func": handler, **dict(zip(("command", "subcommand"), path))}
+    ns.update((_dest(flag), _default(spec)) for flag, spec in GLOBALS.items())
+    run = argv[start:end]
+    for (name,), kwargs in arguments:
+        dest, nargs = _dest(name), kwargs.get("nargs")
+        if name.startswith("-"):
+            if kwargs.get("required") and dest not in given:
+                return None
+            ns[dest] = _default(kwargs)
+            continue
+        take = len(run) if nargs in ("*", "+") else 1
+        values, run = run[:take], run[take:]
+        if not values and nargs not in ("*", "?"):
+            return None
+        try:
+            values = [kwargs.get("type", str)(v) for v in values]
+        except ValueError:
+            return None
+        ns[dest] = values if nargs in ("*", "+") else values[0] if values else _default(kwargs)
+    if run:
+        return None
+    return {**ns, **given}
 
 
-def parse_args(argv) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
-    """Parse argv as the whole tree does, with only the invoked verb's leaf
-    parser where one is found.  Returns the parser that parsed argv together
-    with the namespace."""
-    found = _verb_path(argv)
-    if found is not None:
-        path, i = found
-        parser = _leaf_parser(path)
-        args, extras = parser.parse_known_args([*argv[:i], *argv[i + len(path):]])
-        if not extras:
-            return parser, args
+def parse_args(argv):
+    """The parser that parsed argv (None where it was scanned) and the
+    whole tree's namespace; only an argv `_scan` refuses builds the tree."""
+    ns = _scan(argv)
+    if ns is not None:
+        return None, SimpleNamespace(**ns)
     # the whole tree's usage line names every verb
     parser = build_parser()
     return parser, parser.parse_args(argv)

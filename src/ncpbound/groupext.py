@@ -295,7 +295,12 @@ def verify_lemma_35(E: CentralExt) -> Lemma35Report:
     """Is gamma a homomorphism on the p-torsion of the quotient?  For odd p
     it always is; for p = 2 exactly when every commutator value on the
     2-torsion is a kernel square.  The report pairs the observed status
-    with that criterion."""
+    with that criterion.  Both are checked on all p^(2k) torsion pairs (k
+    the rank), so a count past MAX_GROUP_ORDER is refused first."""
+    k = len(E.orders)
+    if E.p ** (2 * k) > MAX_GROUP_ORDER:
+        raise ValidationError(f"p^(2*rank) torsion pairs exceed the ceiling"
+                              f" {MAX_GROUP_ORDER} (p = {E.p}, rank = {k})")
     torsion = _p_torsion(E)
     gammas = {x: gamma(E, x) for x in torsion}
     hom = all(

@@ -506,15 +506,39 @@ class TestGroupext:
         )
         assert code == 2 and payload["detail"] == "1 commutator values required"
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--p", "2", "--a", "2", "--orders", "", "--t", "0", "--c", ""),
-        ("verify", "--p", "2", "--a", "2", "--orders", "2", "--t", "", "--c", ""),
-        ("scan", "--p", "2", "--a-max", "1", "--profile-max", ""),
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--p", "2", "--a", "2", "--orders", "", "--t", "0", "--c", ""), "--orders"),
+        (("verify", "--p", "2", "--a", "2", "--orders", "2", "--t", "", "--c", ""), "--t"),
+        (("scan", "--p", "2", "--a-max", "1", "--profile-max", ""), "--profile-max"),
     ], ids=["orders", "t", "profile-max"])
-    def test_other_empty_profiles_still_rejected(self, run, argv):
+    def test_other_empty_profiles_still_rejected(self, run, argv, flag):
         code, payload, _ = run("groupext", *argv)
         assert code == 2
-        assert payload["detail"] == "profile must be comma-separated integers, got ''"
+        assert payload["detail"] == f"{flag} must be comma-separated integers, got ''"
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--orders", ("--orders", "2,x", "--t", "0,0", "--c", "0")),
+        ("--t", ("--orders", "2,2", "--t", "0;0", "--c", "0")),
+        ("--c", ("--orders", "2,2", "--t", "0,0", "--c", "0,")),
+    ], ids=["orders", "t", "c"])
+    def test_bad_list_names_its_flag(self, run, flag, argv):
+        code, payload, _ = run("groupext", "verify", "--p", "2", "--a", "1", *argv)
+        assert code == 2
+        assert payload["detail"].startswith(f"{flag} must be comma-separated integers, got ")
+
+    def test_verify_past_the_pair_ceiling_is_2(self, run, monkeypatch):
+        # rank 9 over p = 2: order 2^10 fits, its 2^18 torsion pairs do not
+        def forbidden(*args):
+            raise AssertionError("fiber or pair work started before the rank was checked")
+
+        monkeypatch.setattr(cli, "fiber_cyclicity", forbidden)
+        monkeypatch.setattr(groupext, "gamma", forbidden)
+        code, payload, _ = run("groupext", "verify", "--p", "2", "--a", "1",
+                               "--orders", ",".join(["2"] * 9), "--t", ",".join(["0"] * 9),
+                               "--c", ",".join(["0"] * 36))
+        assert code == 2
+        assert payload == {"error": "invalid-input", "detail": "p^(2*rank) torsion pairs exceed "
+                           f"the ceiling {groupext.MAX_GROUP_ORDER} (p = 2, rank = 9)"}
 
     def test_scan_negative_a_max_is_2(self, run):
         code, payload, _ = run(

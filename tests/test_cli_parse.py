@@ -1,6 +1,7 @@
-"""The CLI parses with only the invoked verb's leaf parser.  The whole tree
-(`cli.build_parser()`) is the oracle: every argv must parse to the same
-namespace, or fail with the same exit code and the same output."""
+"""The CLI scans a regular argv straight from the verb table and builds no
+parser.  The whole tree (`cli.build_parser()`) is the oracle: every argv
+must parse to the same namespace, or fail with the same exit code and the
+same output."""
 
 import argparse
 import importlib.util
@@ -87,6 +88,20 @@ HAND_PICKED = [
     ["groupext", "bogus"],
     ["groupext", "--pretty", "verify"],
     ["groupext", "verify", "--p=2", "--a=1", "--orders=2,2", "--t=0,0", "--c="],
+    ["groupext", "verify", "--p=-2", "--a", "1", "q.json", "--pretty"],
+    ["brauer", "construct", "-m=3", "t+1", "t+3"],
+    ["brauer", "construct", "t+1", "t+3"],
+    ["brauer", "construct", "-m", "3"],
+    ["brauer", "construct", "-m3", "t+1"],
+    ["brauer", "construct", "-m", "3", "t+1", "--ext", "q.json", "t+3"],
+    ["paper", "ex41", "7", "--pretty", "3"],
+    ["paper", "prop42", "2", "--fq", "7", "t+1"],
+    ["paper", "ex43", "2", "3", "2", "5"],
+    ["paper", "ex41", "-7", "3"],
+    ["groupext", "verify", "-", "--p", "2"],
+    ["groupext", "verify", "a.json", "b.json"],
+    ["cover", "check", "--extra", "3", "--p", "2"],
+    ["--seed", "3", "suite", "--seed=4", "--seed", "5", "--pretty"],
     ["paper", "ex41", "3"],
     ["paper", "ex41", "x", "3"],
     ["search", "qsigma", "--p", "2"],
@@ -112,7 +127,7 @@ _FLAGS = sorted(
     | set(cli.GLOBALS) | {"-h", "--help", "--he", "--ex", "--pre", "--b", "--"}
 )
 _VALUES = ["2", "-2", "0", "x", "", "1,1", "q.json", "t+3", "--ext=q.json", "--bound=x",
-           "--bound=4", "--pretty=1"]
+           "--bound=4", "--pretty=1", "--p=2", "--count=3", "-m=3", "--c=", "-3", "-"]
 _TOKENS = st.sampled_from(sorted({w for path in cli.VERBS for w in path}) + _FLAGS + _VALUES)
 
 
@@ -162,20 +177,22 @@ class TestParsersBuilt:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         return built
 
-    @pytest.mark.parametrize("argv, leaf", [
-        (TestRepeatedCalls.VERIFY, "ncpbound groupext verify"),
-        (["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1",
-          "--profile-max", "2"], "ncpbound groupext scan"),
-        (["paper", "ex43", "2", "3", "2"], "ncpbound paper ex43"),
-        (["suite", "--classes", "2", "--pairs", "2", "--elements", "2"], "ncpbound suite"),
-    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
-    def test_main_builds_only_the_verb(self, monkeypatch, capsys, argv, leaf):
+    @pytest.mark.parametrize("argv", [
+        TestRepeatedCalls.VERIFY,
+        ["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1", "--profile-max", "2"],
+        ["paper", "ex43", "2", "3", "2"],
+        ["suite", "--classes", "2", "--pairs", "2", "--elements", "2"],
+    ], ids=lambda v: " ".join(v[:2]))
+    def test_main_builds_no_parser(self, monkeypatch, capsys, argv):
         built = self._count_parsers(monkeypatch)
         cli.main(argv)
-        assert built == [leaf]
-        cli.main(argv)  # a repeat builds its own leaf, and only that
         capsys.readouterr()
-        assert built == [leaf, leaf]
+        assert built == []
+
+    def test_workload_argv_builds_no_parser(self, monkeypatch):
+        built = self._count_parsers(monkeypatch)
+        fell_back = [argv for argv in WORKLOAD_ARGV if cli.parse_args(list(argv))[0] is not None]
+        assert fell_back == [] and built == []
 
     @pytest.mark.parametrize("argv", [[], ["--pretty"]], ids=["bare", "pretty"])
     def test_no_verb_builds_the_tree_once(self, monkeypatch, capsys, argv):
@@ -215,3 +232,15 @@ class TestParsersBuilt:
                               text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                               check=True)
         assert done.stdout.strip() == "0"
+
+    def test_regular_call_imports_no_argparse(self):
+        script = (
+            "import sys\n"
+            "import ncpbound.cli\n"
+            f"code = ncpbound.cli.main({TestRepeatedCalls.VERIFY!r})\n"
+            "print(code, 'argparse' in sys.modules, file=sys.stderr)\n"
+        )
+        done = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              check=True)
+        assert done.stderr.strip() == "0 False"

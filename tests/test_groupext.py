@@ -359,6 +359,18 @@ class TestLemma35:
         report = verify_lemma_35(heis3())
         assert report.homomorphism and report.criterion and report.consistent
 
+    @pytest.mark.parametrize("p,orders", [
+        (2, (2,) * 9), (2, (4,) + (2,) * 8), (3, (3,) * 6), (5, (5,) * 4), (7, (7,) * 3),
+    ])
+    def test_past_the_pair_ceiling_rejected_before_any_pair(self, monkeypatch, p, orders):
+        k = len(orders)
+        E = ext_build(p, 1, orders, (0,) * k, (0,) * (k * (k - 1) // 2))
+        for name in ("is_prime", "_p_torsion", "gamma", "beta"):
+            monkeypatch.setattr(groupext, name, _forbidden)
+        with pytest.raises(ValidationError, match=f"^p\\^\\(2\\*rank\\) torsion pairs exceed "
+                           f"the ceiling {MAX_GROUP_ORDER} \\(p = {p}, rank = {k}\\)$"):
+            verify_lemma_35(E)
+
     def test_even_square_commutators_give_homomorphism(self):
         report = verify_lemma_35(ext_build(2, 2, (4, 4), (0, 0), {(0, 1): 2}))
         assert report.homomorphism and report.criterion and report.consistent
