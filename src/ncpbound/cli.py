@@ -241,7 +241,7 @@ def cmd_bound_report(args):
 def cmd_search_frobenius(args):
     M = _need_ext(args)
     bound = _bound(args, 1000)
-    sigma = _int_list(args.sigma, "sigma")
+    sigma = _int_list(args.sigma, "--sigma")
     hits = find_places_with_frobenius(M, sigma, _count(args), bound)
     out = {"sigma": list(sigma), "count": len(hits), "places": [to_json(P) for P in hits]}
     return out, 0
@@ -250,7 +250,7 @@ def cmd_search_frobenius(args):
 def cmd_search_qsigma(args):
     M = _need_ext(args)
     bound = _bound(args, 2000)
-    sigma = _int_list(args.sigma, "sigma")
+    sigma = _int_list(args.sigma, "--sigma")
     hits = qsigma_search(M, args.p, sigma, _count(args), bound)
     out = {"p": args.p, "sigma": list(sigma), "count": len(hits),
            "places": [to_json(P) for P in hits]}
@@ -284,7 +284,7 @@ def cmd_groupext_verify(args):
         c = _int_list(args.c, "--c") if args.c else ()
         orders, t = _int_list(args.orders, "--orders"), _int_list(args.t, "--t")
         E = ext_build(args.p, args.a, orders, t, c)
-    rep = verify_lemma_35(E)  # first: it refuses a rank past the pair ceiling
+    rep = verify_lemma_35(E)
     noncyclic = []
     law_holds = True
     # sorted: noncyclic_fibers lists x in lexicographic order

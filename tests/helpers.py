@@ -19,7 +19,7 @@ from ncpbound.fields import (
     poly_mul,
     rational_function_field,
 )
-from ncpbound.groupext import ext_mul, identity, lift
+from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, identity, lift
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
@@ -195,3 +195,24 @@ def oracle_lines_for(orders):
         lines.append((n, x))
     lines.sort()
     return lines
+
+
+def oracle_lemma_35(E):
+    """verify_lemma_35 on all p^(2k) pairs of p-torsion elements (k the
+    rank): gamma tabulated once per element, additivity checked at every
+    pair, and for p = 2 the parity of beta at every pair."""
+    torsion = _p_torsion(E)
+    gammas = {x: gamma(E, x) for x in torsion}
+    hom = all(
+        gammas[tuple((u + v) % o for u, v, o in zip(x, y, E.orders))]
+        == (gammas[x] + gammas[y]) % E.p
+        for x in torsion
+        for y in torsion
+    )
+    if E.p % 2 == 1:
+        criterion = True
+    else:
+        criterion = all(
+            beta(E, x, y) % 2 == 0 for x in torsion for y in torsion
+        )
+    return Lemma35Report(E.p, hom, criterion)

@@ -6,7 +6,7 @@ import time
 from itertools import product
 from math import gcd
 
-from helpers import check, ff3_quad, ff7_cubic, q_ext
+from helpers import check, ff3_quad, ff7_cubic, oracle_lemma_35, q_ext
 from ncpbound.arith import is_prime
 from ncpbound.brauer import (
     check_lemma_2_1,
@@ -180,6 +180,7 @@ def test_pairing_laws_hold_on_bulk_enumerated_extensions():
             if _vec_order(x, E.orders) == E.p:
                 assert fiber_is_cyclic(E, x) == (gamma(E, x) != 0), (E, x)
         rep = verify_lemma_35(E)
+        assert rep == oracle_lemma_35(E), E
         assert rep.consistent, E
         if E.p % 2 == 1:
             assert rep.homomorphism, E

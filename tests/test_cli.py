@@ -278,7 +278,7 @@ class TestCoverAndSearch:
         code, payload, _ = run("search", *argv, "--sigma", "1,x", "--ext", ext_file)
         assert code == 2
         assert payload == {
-            "error": "invalid-input", "detail": "sigma must be comma-separated integers, got '1,x'"
+            "error": "invalid-input", "detail": "--sigma must be comma-separated integers, got '1,x'"
         }
 
     def test_s0_search(self, run, ext_file):
@@ -526,19 +526,14 @@ class TestGroupext:
         assert code == 2
         assert payload["detail"].startswith(f"{flag} must be comma-separated integers, got ")
 
-    def test_verify_past_the_pair_ceiling_is_2(self, run, monkeypatch):
-        # rank 9 over p = 2: order 2^10 fits, its 2^18 torsion pairs do not
-        def forbidden(*args):
-            raise AssertionError("fiber or pair work started before the rank was checked")
-
-        monkeypatch.setattr(cli, "fiber_cyclicity", forbidden)
-        monkeypatch.setattr(groupext, "gamma", forbidden)
+    def test_verify_rank_nine_runs(self, run):
+        # rank 9 over p = 2: 2^18 torsion pairs, which the basis checks never walk
         code, payload, _ = run("groupext", "verify", "--p", "2", "--a", "1",
                                "--orders", ",".join(["2"] * 9), "--t", ",".join(["0"] * 9),
                                "--c", ",".join(["0"] * 36))
-        assert code == 2
-        assert payload == {"error": "invalid-input", "detail": "p^(2*rank) torsion pairs exceed "
-                           f"the ceiling {groupext.MAX_GROUP_ORDER} (p = 2, rank = 9)"}
+        assert code == 0
+        assert payload["torsion_map"] == {"p": 2, "homomorphism": True, "criterion": True,
+                                          "consistent": True}
 
     def test_scan_negative_a_max_is_2(self, run):
         code, payload, _ = run(

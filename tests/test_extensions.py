@@ -6,6 +6,7 @@ radicands in the local square (or n-th power) class groups.
 """
 
 import itertools
+import operator
 from math import lcm, prod
 
 import pytest
@@ -165,7 +166,7 @@ def _validation_oracle(base, n, radicands):
                     raise ValidationError(f"radicand {f} is not squarefree")
             orders = tuple(2 for _ in radicands)
             one, is_power = 1, lambda w: squarefree_part(w) == 1
-            mul, power = (lambda a, b: a * b), (lambda f, e: f**e)
+            mul = operator.mul
         else:
             q = base.q
             if (q - 1) % n != 0:
@@ -180,14 +181,17 @@ def _validation_oracle(base, n, radicands):
                 orders.append(o)
             orders = tuple(orders)
             one, is_power = fqt_const(q, 1), lambda w: w.is_nth_power(n)
-            mul, power = fqt_mul, (lambda f, e: f.pow(e))
+            mul = fqt_mul
 
         def first_power(i, acc, prefix):
-            # depth-first in itertools.product order, carrying the product
+            # depth-first in itertools.product order, carrying the product:
+            # acc * r_i^e is one mul from acc * r_i^(e-1)
             if i == len(orders):
                 return prefix if any(prefix) and is_power(acc) else None
             for e in range(orders[i]):
-                hit = first_power(i + 1, mul(acc, power(radicands[i], e)), prefix + (e,))
+                if e:
+                    acc = mul(acc, radicands[i])
+                hit = first_power(i + 1, acc, prefix + (e,))
                 if hit is not None:
                     return hit
             return None

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
-from helpers import oracle_fiber, oracle_lines_for
+from helpers import oracle_fiber, oracle_lemma_35, oracle_lines_for
+from hypothesis import given, settings, strategies as st
 
 from ncpbound import groupext
 from ncpbound.errors import ValidationError
@@ -340,6 +341,48 @@ class TestLemma34:
             verify_lemma_34(q8(), (0, 0))
 
 
+ZERO_DATUM_SHAPES = [
+    (2, (2,) * 9), (2, (4,) + (2,) * 8), (3, (3,) * 6), (5, (5,) * 4), (7, (7,) * 3),
+]
+
+
+def _count_lemma_35_calls(monkeypatch):
+    """Wrap groupext.gamma and groupext.beta; the returned Counter counts
+    their calls by name."""
+    calls = Counter()
+    for name in ("gamma", "beta"):
+        def counted(*args, _name=name, _f=getattr(groupext, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(groupext, name, counted)
+    return calls
+
+
+def _lemma_35_fixtures():
+    """The named extensions, the power-form data and the scan grids."""
+    exts = [q8(), d4(), split_c4_c2(), heis3(), *(ext_build(*d) for d in POWER_DATA)]
+    for grid in SMALL_GRIDS:
+        exts.extend(_scan_space(*grid))
+    return exts
+
+
+@st.composite
+def _lemma_35_exts(draw):
+    """p in {2, 3, 5}, rank 1 to 4, quotient factors p or p^2, and any
+    valid data for a kernel of order up to p^2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    a = draw(st.integers(0, 2))
+    orders = tuple(draw(st.sampled_from((p, p * p))) for _ in range(draw(st.integers(1, 4))))
+    pa = p**a
+    t = tuple(draw(st.integers(0, pa - 1)) for _ in orders)
+    c = tuple(
+        pa // gcd(orders[i], orders[j], pa) * draw(st.integers(0, pa - 1)) % pa
+        for i, j in combinations(range(len(orders)), 2)
+    )
+    return CentralExt(p, a, orders, t, c)
+
+
 class TestLemma35:
     def test_q8_not_homomorphism_consistently(self):
         report = verify_lemma_35(q8())
@@ -359,17 +402,38 @@ class TestLemma35:
         report = verify_lemma_35(heis3())
         assert report.homomorphism and report.criterion and report.consistent
 
-    @pytest.mark.parametrize("p,orders", [
-        (2, (2,) * 9), (2, (4,) + (2,) * 8), (3, (3,) * 6), (5, (5,) * 4), (7, (7,) * 3),
-    ])
-    def test_past_the_pair_ceiling_rejected_before_any_pair(self, monkeypatch, p, orders):
+    @pytest.mark.parametrize("p,orders", ZERO_DATUM_SHAPES)
+    def test_zero_datum_shapes_of_high_rank_are_homomorphisms(self, monkeypatch, p, orders):
         k = len(orders)
         E = ext_build(p, 1, orders, (0,) * k, (0,) * (k * (k - 1) // 2))
-        for name in ("is_prime", "_p_torsion", "gamma", "beta"):
-            monkeypatch.setattr(groupext, name, _forbidden)
-        with pytest.raises(ValidationError, match=f"^p\\^\\(2\\*rank\\) torsion pairs exceed "
-                           f"the ceiling {MAX_GROUP_ORDER} \\(p = {p}, rank = {k}\\)$"):
+        calls = _count_lemma_35_calls(monkeypatch)
+        report = verify_lemma_35(E)
+        assert report.homomorphism and report.criterion and report.consistent
+        assert calls["gamma"] <= p**k + k and calls["beta"] <= k * (k - 1) // 2
+
+    def test_basis_checks_match_the_all_pairs_oracle(self):
+        verdicts = set()
+        for E in _lemma_35_fixtures():
+            report = verify_lemma_35(E)
+            assert report == oracle_lemma_35(E), E
+            verdicts.add((report.homomorphism, report.criterion))
+        assert verdicts == {(True, True), (False, False)}
+
+    @settings(deadline=None, max_examples=30)
+    @given(E=_lemma_35_exts())
+    def test_basis_checks_match_the_all_pairs_oracle_on_drawn_data(self, E):
+        assert verify_lemma_35(E) == oracle_lemma_35(E)
+
+    def test_work_is_linear_in_the_torsion(self, monkeypatch):
+        # p^k evaluations of gamma plus one per basis element, one beta per
+        # basis pair and none for odd p
+        calls = _count_lemma_35_calls(monkeypatch)
+        for E in _lemma_35_fixtures():
+            calls.clear()
             verify_lemma_35(E)
+            k = len(E.orders)
+            assert calls["gamma"] <= E.p**k + k, E
+            assert calls["beta"] <= (k * (k - 1) // 2 if E.p == 2 else 0), E
 
     def test_even_square_commutators_give_homomorphism(self):
         report = verify_lemma_35(ext_build(2, 2, (4, 4), (0, 0), {(0, 1): 2}))
@@ -441,8 +505,6 @@ class TestPowerForm:
         # multiple of c_ij per collection), so checking the form on data
         # that generate the valid (t, c) checks it on every extension: t_i
         # is free, c_ij ranges over the multiples of p^a / gcd(o_i, o_j, p^a)
-        from itertools import combinations
-
         from ncpbound.groupext import _power_form, _profiles
 
         checked = 0
@@ -530,8 +592,6 @@ SMALL_GRIDS = [(2, 2, (4, 2)), (3, 1, (3, 3)), (2, 2, (2, 2, 2))]
 
 def _scan_space(p, a_max, profile_max):
     """Every extension the scan enumerates, with no prefilter."""
-    from itertools import combinations
-
     from ncpbound.groupext import _profiles
 
     for a in range(1, a_max + 1):
