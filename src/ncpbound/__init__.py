@@ -25,7 +25,6 @@ from .covers import (
     check_cor210,
     cover_local_degree,
     full_local_degree,
-    kernel_profile,
 )
 from .errors import IncompleteLocalData, InvariantError, SearchExhausted, ValidationError
 from .extensions import (

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Every subcommand prints one JSON document to stdout; `--pretty` adds a
-human-readable rendering on stderr.  Exit codes: 0 when the requested
+human-readable rendering on stderr.  Handlers return library values, which
+`main` encodes once with `jsonio.to_json`.  Exit codes: 0 when the requested
 computation or check succeeded, 1 when a checked fact failed, 2 for
 malformed input, 3 when a bounded search ran out of candidates.
 """
@@ -109,23 +110,23 @@ def cmd_field(args):
     M = _need_ext(args)
     out = to_json(M)
     out["real"] = is_real_field(M) if M.base.is_rationals() else False
-    out["ramified"] = [to_json(P) for P in ramified_places(M)]
+    out["ramified"] = ramified_places(M)
     return out, 0
 
 
 def cmd_local_degree(args):
     M = _need_ext(args)
-    rows = [to_json(local_data(M, P)) for P in _places(M, args.places)]
+    rows = [local_data(M, P) for P in _places(M, args.places)]
     return {"extension": M.describe(), "places": rows}, 0
 
 
 def cmd_isolated(args):
     M = _need_ext(args)
     found = [
-        {"place": to_json(P), "p": p, "gap": isolation_report(M, p).gap}
+        {"place": P, "p": p, "gap": isolation_report(M, p).gap}
         for P, p in isolated_places(M)
     ]
-    by_prime = {str(p): to_json(isolation_report(M, p)) for p in sorted(factorize(M.degree))}
+    by_prime = {str(p): isolation_report(M, p) for p in sorted(factorize(M.degree))}
     return {"extension": M.describe(), "isolated": found, "by_prime": by_prime}, 0
 
 
@@ -133,8 +134,8 @@ def cmd_brauer_index(args):
     alpha = load_class(args.classfile)
     out = {
         "index": index(alpha),
-        "local_indices": [[to_json(P), local_index(alpha, P)] for P in alpha.support],
-        "class": to_json(alpha),
+        "local_indices": [[P, local_index(alpha, P)] for P in alpha.support],
+        "class": alpha,
     }
     return out, 0
 
@@ -145,9 +146,7 @@ def cmd_brauer_restrict(args):
     out = {
         "extension": M.describe(),
         "restricted_index": restricted_index(alpha, M),
-        "locals": [
-            [to_json(P), restricted_local_index(alpha, M, P)] for P in alpha.support
-        ],
+        "locals": [[P, restricted_local_index(alpha, M, P)] for P in alpha.support],
     }
     if args.chi_order is not None:
         out["chi_order"] = args.chi_order
@@ -163,9 +162,7 @@ def cmd_brauer_split(args):
     out = {
         "extension": M.describe(),
         "splits": ok,
-        "rows": [
-            [to_json(P), degrees[P], local_index(alpha, P)] for P in alpha.support
-        ],
+        "rows": [[P, degrees[P], local_index(alpha, P)] for P in alpha.support],
     }
     return out, 0 if ok else 1
 
@@ -174,13 +171,10 @@ def cmd_brauer_construct(args):
     M = _need_ext(args)
     S = _places(M, args.places)
     alpha = construct_class(M, args.m, S)
-    rows = [
-        [to_json(P), d_value(P, args.m, M), restricted_local_index(alpha, M, P)]
-        for P in S
-    ]
+    rows = [[P, d_value(P, args.m, M), restricted_local_index(alpha, M, P)] for P in S]
     out = {
         "m": args.m,
-        "class": to_json(alpha),
+        "class": alpha,
         "restricted_index": restricted_index(alpha, M),
         "divisor_rows": rows,
     }
@@ -217,7 +211,7 @@ def cmd_cover_check(args):
             )
         (p, n), = fac.items()
     rep = check_cor210(M, p, n, _places(M, args.places), C)
-    return to_json(rep), 0 if rep.passed else 1
+    return rep, 0 if rep.passed else 1
 
 
 def cmd_cover_scan(args):
@@ -230,12 +224,12 @@ def cmd_cover_scan(args):
         max_extra=args.max_extra,
     )
     # a miss is a bounded-search shortfall, not a refuted fact
-    return to_json(rep), 0 if rep.passed else 3
+    return rep, 0 if rep.passed else 3
 
 
 def cmd_bound_report(args):
     M = _need_ext(args)
-    return to_json(bound_report(M, args.p, args.chi_order)), 0
+    return bound_report(M, args.p, args.chi_order), 0
 
 
 def cmd_search_frobenius(args):
@@ -243,8 +237,7 @@ def cmd_search_frobenius(args):
     bound = _bound(args, 1000)
     sigma = _int_list(args.sigma, "--sigma")
     hits = find_places_with_frobenius(M, sigma, _count(args), bound)
-    out = {"sigma": list(sigma), "count": len(hits), "places": [to_json(P) for P in hits]}
-    return out, 0
+    return {"sigma": sigma, "count": len(hits), "places": hits}, 0
 
 
 def cmd_search_qsigma(args):
@@ -252,25 +245,22 @@ def cmd_search_qsigma(args):
     bound = _bound(args, 2000)
     sigma = _int_list(args.sigma, "--sigma")
     hits = qsigma_search(M, args.p, sigma, _count(args), bound)
-    out = {"p": args.p, "sigma": list(sigma), "count": len(hits),
-           "places": [to_json(P) for P in hits]}
-    return out, 0
+    return {"p": args.p, "sigma": sigma, "count": len(hits), "places": hits}, 0
 
 
 def cmd_search_s0(args):
     M = _need_ext(args)
     bound = _bound(args, 5000)
     found = s0_search(M, args.p, args.power, bound)
-    rows = [{"sigma": list(sig), "place": to_json(P)} for sig, P in found.items()]
+    rows = [{"sigma": sig, "place": P} for sig, P in found.items()]
     return {"p": args.p, "power": args.power, "pairs": rows}, 0
 
 
 def cmd_groupext_scan(args):
     profile = _int_list(args.profile_max, "--profile-max")
     hits = prop32_scan(args.p, args.a_max, profile)
-    out = {"p": args.p, "a_max": args.a_max, "profile_max": list(profile),
-           "count": len(hits), "hits": [to_json(E) for E in hits]}
-    return out, 0
+    return {"p": args.p, "a_max": args.a_max, "profile_max": profile,
+            "count": len(hits), "hits": hits}, 0
 
 
 def cmd_groupext_verify(args):
@@ -292,11 +282,11 @@ def cmd_groupext_verify(args):
         if cyclic != power_criterion(E, x):
             law_holds = False
         if not cyclic:
-            noncyclic.append(list(x))
+            noncyclic.append(x)
     out = {
-        "ext": to_json(E),
+        "ext": E,
         "power_criterion_all": law_holds,
-        "torsion_map": to_json(rep),
+        "torsion_map": rep,
         "noncyclic_fibers": noncyclic,
     }
     return out, 0 if law_holds and rep.consistent else 1
@@ -305,12 +295,12 @@ def cmd_groupext_verify(args):
 def cmd_paper_ex41(args):
     bound = _bound(args, 1000)
     rep = run_ex41(args.l, args.q, bound=bound)
-    return to_json(rep), 0 if rep.verdict else 1
+    return rep, 0 if rep.verdict else 1
 
 
 def cmd_paper_ex43(args):
     rep = run_ex43(args.p, args.q, args.a)
-    return to_json(rep), 0 if rep.verdict else 1
+    return rep, 0 if rep.verdict else 1
 
 
 def cmd_paper_prop42(args):
@@ -318,7 +308,7 @@ def cmd_paper_prop42(args):
     pp = parse_place_text(base, args.pp)
     bound = _bound(args, 200)
     rep = run_prop42(args.p, pp, bound=bound, radicand_bound=args.radicand_bound)
-    return to_json(rep), 0 if rep.verdict else 1
+    return rep, 0 if rep.verdict else 1
 
 
 def cmd_suite(args):
@@ -328,7 +318,7 @@ def cmd_suite(args):
         if value is not None:
             sizes[key] = value
     rep = run_property_suite(seed=_seed(args), sizes=sizes or None, mutation=args.mutation)
-    return to_json(rep), 0 if rep.passed else 1
+    return rep, 0 if rep.passed else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -590,8 +580,9 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         payload = {"error": "search-exhausted", "detail": str(exc)}
         if exc.partial:
-            payload["partial"] = to_json(exc.partial)
+            payload["partial"] = exc.partial
         code = 3
+    payload = to_json(payload)
     print(_indented(payload))
     if args.pretty:
         _render(payload, sys.stderr)

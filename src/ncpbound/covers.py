@@ -35,21 +35,6 @@ from .extensions import (
 from .fields import QQ, Place, fqt_const, fqt_from_factors, monic_irreducibles
 from .isolation import d_value
 
-__all__ = [
-    "Cover",
-    "CertReport",
-    "BoundReport",
-    "build_cover",
-    "cover_local_degree",
-    "kernel_profile",
-    "full_local_degree",
-    "candidate_radicands",
-    "check_Bm",
-    "quadratic_cover_scan",
-    "check_cor210",
-    "bound_report",
-]
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -58,6 +43,11 @@ class Cover:
     M: AbExt
     L: AbExt
     rel_degree: int
+
+    @property
+    def kernel_profile(self) -> tuple:
+        """Cyclic factor orders of Gal(L/M): the orders of the extra radicands."""
+        return self.L.orders[len(self.M.radicands):]
 
 
 def build_cover(M: AbExt, extra, n_prime: int) -> Cover:
@@ -81,11 +71,6 @@ def build_cover(M: AbExt, extra, n_prime: int) -> Cover:
     if rel != prod(L.orders[len(M.radicands):], start=1):
         raise InvariantError(f"[L:M] = {rel} is not the product of the extra orders")
     return Cover(M, L, rel)
-
-
-def kernel_profile(C: Cover) -> tuple:
-    """Cyclic factor orders of Gal(L/M): the orders of the extra radicands."""
-    return C.L.orders[len(C.M.radicands):]
 
 
 def cover_local_degree(C: Cover, P: Place) -> int:
@@ -245,7 +230,7 @@ def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
         raise ValidationError(f"cover has relative degree {C.rel_degree}, need {pn}")
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
     checks = [_divisor_row(P, d_value(P, pn, M), cover_local_degree(C, P)) for P in places]
-    profile = kernel_profile(C)
+    profile = C.kernel_profile
     rank = sum(1 for o in profile if o % p == 0)
     checks.append(("kernel-rank", rank <= 2, f"kernel factors {profile}"))
     checks.append(("trivial-action", True, "abelian cover: conjugation is trivial"))

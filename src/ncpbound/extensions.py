@@ -64,17 +64,17 @@ class AbExt:
     rational functions (FqtElt) with nontrivial class in K*/(K*)^n.
 
     orders[i] is the order of radicands[i] modulo n-th powers; it is computed
-    from the radicand's class vector, not passed.  The classes must be
-    independent (no nontrivial product of powers is an n-th power), so
-    Gal(M/K) = prod Z/orders[i].  vectors keeps the class vectors and _hash
-    the hash, computed once since every local_data lookup hashes M; neither
-    takes part in equality, hashing or the repr.
+    from the radicand's class vector, and the constructor does not take it.
+    The classes must be independent (no nontrivial product of powers is an
+    n-th power), so Gal(M/K) = prod Z/orders[i].  vectors keeps the class
+    vectors and _hash the hash, computed once since every local_data lookup
+    hashes M; neither takes part in equality, hashing or the repr.
     """
 
     base: BaseField
     n: int
     radicands: tuple
-    orders: tuple = ()
+    orders: tuple = field(default=(), init=False)
     vectors: tuple = field(default=(), init=False, compare=False, repr=False)
     _hash: int = field(default=0, init=False, compare=False, repr=False)
 
@@ -400,7 +400,8 @@ class LocalData:
     inertia: tuple
     frobenius: tuple
 
-    def is_unramified(self) -> bool:
+    @property
+    def unramified(self) -> bool:
         return self.ram_index == 1
 
 
@@ -599,7 +600,7 @@ def _frobenius_reader(M: AbExt):
 
     def read_local(P: Place):
         ld = local_data(M, P)
-        return ld.frobenius if ld.is_unramified() else None
+        return ld.frobenius if ld.unramified else None
 
     if not M.base.is_rationals():
         return read_local
@@ -612,7 +613,7 @@ def _frobenius_reader(M: AbExt):
         frob = memo.get(key)
         if frob is None:
             ld = local_data(M, P)
-            if not ld.is_unramified():
+            if not ld.unramified:
                 raise InvariantError(f"{P} is prime to the conductor {f} of {M.describe()}"
                                      " but ramified")
             frob = memo[key] = ld.frobenius

@@ -29,26 +29,6 @@ from math import gcd, lcm
 from .arith import is_prime
 from .errors import InvariantError, ValidationError
 
-__all__ = [
-    "CentralExt",
-    "Lemma35Report",
-    "ext_build",
-    "identity",
-    "lift",
-    "ext_mul",
-    "ext_inv",
-    "ext_pow",
-    "fiber",
-    "fiber_is_cyclic",
-    "fiber_cyclicity",
-    "beta",
-    "gamma",
-    "power_criterion",
-    "verify_lemma_34",
-    "verify_lemma_35",
-    "prop32_scan",
-]
-
 
 # The largest group order ext_build and prop32_scan accept; the largest scan
 # the tests and the benchmark run, 5 * 25^3, is 78 125.

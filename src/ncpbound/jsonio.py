@@ -1,11 +1,17 @@
 """JSON encoding and decoding for the library's value types.
 
 Encoding (`to_json`) is total on the public report and value types and
-produces plain dict/list/scalar trees ready for json.dumps.  Decoding
-covers exactly the shapes the command line accepts as input: base fields,
-places, abelian extensions, Brauer classes, and central extensions.
-Derived fields emitted by the encoders ("degree", "index", "str", ...)
-are ignored on the way back in.
+produces plain dict/list/scalar trees ready for json.dumps.  Most report
+types are encoded from one table, `_ATTRIBUTES`: the attributes each type
+emits, in output order, each value encoded by `to_json` in turn.  Places,
+rationals, base fields, function-field elements, Brauer classes and
+worked-example reports keep hand-written encoders.  The command line
+encodes each payload once, in `cli.main`.
+
+Decoding covers exactly the shapes the command line accepts as input: base
+fields, places, abelian extensions, Brauer classes, and central
+extensions.  Derived fields emitted by the encoders ("degree", "index",
+"str", ...) are ignored on the way back in.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import singledispatch
 
 from .arith import QZ
 from .brauer import BrauerClass, index, make_class
-from .covers import BoundReport, CertReport, Cover, kernel_profile
+from .covers import BoundReport, CertReport, Cover
 from .errors import ValidationError
 from .extensions import AbExt, LocalData, build_extension
 from .fields import (
@@ -89,110 +95,12 @@ def _(obj: FqtElt):
 
 
 @to_json.register
-def _(obj: AbExt):
-    return {
-        "base": to_json(obj.base),
-        "n": obj.n,
-        "radicands": [to_json(f) for f in obj.radicands],
-        "orders": list(obj.orders),
-        "degree": obj.degree,
-        "str": obj.describe(),
-    }
-
-
-@to_json.register
 def _(obj: BrauerClass):
     out = {"invariants": [[to_json(P), str(v)] for P, v in obj.invariants]}
     if obj.invariants:
         out["base"] = to_json(obj.invariants[0][0].base)
     out["index"] = index(obj)
     return out
-
-
-@to_json.register
-def _(obj: Cover):
-    return {
-        "M": to_json(obj.M),
-        "L": to_json(obj.L),
-        "rel_degree": obj.rel_degree,
-        "kernel_profile": list(kernel_profile(obj)),
-    }
-
-
-@to_json.register
-def _(obj: LocalData):
-    return {
-        "place": to_json(obj.place),
-        "degree": obj.degree,
-        "ram_index": obj.ram_index,
-        "res_degree": obj.res_degree,
-        "unramified": obj.is_unramified(),
-        "frobenius": list(obj.frobenius),
-    }
-
-
-@to_json.register
-def _(obj: CertReport):
-    return {
-        "condition": obj.condition,
-        "m": obj.m,
-        "p": obj.p,
-        "n": obj.n,
-        "S": [to_json(P) for P in obj.S],
-        "witness": to_json(obj.witness) if obj.witness is not None else None,
-        "checks": [[name, ok, detail] for name, ok, detail in obj.checks],
-        "passed": obj.passed,
-    }
-
-
-@to_json.register
-def _(obj: BoundReport):
-    return {
-        "p": obj.p,
-        "chi_order": obj.chi_order,
-        "s": obj.s,
-        "r": obj.r,
-        "t_degree": obj.t_degree,
-        "sylow_noncyclic": obj.sylow_noncyclic,
-        "ceiling": obj.ceiling,
-        "exact": obj.exact,
-        "interval": list(obj.interval),
-        "notes": list(obj.notes),
-    }
-
-
-@to_json.register
-def _(obj: IsolationReport):
-    return {
-        "p": obj.p,
-        "u1": obj.u1,
-        "u2": obj.u2,
-        "gap": obj.gap,
-        "isolated_place": to_json(obj.isolated_place) if obj.isolated_place else None,
-    }
-
-
-@to_json.register
-def _(obj: CentralExt):
-    return {
-        "p": obj.p,
-        "a": obj.a,
-        "orders": list(obj.orders),
-        "t": list(obj.t),
-        "c": list(obj.c),
-        "kernel_order": obj.kernel_order,
-        "order": obj.order,
-    }
-
-
-@to_json.register
-def _(obj: Lemma35Report):
-    return {
-        "p": obj.p,
-        "homomorphism": obj.homomorphism,
-        "criterion": obj.criterion,
-        "consistent": obj.consistent,
-    }
 
 
 @to_json.register
@@ -205,15 +113,33 @@ def _(obj: PaperReport):
     }
 
 
-@to_json.register
-def _(obj: SuiteReport):
-    return {
-        "seed": obj.seed,
-        "mutation": obj.mutation,
-        "batteries": [[name, ok, detail] for name, ok, detail in obj.batteries],
-        "failed": list(obj.failed_names),
-        "passed": obj.passed,
-    }
+# each report type -> the attributes it emits, in output order; every value
+# is encoded by to_json in turn
+_ATTRIBUTES = {
+    AbExt: ("base", "n", "radicands", "orders", "degree"),
+    Cover: ("M", "L", "rel_degree", "kernel_profile"),
+    LocalData: ("place", "degree", "ram_index", "res_degree", "unramified", "frobenius"),
+    CertReport: ("condition", "m", "p", "n", "S", "witness", "checks", "passed"),
+    BoundReport: ("p", "chi_order", "s", "r", "t_degree", "sylow_noncyclic", "ceiling",
+                  "exact", "interval", "notes"),
+    IsolationReport: ("p", "u1", "u2", "gap", "isolated_place"),
+    CentralExt: ("p", "a", "orders", "t", "c", "kernel_order", "order"),
+    Lemma35Report: ("p", "homomorphism", "criterion", "consistent"),
+    SuiteReport: ("seed", "mutation", "batteries", "failed", "passed"),
+}
+
+
+def _attributes(obj) -> dict:
+    return {name: to_json(getattr(obj, name)) for name in _ATTRIBUTES[type(obj)]}
+
+
+for _type in _ATTRIBUTES:
+    to_json.register(_type, _attributes)
+
+
+@to_json.register  # replaces the encoder the loop gave AbExt
+def _(obj: AbExt):
+    return {**_attributes(obj), "str": obj.describe()}
 
 
 # ---------------------------------------------------------------- decoding

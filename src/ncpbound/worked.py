@@ -308,8 +308,6 @@ def _kummer_realization(base, n: int, conditions, radicand_bound: int):
             K = build_extension(base, n, (f,))
         except ValidationError:
             continue
-        if K.degree != n:
-            continue
         if all(_splitting_is(K, P, want)[0] for P, want in conditions):
             return K, f
     raise SearchExhausted(
@@ -405,7 +403,7 @@ class SuiteReport:
         return all(ok for _, ok, _ in self.batteries)
 
     @property
-    def failed_names(self) -> tuple:
+    def failed(self) -> tuple:
         return tuple(name for name, ok, _ in self.batteries if not ok)
 
 

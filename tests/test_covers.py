@@ -12,7 +12,6 @@ from ncpbound.covers import (
     check_cor210,
     cover_local_degree,
     full_local_degree,
-    kernel_profile,
 )
 from ncpbound.errors import ValidationError
 from ncpbound.extensions import local_degree
@@ -40,7 +39,7 @@ class TestBuildCover:
         assert C.rel_degree == 2
         assert C.L.degree == 8
         assert C.L.radicands == (3, -7, 5)
-        assert kernel_profile(C) == (2,)
+        assert C.kernel_profile == (2,)
 
     def test_dependent_radicand_rejected(self):
         with pytest.raises(ValidationError):
@@ -55,14 +54,14 @@ class TestBuildCover:
     def test_empty_cover_is_trivial(self):
         C = build_cover(q_ext(11), (), 2)
         assert C.rel_degree == 1
-        assert kernel_profile(C) == ()
+        assert C.kernel_profile == ()
 
     def test_cubic_function_field_cover(self):
         M = ff7_cubic()
         C = build_cover(M, (poly7(4, 1),), 3)
         assert C.rel_degree == 3
         assert C.L.orders == (3, 3, 3)
-        assert kernel_profile(C) == (3,)
+        assert C.kernel_profile == (3,)
 
     def test_exponent_raise_preserves_orders(self):
         M = ff7_cubic()
@@ -74,7 +73,7 @@ class TestBuildCover:
         M = ff7_cubic()
         C = build_cover(M, (fqt_const(7, 3),), 6)
         assert C.rel_degree == 6
-        assert kernel_profile(C) == (6,)
+        assert C.kernel_profile == (6,)
         assert C.L.orders[:2] == M.orders
 
 
@@ -163,7 +162,7 @@ class TestCheckBm:
         report = check_Bm(ff3_quad(), 2, [])
         assert report.passed
         assert report.witness.rel_degree == 2
-        assert kernel_profile(report.witness) == (2,)
+        assert report.witness.kernel_profile == (2,)
 
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValidationError):
@@ -386,5 +385,4 @@ class TestS0Home:
         from ncpbound import covers
 
         assert not hasattr(covers, "s0_search")
-        assert "s0_search" not in covers.__all__
         assert ncpbound.s0_search is extensions.s0_search

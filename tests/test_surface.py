@@ -4,10 +4,13 @@ Every top-level function and method in `src/ncpbound` must be referenced
 somewhere in `src/` outside its own definition: by a verb, another module
 or a worked example.  The benchmark's tracer (perfbench/tracing.py,
 BOUNDARY) may name a function that nothing else calls, so BOUNDARY counts
-as a caller.  Tests are not callers: a function only the tests use belongs
-in the tests.  References are matched by name (a Name or an attribute),
-so dunder methods, which the language calls, and functions registered with
-a dispatcher are exempt.  Every module import must be used as well.
+as a caller.  So do the strings of the JSON encoder's attribute table
+(jsonio, _ATTRIBUTES), which reads each property it names by getattr; every
+name there must resolve on its type.  Tests are not callers: a function
+only the tests use belongs in the tests.  References are matched by name
+(a Name or an attribute, or a string of that one table), so dunder
+methods, which the language calls, and functions registered with a
+dispatcher are exempt.  Every module import must be used as well.
 
 Every option must have a caller too: some call in `src/` or `perfbench/`
 must pass each defaulted parameter of a function or method in
@@ -16,7 +19,9 @@ above; a call with `*` or `**` counts as passing every parameter.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -46,6 +51,16 @@ def _names(node) -> Counter:
     )
 
 
+def _table_names() -> Counter:
+    """The strings in jsonio's _ATTRIBUTES, the one table of names the
+    encoder reads by getattr."""
+    table = next(node.value for node in TREES["jsonio"].body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_ATTRIBUTES" for t in node.targets))
+    return Counter(n.value for n in ast.walk(table)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
 def _definitions():
     """(module.qualified name, def node) for top-level functions and methods."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -65,7 +80,7 @@ def _registered(node) -> bool:
 
 
 def test_every_function_has_a_caller():
-    everywhere = sum((_names(tree) for tree in TREES.values()), Counter())
+    everywhere = sum((_names(tree) for tree in TREES.values()), _table_names())
     boundary = _boundary()
     callerless = []
     for qualname, node in _definitions():
@@ -77,6 +92,20 @@ def test_every_function_has_a_caller():
         if everywhere[name] - _names(node)[name] <= 0:
             callerless.append(qualname)
     assert callerless == [], f"no caller in src/ and not in BOUNDARY: {callerless}"
+
+
+def test_every_table_name_resolves():
+    # a field or property, so a misspelt or deleted attribute fails here
+    from ncpbound.jsonio import _ATTRIBUTES
+
+    unresolved = []
+    for cls, names in _ATTRIBUTES.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            attr = inspect.getattr_static(cls, name, None)
+            if name not in fields and not isinstance(attr, property):
+                unresolved.append(f"{cls.__name__}.{name}")
+    assert unresolved == [], f"_ATTRIBUTES names no field or property: {unresolved}"
 
 
 def test_every_import_is_used():

@@ -206,7 +206,7 @@ class TestPropertySuite:
     def test_green_by_default(self):
         rep = run_property_suite(DEFAULT_SEED)
         assert rep.passed
-        assert rep.failed_names == ()
+        assert rep.failed == ()
         assert [name for name, _, _ in rep.batteries] == SUITE_NAMES
 
     def test_deterministic_for_fixed_seed(self):
@@ -223,13 +223,13 @@ class TestPropertySuite:
     def test_d_value_mutation_is_detected(self):
         rep = run_property_suite(DEFAULT_SEED, mutation="d-value-no-gap")
         assert not rep.passed
-        assert "constructor-divisor" in rep.failed_names
-        assert "bm-certificate-divisor" in rep.failed_names
+        assert "constructor-divisor" in rep.failed
+        assert "bm-certificate-divisor" in rep.failed
 
     def test_beta_mutation_is_detected(self):
         rep = run_property_suite(DEFAULT_SEED, mutation="beta-flip")
         assert not rep.passed
-        assert "beta-bilinear" in rep.failed_names
+        assert "beta-bilinear" in rep.failed
 
     def test_unknown_mutation_raises(self):
         with pytest.raises(ValidationError):
