@@ -26,7 +26,7 @@ from .covers import (
     cover_local_degree,
     full_local_degree,
 )
-from .errors import IncompleteLocalData, InvariantError, SearchExhausted, ValidationError
+from .errors import InvariantError, SearchExhausted, ValidationError
 from .extensions import (
     AbExt,
     build_extension,

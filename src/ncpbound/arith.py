@@ -40,9 +40,6 @@ class QZ:
     def __neg__(self) -> "QZ":
         return QZ(-self.num, self.den)
 
-    def __sub__(self, other: "QZ") -> "QZ":
-        return self + (-other)
-
     def scale(self, k: int) -> "QZ":
         """k-fold sum of self; the order divides den/gcd(den, k)."""
         return QZ(self.num * k, self.den)

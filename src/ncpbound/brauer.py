@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .arith import QZ, QZ_ZERO, factorize, require_prime, vp
-from .errors import IncompleteLocalData, ValidationError
-from .extensions import AbExt, gal_exponent, is_real_field, local_degree
+from .errors import ValidationError
+from .extensions import AbExt, is_real_field, local_degree, require_chi_order
 from .fields import BaseField, Place, enumerate_places, first_places, real_place
 from .isolation import isolation_report
 
@@ -57,23 +57,6 @@ class BrauerClass:
     @property
     def support(self) -> tuple[Place, ...]:
         return tuple(P for P, _ in self.invariants)
-
-    def is_zero(self) -> bool:
-        return not self.invariants
-
-    def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        acc = dict(self.invariants)
-        for P, inv in other.invariants:
-            acc[P] = acc.get(P, QZ_ZERO) + inv
-        return make_class(acc)
-
-    def __neg__(self) -> "BrauerClass":
-        return BrauerClass(tuple((P, -inv) for P, inv in self.invariants))
-
-    def __str__(self) -> str:
-        if not self.invariants:
-            return "0"
-        return ", ".join(f"inv({P}) = {inv}" for P, inv in self.invariants)
 
 
 def make_class(invariants) -> BrauerClass:
@@ -127,23 +110,15 @@ def fiber_index(alpha: BrauerClass, M: AbExt, chi_order: int) -> int:
     chi_order is the order of the character cutting out M and must be a
     multiple of the exponent of Gal(M/K).
     """
-    if chi_order < 1 or chi_order % gal_exponent(M) != 0:
-        raise ValidationError(
-            f"character order {chi_order} is incompatible with the Galois exponent"
-        )
+    require_chi_order(M, chi_order)
     return chi_order * restricted_index(alpha, M)
 
 
 def splits(local_degrees, alpha: BrauerClass) -> bool:
     """Whether a field with the local degrees [L:K]_P kills every invariant:
-    local_index | degree at each support place, and a support place missing
-    from the map is an error."""
-    for place, inv in alpha.invariants:
-        if place not in local_degrees:
-            raise IncompleteLocalData(f"no local degree supplied at {place}")
-        if local_degrees[place] % inv.order != 0:
-            return False
-    return True
+    local_index | degree at each support place.  local_degrees maps every
+    support place to its degree."""
+    return all(local_degrees[P] % inv.order == 0 for P, inv in alpha.invariants)
 
 
 _WITNESS_BOUND = 1000

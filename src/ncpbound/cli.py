@@ -9,6 +9,7 @@ malformed input, 3 when a bounded search ran out of candidates.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -199,18 +200,7 @@ def cmd_cover_check(args):
     extras = tuple(_radicand(M, s) for s in args.extra)
     nprime = args.nprime if args.nprime is not None else M.n
     C = build_cover(M, extras, nprime)
-    if args.p is not None:
-        p, n = args.p, args.n
-        if n is None:
-            raise ValidationError("--p needs --n (the cover is checked as a p^n-cover)")
-    else:
-        fac = factorize(C.rel_degree)
-        if len(fac) != 1:
-            raise ValidationError(
-                f"relative degree {C.rel_degree} is not a prime power; pass --p and --n"
-            )
-        (p, n), = fac.items()
-    rep = check_cor210(M, p, n, _places(M, args.places), C)
+    rep = check_cor210(C, _places(M, args.places))
     return rep, 0 if rep.passed else 1
 
 
@@ -358,7 +348,6 @@ VERBS = {
     ("cover", "check"): (cmd_cover_check, (
         _arg("--extra", nargs="+", required=True, metavar="RADICAND"),
         _arg("--nprime", type=int, help="exponent of the cover (default: keep)"),
-        _arg("--p", type=int, help="check as a p^n-cover"), _arg("--n", type=int),
         _arg("places", nargs="*", metavar="PLACE"))),
     ("cover", "scan"): (cmd_cover_scan, (
         _arg("-m", type=int, required=True, help="relative degree"),
@@ -387,8 +376,10 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser():
-    """The whole parser tree, the one source of usage, help and error text."""
+    """The whole parser tree, the one source of usage, help and error text,
+    built once per process: argparse does not change a parser while it parses."""
     import argparse  # only here: a regular argv is scanned without it
 
     parser = argparse.ArgumentParser(

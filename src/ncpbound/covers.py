@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Optional
 
-from .arith import is_squarefree, prime_field, require_prime, require_tame
+from .arith import factorize, is_squarefree, prime_field, require_prime, require_tame
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
@@ -24,12 +24,12 @@ from .extensions import (
     _vector_adder,
     class_span,
     cyclotomic_degree,
-    gal_exponent,
     is_real_field,
     local_class_group,
     r_value,
     radicand_class,
     relative_degree,
+    require_chi_order,
     roots_of_unity_s,
 )
 from .fields import QQ, Place, fqt_const, fqt_from_factors, monic_irreducibles
@@ -216,18 +216,16 @@ def quadratic_cover_scan(M: AbExt, P: Place, bound: int) -> tuple[bool, int]:
     return True, built
 
 
-def check_cor210(M: AbExt, p: int, n: int, S, C: Cover) -> CertReport:
-    """Evaluate a given p^n-cover against the three certificate conditions:
-    divisor constraints over S, kernel rank at most 2, and trivial action
-    of the cyclotomic complement (automatic for these abelian covers)."""
-    if C.M != M:
-        raise ValidationError("cover does not extend this M")
-    require_prime(p)
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    pn = p**n
-    if C.rel_degree != pn:
-        raise ValidationError(f"cover has relative degree {C.rel_degree}, need {pn}")
+def check_cor210(C: Cover, S) -> CertReport:
+    """Evaluate a cover of prime-power degree p^n over C.M, with p and n read
+    from its relative degree, against the three certificate conditions:
+    divisor constraints over S, kernel rank at most 2, and trivial action of
+    the cyclotomic complement (automatic for these abelian covers)."""
+    M, pn = C.M, C.rel_degree
+    fac = factorize(pn)
+    if len(fac) != 1:
+        raise ValidationError(f"relative degree {pn} is not a prime power")
+    (p, n), = fac.items()
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
     checks = [_divisor_row(P, d_value(P, pn, M), cover_local_degree(C, P)) for P in places]
     profile = C.kernel_profile
@@ -268,10 +266,7 @@ class BoundReport:
 def bound_report(M: AbExt, p: int, chi_order: int) -> BoundReport:
     require_prime(p)
     require_tame(M, p, "the ceiling analysis is tame only")
-    if chi_order < 1 or chi_order % gal_exponent(M) != 0:
-        raise ValidationError(
-            f"character order {chi_order} is incompatible with the Galois exponent"
-        )
+    require_chi_order(M, chi_order)
     s = roots_of_unity_s(M, p)
     r = r_value(M)
     t_deg = cyclotomic_degree(M, p)

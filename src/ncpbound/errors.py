@@ -1,4 +1,4 @@
-"""Shared exception types; the CLI maps these to exit codes.
+"""The library's exception types, which the CLI maps to exit codes; none has a subclass.
 
 ValidationError     exit 2: malformed or out-of-contract input.
 InvariantError      exit 1, {"error": "invariant-violated"}: a mathematical
@@ -11,10 +11,6 @@ SearchExhausted     exit 3: a bounded search ran out.
 
 class ValidationError(ValueError):
     """Malformed or out-of-contract input (CLI exit code 2)."""
-
-
-class IncompleteLocalData(ValidationError):
-    """A local-degree map is missing a support place."""
 
 
 class InvariantError(RuntimeError):

@@ -292,6 +292,13 @@ def gal_exponent(M: AbExt) -> int:
     return lcm(*M.orders) if M.orders else 1
 
 
+def require_chi_order(M: AbExt, chi_order: int) -> None:
+    """A character cutting out M has an order that the exponent of Gal(M/K) divides."""
+    if chi_order < 1 or chi_order % gal_exponent(M) != 0:
+        raise ValidationError(
+            f"character order {chi_order} is incompatible with the Galois exponent")
+
+
 def greedy_generators(members, add, zero) -> tuple:
     """A small generating set for a subgroup given as a member list."""
     gens: list = []

@@ -93,26 +93,20 @@ def poly_mul(a, b, q: int) -> tuple:
     return poly_trim(out)
 
 
-def poly_divmod(a, b, q: int) -> tuple[tuple, tuple]:
-    if not b:
+def poly_mod(a, m, q: int) -> tuple:
+    if not m:
         raise ZeroDivisionError("division by zero polynomial")
     a = list(poly_trim(a))
-    db, lead_inv = len(b) - 1, pow(b[-1], -1, q)
-    quot = [0] * max(len(a) - db, 0)
+    dm, lead_inv = len(m) - 1, pow(m[-1], -1, q)
     # a stays trimmed: one trim after each elimination step
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
+    while a and len(a) - 1 >= dm:
+        shift = len(a) - 1 - dm
         factor = a[-1] * lead_inv % q
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % q
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % q
         while a and a[-1] == 0:
             a.pop()
-    return poly_trim(quot), tuple(a)
-
-
-def poly_mod(a, m, q: int) -> tuple:
-    return poly_divmod(a, m, q)[1]
+    return tuple(a)
 
 
 def _resultant(a, b, q: int) -> int:
@@ -411,8 +405,7 @@ class FqtElt:
         object.__setattr__(self, "factors", tuple(sorted(seen.items())))
 
     def pow(self, k: int) -> "FqtElt":
-        return _trusted_fqt(self.q, pow(self.c, k, self.q),
-                            tuple((p, e * k) for p, e in self.factors if k))
+        return FqtElt(self.q, pow(self.c, k, self.q), tuple((p, e * k) for p, e in self.factors))
 
     def support(self) -> list[Place]:
         """Places where the valuation is nonzero (including infinity)."""
@@ -472,17 +465,6 @@ class FqtElt:
             s = f"({poly_str(poly)})"
             parts.append(s if e == 1 else f"{s}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def _trusted_fqt(q: int, c: int, factors: tuple) -> FqtElt:
-    """An FqtElt built without __post_init__, for powers of a validated
-    element: q is already prime, c a reduced unit, and factors a sorted
-    tuple of distinct monic irreducibles with nonzero exponents."""
-    elt = object.__new__(FqtElt)
-    object.__setattr__(elt, "q", q)
-    object.__setattr__(elt, "c", c)
-    object.__setattr__(elt, "factors", factors)
-    return elt
 
 
 def _divisors(n: int) -> list[int]:

@@ -72,11 +72,10 @@ def u_values(M: AbExt, p: int) -> tuple[int, int]:
 
 def isolated_places(M: AbExt) -> list[tuple[Place, int]]:
     """All (place, p) pairs where the place alone attains the p-valuation
-    maximum.  Archimedean places never qualify, and p = char K is skipped."""
+    maximum.  Archimedean places never qualify.  Every p is tame: over
+    F_q(t) the Galois exponent divides q - 1, so no prime factor of it is q."""
     out = []
     for p in sorted(factorize(gal_exponent(M))):
-        if p == M.base.char:
-            continue
         rep = isolation_report(M, p)
         if rep.isolated_place is not None:
             out.append((rep.isolated_place, p))

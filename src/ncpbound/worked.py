@@ -682,11 +682,14 @@ def run_property_suite(
     """Run every battery under one seed and collect (name, passed, detail).
 
     mutation, when given, swaps one ingredient per the MUTATIONS table so
-    the corresponding battery can demonstrate detection.  Results are
-    deterministic for a fixed (seed, sizes, mutation) triple.
+    the corresponding battery can demonstrate detection.  Sizes are at least 0;
+    results are deterministic for a fixed (seed, sizes, mutation) triple.
     """
     merged = dict(_DEFAULT_SIZES)
     merged.update(sizes or {})
+    for key, value in merged.items():
+        if value < 0:
+            raise ValidationError(f"suite size {key} must be at least 0, got {value}")
     funcs: dict[str, Callable] = {"d_value": d_value, "beta": beta}
     if mutation is not None:
         if mutation not in MUTATIONS:

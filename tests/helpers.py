@@ -10,13 +10,13 @@ from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import AbExt, build_extension, local_degree
 from ncpbound.fields import (
     QQ,
-    _trusted_fqt,
+    FqtElt,
     fqt_from_factors,
     poly_degree,
-    poly_divmod,
     poly_is_irreducible,
     poly_mod,
     poly_mul,
+    poly_trim,
     rational_function_field,
 )
 from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, identity, lift
@@ -53,6 +53,17 @@ def _monic_irreducible(poly, q):
     return poly[-1] == 1 and poly_is_irreducible(poly, q)
 
 
+def trusted_fqt(q: int, c: int, factors: tuple) -> FqtElt:
+    """An FqtElt built without __post_init__, for products the caller has
+    already checked: q prime, c a reduced unit, and factors a sorted tuple
+    of distinct monic irreducibles with nonzero exponents."""
+    elt = object.__new__(FqtElt)
+    object.__setattr__(elt, "q", q)
+    object.__setattr__(elt, "c", c)
+    object.__setattr__(elt, "factors", factors)
+    return elt
+
+
 def fqt_mul(a, b):
     """The product of two factored elements of F_q(t): the oracle for
     multiplying radicands out.  It checks what the validating constructor
@@ -71,7 +82,7 @@ def fqt_mul(a, b):
             raise ValidationError(f"factor {poly} is not monic irreducible")
         if e:
             factors.append((poly, e))
-    return _trusted_fqt(q, c, tuple(sorted(factors)))
+    return trusted_fqt(q, c, tuple(sorted(factors)))
 
 
 def check(report, name: str):
@@ -99,6 +110,24 @@ def oracle_local_degree(C, P):
 
 
 # ------------------------------------------------------------ F_q[t] oracles
+
+
+def poly_divmod(a, b, q: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by b over F_q by long division: the
+    oracle for fields.poly_mod."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = list(poly_trim(a))
+    db, lead_inv = len(b) - 1, pow(b[-1], -1, q)
+    quot = [0] * max(len(a) - db, 0)
+    while a and len(a) - 1 >= db:
+        shift = len(a) - 1 - db
+        factor = a[-1] * lead_inv % q
+        quot[shift] = factor
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - factor * bi) % q
+        a = list(poly_trim(a))
+    return poly_trim(quot), tuple(a)
 
 
 @lru_cache(maxsize=None)

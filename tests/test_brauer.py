@@ -23,7 +23,7 @@ from ncpbound.brauer import (
     restricted_local_index,
     splits,
 )
-from ncpbound.errors import IncompleteLocalData, ValidationError
+from ncpbound.errors import ValidationError
 from ncpbound.extensions import find_places_with_frobenius, local_degree
 from ncpbound.fields import QQ, poly_place, prime_place, real_place
 from ncpbound.isolation import d_value
@@ -41,7 +41,7 @@ class TestMakeClass:
         assert alpha.support == (prime_place(3), prime_place(7))
 
     def test_zero_class(self):
-        assert make_class({}).is_zero()
+        assert make_class({}).invariants == ()
 
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValidationError):
@@ -55,7 +55,7 @@ class TestMakeClass:
 
     def test_duplicates_accumulate(self):
         alpha = make_class([(prime_place(3), qz(1, 2)), (prime_place(3), qz(1, 2))])
-        assert alpha.is_zero()
+        assert alpha.invariants == ()
 
     def test_rejects_mixed_bases(self):
         with pytest.raises(ValidationError):
@@ -66,12 +66,6 @@ class TestMakeClass:
             make_class({prime_place(3): 0.5, prime_place(7): 0.5})
         with pytest.raises(ValidationError):
             make_class({3: qz(1, 2), 7: qz(1, 2)})
-
-    def test_addition_and_negation(self):
-        a = make_class({prime_place(3): qz(7, 8), prime_place(7): qz(1, 8)})
-        assert (a + (-a)).is_zero()
-        b = a + a
-        assert b.invariant(prime_place(3)) == qz(3, 4)
 
 
 class TestIndex:
@@ -167,10 +161,6 @@ class TestSplits:
     def test_divisible_degrees_split(self):
         assert splits({prime_place(3): 8, prime_place(7): 8}, self.alpha) is True
 
-    def test_missing_place_is_an_error(self):
-        with pytest.raises(IncompleteLocalData):
-            splits({prime_place(3): 8}, self.alpha)
-
     def test_split_iff_restricted_index_one(self):
         M = q_ext(3, -7)
         rng = random.Random(11)
@@ -201,7 +191,7 @@ class TestConstructClass:
         assert restricted_index(alpha, M) == 3
 
     def test_trivial_m(self):
-        assert construct_class(q_ext(3, -7), 1, set()).is_zero()
+        assert construct_class(q_ext(3, -7), 1, set()).invariants == ()
 
     def test_frozen_composite(self):
         M = q_ext(3, -7)

@@ -101,6 +101,19 @@ class TestExitCodes:
         code, payload, _ = run("suite", "--mutation", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["classes", "pairs", "elements"])
+    def test_suite_negative_size_is_2(self, run, flag):
+        # --classes -1 once reported "-4 random fraction triples", and
+        # --elements -1 checked every line but one
+        code, payload, err = run("suite", f"--{flag}", "-1")
+        assert code == 2 and err == ""
+        assert payload == {"error": "invalid-input",
+                           "detail": f"suite size {flag} must be at least 0, got -1"}
+
+    def test_suite_zero_sizes_are_valid(self, run):
+        code, payload, _ = run("suite", "--classes", "0", "--pairs", "0", "--elements", "0")
+        assert code == 0 and payload["passed"] is True
+
     def test_search_exhausted_carries_partial(self, run, ext_file):
         code, payload, _ = run(
             "search", "frobenius", "--sigma", "1,1", "--count", "500",
@@ -248,12 +261,31 @@ class TestBrauerVerbs:
 class TestCoverAndSearch:
     def test_cover_check_reports_divisor_rows(self, run, ext_file):
         code, payload, _ = run(
-            "cover", "check", "--extra", "3", "--p", "2", "--n", "1", "7",
+            "cover", "check", "--extra", "3", "7",
             "--ext", ext_file,
         )
         assert code in (0, 1)
         names = [row[0] for row in payload["checks"]]
         assert "kernel-rank" in names
+
+    def test_cover_check_reads_the_prime_power_from_the_cover(self, run, tmp_path):
+        # a 2^3-cover of Q(sqrt 11): three extra quadratic factors
+        path = tmp_path / "q11.json"
+        path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": [11]}))
+        code, payload, _ = run("--ext", str(path), "cover", "check", "--extra", "-1", "2", "3",
+                               "--", "3")
+        assert code == 1
+        assert (payload["p"], payload["n"], payload["m"]) == (2, 3, 8)
+        outcomes = {name: ok for name, ok, _ in payload["checks"]}
+        assert outcomes["kernel-rank"] is False
+
+    def test_cover_check_degree_not_a_prime_power_is_2(self, run, tmp_path):
+        path = tmp_path / "f7.json"
+        path.write_text(json.dumps({"base": "F7(t)", "n": 6, "radicands": ["t"]}))
+        code, payload, err = run("cover", "check", "--extra", "t+1", "--ext", str(path))
+        assert code == 2 and err == ""
+        assert payload == {"error": "invalid-input",
+                           "detail": "relative degree 6 is not a prime power"}
 
     def test_cover_scan_hit(self, run, ext_file):
         code, payload, _ = run("cover", "scan", "-m", "2", "7", "--ext", ext_file)
@@ -299,8 +331,7 @@ class TestCoverAndSearch:
     ("search", "s0", "--power", "3"),
     ("brauer", "lemma21", "--count", "2"),
     ("bound-report", "--chi-order", "4"),
-    ("cover", "check", "--n", "1", "--extra", "3"),
-], ids=["qsigma", "s0", "lemma21", "bound-report", "cover-check"])
+], ids=["qsigma", "s0", "lemma21", "bound-report"])
 def test_non_prime_p_is_2(run, ext_file, argv, p):
     code, payload, err = run(*argv, f"--p={p}", "--ext", ext_file)
     assert code == 2 and err == ""
@@ -341,14 +372,6 @@ def test_s0_zero_power_with_p_equal_to_char_is_valid(run, ff7_file):
     assert code == 0
     assert [(pair["sigma"], pair["place"]["str"]) for pair in payload["pairs"]] == [
         ([0, 1], "(t^2+1)"), ([1, 0], "(t+3)")]
-
-
-@pytest.mark.parametrize("p, n", [(2, 0), (2, -1), (0, -1)])
-def test_cover_check_exponent_below_one_is_2(run, ext_file, p, n):
-    # p = 0 with n = -1 once escaped as ZeroDivisionError from 0**-1
-    code, payload, err = run("cover", "check", "--extra", "3", f"--p={p}", f"--n={n}",
-                             "--ext", ext_file)
-    assert code == 2 and err == "" and payload["error"] == "invalid-input"
 
 
 # every verb that reads --bound
@@ -772,8 +795,6 @@ def _cover_argv(draw):
                 *draw(st.lists(st.sampled_from(extras), min_size=1, max_size=3))]
         if draw(st.booleans()):
             argv.append(f"--nprime={draw(st.integers(low, 6))}")
-        if low < 0 and draw(st.booleans()):
-            argv += [f"--p={draw(st.integers(-1, 5))}", f"--n={draw(st.integers(-1, 3))}"]
     # "--" ends --extra and keeps a place such as -1 from reading as a flag
     return base, argv + ["--", *chosen]
 

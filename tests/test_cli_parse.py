@@ -41,8 +41,9 @@ def _outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-# built once: argparse does not change a parser while it parses
-WHOLE_TREE = cli.build_parser()
+# built once, apart from the tree cli caches: argparse does not change a
+# parser while it parses
+WHOLE_TREE = cli.build_parser.__wrapped__()
 
 
 def _same_as_whole_tree(argv):
@@ -211,9 +212,17 @@ class TestParsersBuilt:
         assert calls == [()]
         assert capsys.readouterr() == ("", want)
 
+    def test_fallback_builds_the_tree_once_per_process(self, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = self._count_parsers(monkeypatch)
+        for argv in (["cover", "check", "--extra", "3"], ["--pretty"], ["nonsense"]):
+            _same_as_whole_tree(argv)
+        assert len(built) == 1 + len(GROUPS) + len(cli.VERBS)
+
     def test_whole_tree_builds_every_verb(self, monkeypatch):
         built = self._count_parsers(monkeypatch)
-        cli.build_parser()
+        # the uncached builder: the module built its tree already
+        cli.build_parser.__wrapped__()
         # top level, each group and each verb
         assert len(built) == 1 + len(GROUPS) + len(cli.VERBS)
 

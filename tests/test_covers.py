@@ -14,13 +14,14 @@ from ncpbound.covers import (
     full_local_degree,
 )
 from ncpbound.errors import ValidationError
-from ncpbound.extensions import local_degree
+from ncpbound.extensions import build_extension, local_degree
 from ncpbound.fields import (
     QQ,
     enumerate_places,
     fqt_const,
     fqt_from_factors,
     prime_place,
+    rational_function_field,
     real_place,
 )
 from ncpbound.jsonio import parse_place_text
@@ -208,7 +209,7 @@ class TestCheckBm:
         report = check_Bm(q_ext(11), 4, [prime_place(2)])
         sub = build_cover(q_ext(11), report.witness.L.radicands[1:2], 2)
         assert sub.rel_degree == 2
-        cert = check_cor210(q_ext(11), 2, 1, [prime_place(2)], sub)
+        cert = check_cor210(sub, [prime_place(2)])
         assert cert.passed
 
     def test_sub_cover_absent(self):
@@ -307,14 +308,14 @@ class TestCheckBmPrefilter:
 class TestCor210:
     def test_passing_quadratic_certificate(self):
         C = build_cover(q_ext(11), (3,), 2)
-        cert = check_cor210(q_ext(11), 2, 1, [prime_place(3)], C)
+        cert = check_cor210(C, [prime_place(3)])
         assert cert.passed
         names = [name for name, _, _ in cert.checks]
         assert names == ["divisor at 3", "kernel-rank", "trivial-action"]
 
     def test_divisor_failure(self):
         C = build_cover(q_ext(11), (-2,), 2)
-        cert = check_cor210(q_ext(11), 2, 1, [prime_place(3)], C)
+        cert = check_cor210(C, [prime_place(3)])
         assert not cert.passed
         outcomes = {name: ok for name, ok, _ in cert.checks}
         assert not outcomes["divisor at 3"]
@@ -323,7 +324,8 @@ class TestCor210:
     def test_rank_three_kernel_fails(self):
         C = build_cover(q_ext(11), (-1, 2, 3), 2)
         assert C.rel_degree == 8
-        cert = check_cor210(q_ext(11), 2, 3, [prime_place(3)], C)
+        cert = check_cor210(C, [prime_place(3)])
+        assert (cert.p, cert.n, cert.m) == (2, 3, 8)
         assert not cert.passed
         outcomes = {name: ok for name, ok, _ in cert.checks}
         assert not outcomes["kernel-rank"]
@@ -332,19 +334,29 @@ class TestCor210:
         M = q_ext(11)
         for extras in [(-1,), (2,), (-1, 2), (3, 5)]:
             C = build_cover(M, extras, 2)
-            cert = check_cor210(M, 2, len(extras), [], C)
+            cert = check_cor210(C, [])
             outcomes = {name: ok for name, ok, _ in cert.checks}
             assert outcomes["kernel-rank"] and outcomes["trivial-action"]
 
-    def test_wrong_base_extension(self):
-        C = build_cover(q_ext(11), (3,), 2)
-        with pytest.raises(ValidationError):
-            check_cor210(q_ext(3, -7), 2, 1, [], C)
+    def test_prime_power_is_read_from_the_cover(self):
+        C = build_cover(q_ext(11), (-1, 2), 2)
+        cert = check_cor210(C, [])
+        assert (cert.p, cert.n, cert.m) == (2, 2, 4)
+        assert cert.passed
 
-    def test_degree_mismatch(self):
-        C = build_cover(q_ext(11), (3,), 2)
-        with pytest.raises(ValidationError):
-            check_cor210(q_ext(11), 2, 2, [], C)
+    def test_odd_prime_power_is_read_from_the_cover(self):
+        # F_7(t)(t^(1/3)) with (t-1)^(1/3) adjoined: a 3^1-cover
+        M = build_extension(rational_function_field(7), 3, (poly7(0, 1),))
+        C = build_cover(M, (poly7(6, 1),), 3)
+        cert = check_cor210(C, [])
+        assert (cert.p, cert.n, cert.m) == (3, 1, 3)
+
+    def test_degree_not_a_prime_power(self):
+        M = build_extension(rational_function_field(7), 6, (poly7(0, 1),))
+        C = build_cover(M, (poly7(1, 1),), 6)
+        assert C.rel_degree == 6
+        with pytest.raises(ValidationError, match="relative degree 6 is not a prime power"):
+            check_cor210(C, [])
 
 
 class TestBoundReport:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from helpers import fqt_mul, sigma_order
-from ncpbound import brauer, extensions, worked
+from ncpbound import brauer, covers, extensions, worked
 from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
@@ -37,6 +37,7 @@ from ncpbound.extensions import (
     r_value,
     radicand_class,
     ramified_places,
+    require_chi_order,
     restriction_order_to_cyclotomic,
     roots_of_unity_s,
     s0_search,
@@ -390,6 +391,37 @@ class TestGaloisGroup:
 
     def test_w_exponents(self):
         assert len(w_exponents(ff7_cubic())) == 9
+
+
+class TestRequireChiOrder:
+    """One check of a character order for every caller that takes one."""
+
+    @staticmethod
+    def mixed():
+        # Gal(M/K) = Z/6 x Z/3, of exponent 6
+        return AbExt(F7, 6, (fqt_from_factors(7, 1, [(T_, 1)]), fqt_const(7, 2)))
+
+    def test_multiples_of_the_exponent_pass(self):
+        M = self.mixed()
+        for chi_order in (6, 12, 18):
+            assert require_chi_order(M, chi_order) is None
+
+    @pytest.mark.parametrize("chi_order", [0, -6, 3, 4])
+    def test_other_orders_are_rejected(self, chi_order):
+        with pytest.raises(ValidationError) as info:
+            require_chi_order(self.mixed(), chi_order)
+        assert str(info.value) == (
+            f"character order {chi_order} is incompatible with the Galois exponent")
+
+    def test_callers_share_the_check(self):
+        M = q_ext(3, -7)
+        caught = []
+        for call in (lambda: brauer.fiber_index(brauer.make_class({}), M, 3),
+                     lambda: covers.bound_report(M, 2, 3)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            caught.append(str(info.value))
+        assert caught == ["character order 3 is incompatible with the Galois exponent"] * 2
 
 
 class TestLocalDataRationals:
