@@ -302,12 +302,7 @@ def cmd_paper_prop42(args):
 
 
 def cmd_suite(args):
-    sizes = {}
-    for key in ("classes", "pairs", "elements"):
-        value = getattr(args, key)
-        if value is not None:
-            sizes[key] = value
-    rep = run_property_suite(seed=_seed(args), sizes=sizes or None, mutation=args.mutation)
+    rep = run_property_suite(seed=_seed(args), mutation=args.mutation)
     return rep, 0 if rep.passed else 1
 
 
@@ -371,8 +366,7 @@ VERBS = {
         _arg("--fq", type=int, help="work over F_q(t) instead of Q"),
         _arg("--radicand-bound", type=int, default=60))),
     ("suite",): (cmd_suite, (
-        _arg("--mutation", help="run with one documented mutation applied"),
-        *(_arg(f"--{n}", type=int) for n in ("classes", "pairs", "elements")))),
+        _arg("--mutation", help="run with one documented mutation applied"),)),
 }
 
 
@@ -382,8 +376,11 @@ def build_parser():
     built once per process: argparse does not change a parser while it parses."""
     import argparse  # only here: a regular argv is scanned without it
 
+    # no parser completes an abbreviated flag: `cover check --n=1` is an
+    # unknown flag, not `--nprime=1`
     parser = argparse.ArgumentParser(
         prog="ncpbound",
+        allow_abbrev=False,
         description="Local-degree bookkeeping for abelian extensions of Q and F_q(t): "
         "Brauer classes, covers, isolation, central extensions, worked examples.",
     )
@@ -395,10 +392,10 @@ def build_parser():
     for path, (handler, arguments) in VERBS.items():
         *group, name = path
         if group and group[0] not in groups:
-            groups[group[0]] = sub.add_parser(group[0]).add_subparsers(
+            groups[group[0]] = sub.add_parser(group[0], allow_abbrev=False).add_subparsers(
                 dest="subcommand", required=True
             )
-        verb = (groups[group[0]] if group else sub).add_parser(name)
+        verb = (groups[group[0]] if group else sub).add_parser(name, allow_abbrev=False)
         for flag, kwargs in GLOBALS.items():
             verb.add_argument(flag, **kwargs, default=argparse.SUPPRESS)
         for flags, kwargs in arguments:

@@ -288,14 +288,13 @@ def test_fiber_index_collapses_exactly_on_restricted_split():
 
 
 def test_documented_mutations_each_trip_a_named_battery():
-    sizes = {"classes": 8, "pairs": 10, "elements": 12}
-    clean = run_property_suite(seed=DEFAULT_SEED, sizes=sizes)
+    clean = run_property_suite(seed=DEFAULT_SEED)
     assert clean.passed, clean.failed
 
-    dropped_gap = run_property_suite(seed=DEFAULT_SEED, sizes=sizes, mutation="d-value-no-gap")
+    dropped_gap = run_property_suite(seed=DEFAULT_SEED, mutation="d-value-no-gap")
     assert not dropped_gap.passed
     assert set(dropped_gap.failed) & {"constructor-divisor", "bm-certificate-divisor"}
 
-    flipped = run_property_suite(seed=DEFAULT_SEED, sizes=sizes, mutation="beta-flip")
+    flipped = run_property_suite(seed=DEFAULT_SEED, mutation="beta-flip")
     assert not flipped.passed
     assert "beta-bilinear" in flipped.failed

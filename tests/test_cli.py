@@ -90,10 +90,7 @@ class TestExitCodes:
         assert payload["error"] == "search-exhausted"
 
     def test_suite_mutation_is_1(self, run):
-        code, payload, _ = run(
-            "suite", "--classes", "6", "--pairs", "8", "--elements", "10",
-            "--mutation", "beta-flip",
-        )
+        code, payload, _ = run("suite", "--mutation", "beta-flip")
         assert code == 1
         assert "beta-bilinear" in payload["failed"]
 
@@ -101,18 +98,25 @@ class TestExitCodes:
         code, payload, _ = run("suite", "--mutation", "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["classes", "pairs", "elements"])
-    def test_suite_negative_size_is_2(self, run, flag):
-        # --classes -1 once reported "-4 random fraction triples", and
-        # --elements -1 checked every line but one
-        code, payload, err = run("suite", f"--{flag}", "-1")
-        assert code == 2 and err == ""
-        assert payload == {"error": "invalid-input",
-                           "detail": f"suite size {flag} must be at least 0, got -1"}
+    @pytest.mark.parametrize("flag", ["--classes", "--pairs", "--elements"])
+    def test_suite_size_flags_are_gone(self, capsys, flag):
+        # the suite runs at one size; a size flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
-    def test_suite_zero_sizes_are_valid(self, run):
-        code, payload, _ = run("suite", "--classes", "0", "--pairs", "0", "--elements", "0")
-        assert code == 0 and payload["passed"] is True
+    @pytest.mark.parametrize("argv, rejected", [
+        (["cover", "check", "--extra", "3", "--n=1"], "unrecognized arguments: --n=1"),
+        (["field", "--ex", "q.json"], "unrecognized arguments: --ex q.json"),
+        (["--ex", "q.json", "field"], "invalid choice: 'q.json'"),
+    ], ids=["n-for-nprime", "ex-after-verb", "ex-before-verb"])
+    def test_abbreviated_flag_is_2(self, capsys, argv, rejected):
+        # --n=1 once read as --nprime=1, and --ex as --ext
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert rejected in capsys.readouterr().err
 
     def test_search_exhausted_carries_partial(self, run, ext_file):
         code, payload, _ = run(
@@ -615,9 +619,7 @@ class TestFlagsAndPretty:
         assert err == ""
 
     def test_suite_passes_with_explicit_seed(self, run):
-        code, payload, _ = run(
-            "suite", "--seed", "3", "--classes", "6", "--pairs", "8", "--elements", "10"
-        )
+        code, payload, _ = run("suite", "--seed", "3")
         assert code == 0 and payload["passed"] is True and payload["seed"] == 3
 
 
@@ -869,6 +871,50 @@ class TestSearchFuzz:
         assert code in (0, 1, 2, 3)
         if count < 1 or power < 0:  # an empty request or a fractional modulus
             assert code == 2
+
+
+# ------------------------------------------------------- paper and suite fuzz
+
+_SMALL = st.integers(-3, 30)
+_PRIME = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+
+
+@st.composite
+def _paper_argv(draw):
+    """paper ex41, ex43 or prop42 with small integer positionals, --bound <=
+    60, --radicand-bound <= 20 and --fq from a few small values, prime or
+    not; or suite with a free-text --mutation.  Half the paper draws take
+    their integers from the primes below 30, so that some pass the
+    hypotheses and run; the other half from [-3, 30]."""
+    verb = draw(st.sampled_from(("ex41", "ex43", "prop42", "suite")))
+    if verb == "suite":
+        return ["suite", f"--mutation={draw(st.text(max_size=12))}"]
+    ints = _PRIME if draw(st.booleans()) else _SMALL
+    if verb == "ex43":
+        return ["paper", "ex43", *(str(draw(ints)) for _ in range(3))]
+    bound = f"--bound={draw(st.integers(-1, 60))}"
+    if verb == "ex41":
+        return ["paper", "ex41", str(draw(ints)), str(draw(ints)), bound]
+    fq = draw(st.sampled_from((None, 0, 1, 3, 4, 5, 7, 13)))
+    if fq is None:
+        pp = draw(st.one_of(ints.map(str), st.sampled_from(("real", "x", ""))))
+    else:
+        pp = draw(st.sampled_from(("t", "t+1", "t+2", "t^2+1", "inf", "x", "3", "")))
+    argv = ["paper", "prop42", str(draw(ints)), pp, bound,
+            f"--radicand-bound={draw(st.integers(-1, 20))}"]
+    return argv if fq is None else argv + [f"--fq={fq}"]
+
+
+class TestPaperFuzz:
+    @settings(deadline=None, max_examples=200)
+    @given(argv=_paper_argv())
+    def test_exit_code_in_contract(self, argv):
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        assert code in (0, 1, 2, 3)
 
 
 # every tree the command line prints: dict, list, str, int, bool and None

@@ -102,6 +102,7 @@ HAND_PICKED = [
     ["groupext", "verify", "-", "--p", "2"],
     ["groupext", "verify", "a.json", "b.json"],
     ["cover", "check", "--extra", "3", "--p", "2"],
+    ["cover", "check", "--extra", "3", "--n=1"],
     ["--seed", "3", "suite", "--seed=4", "--seed", "5", "--pretty"],
     ["paper", "ex41", "3"],
     ["paper", "ex41", "x", "3"],
@@ -182,7 +183,7 @@ class TestParsersBuilt:
         TestRepeatedCalls.VERIFY,
         ["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1", "--profile-max", "2"],
         ["paper", "ex43", "2", "3", "2"],
-        ["suite", "--classes", "2", "--pairs", "2", "--elements", "2"],
+        ["suite", "--seed", "2", "--mutation", "beta-flip"],
     ], ids=lambda v: " ".join(v[:2]))
     def test_main_builds_no_parser(self, monkeypatch, capsys, argv):
         built = self._count_parsers(monkeypatch)

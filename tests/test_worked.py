@@ -212,10 +212,9 @@ class TestPropertySuite:
     def test_deterministic_for_fixed_seed(self):
         assert run_property_suite(11) == run_property_suite(11)
 
-    def test_green_under_other_seeds_and_sizes(self):
-        sizes = {"classes": 8, "pairs": 10, "elements": 12}
+    def test_green_under_other_seeds(self):
         for seed in (1, 2, 3):
-            assert run_property_suite(seed, sizes=sizes).passed
+            assert run_property_suite(seed).passed
 
     def test_mutation_names_documented(self):
         assert sorted(MUTATIONS) == ["beta-flip", "d-value-no-gap"]
