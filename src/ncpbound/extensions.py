@@ -317,12 +317,13 @@ def greedy_generators(members, add, zero) -> tuple:
 @dataclass(frozen=True)
 class LocalClassGroup:
     """The finite group K_P*/(K_P*)^n together with the images of the
-    radicands, the subgroup of unramified classes, and the coordinate that
-    reads off the Frobenius symbol on that subgroup."""
+    radicands, and the coordinate that reads off the Frobenius symbol on the
+    unramified classes, which are the classes zero off that coordinate.  A
+    real place has no such coordinate, and only its trivial class is
+    unramified."""
 
     moduli: tuple
     images: tuple
-    unram_gens: tuple
     symbol_coord: int | None
 
     def add(self, x, y) -> tuple:
@@ -343,8 +344,8 @@ class LocalClassGroup:
         its size is the local degree of the field they generate."""
         return _grow(self.trivial(), self.images[:count], self.add)
 
-    def unram_subgroup(self) -> frozenset:
-        return _grow(self.trivial(), self.unram_gens, self.add)
+    def is_unramified(self, coords) -> bool:
+        return all(c == 0 for k, c in enumerate(coords) if k != self.symbol_coord)
 
     def symbol(self, coords) -> int:
         return 0 if self.symbol_coord is None else coords[self.symbol_coord]
@@ -382,10 +383,10 @@ def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
         raise ValidationError("place and extension live over different fields")
     images = tuple([_local_image(M.base, M.n, f, place) for f in M.radicands])
     if place.kind == "real":
-        return LocalClassGroup((2,), images, (), None)
+        return LocalClassGroup((2,), images, None)
     if place.kind == "prime" and place.p == 2:
-        return LocalClassGroup((2, 2, 2), images, ((0, 1, 0),), 1)
-    return LocalClassGroup((M.n, M.n), images, ((0, 1),), 1)
+        return LocalClassGroup((2, 2, 2), images, 1)
+    return LocalClassGroup((M.n, M.n), images, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +433,9 @@ def _splitting(n: int, orders: tuple, G: LocalClassGroup) -> tuple:
     """
     exps = _exponent_tuples(orders)
     zero = (0,) * len(G.moduli)
-    unram = G.unram_subgroup()
     image = {e: G.image_of(e) for e in exps}
     ker_d = [e for e in exps if image[e] == zero]
-    ker_i = [e for e in exps if image[e] in unram]
+    ker_i = [e for e in exps if G.is_unramified(image[e])]
 
     D = tuple(s for s in _gal_elements(n, orders) if all(_pair(n, s, e) == 0 for e in ker_d))
     I = tuple(s for s in D if all(_pair(n, s, e) == 0 for e in ker_i))

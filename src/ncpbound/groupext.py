@@ -157,9 +157,7 @@ def ext_inv(E: CentralExt, g) -> tuple:
 
 
 def ext_pow(E: CentralExt, g, n: int) -> tuple:
-    """g^n = gen_A^(n alpha) s(x)^n for g = (alpha, x), by the power form."""
-    if n < 0:
-        return ext_pow(E, ext_inv(E, g), -n)
+    """g^n = gen_A^(n alpha) s(x)^n for g = (alpha, x) and n >= 0, by the power form."""
     alpha, x = g
     form = _power_form(E.p, E.a, E.orders, x, n)
     kernel = n * alpha + sum(f * d for f, d in zip(form, (*E.t, *E.c)))

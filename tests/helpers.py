@@ -1,8 +1,11 @@
 """Extension builders and oracles shared by several test modules."""
 
+import importlib.util
 import itertools
-from functools import lru_cache
+import sys
+from functools import cache, lru_cache
 from math import gcd, lcm
+from pathlib import Path
 
 from ncpbound.arith import prime_field
 from ncpbound.covers import Cover
@@ -22,6 +25,19 @@ from ncpbound.fields import (
 from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, identity, lift
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@cache
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded once as perfbench_<name>: the benchmark
+    is no package, and its dataclasses look their module up in sys.modules."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def q_ext(*radicands):

@@ -4,6 +4,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -912,6 +913,112 @@ class TestPaperFuzz:
         try:
             with redirect_stdout(io.StringIO()):
                 code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        assert code in (0, 1, 2, 3)
+
+
+# ------------------------------------------------- field and brauer fuzz
+
+# Q(i, sqrt 2) and the cubic Kummer extension of F_7(t), with well-formed
+# place texts and class rows over each; then malformed ones for either base
+_FIELD_EXTS = {"Q": {"base": "Q", "n": 2, "radicands": [-1, 2]},
+               "F7(t)": {"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]}}
+_PLACE_TEXTS = {"Q": ("2", "3", "5", "7", "real"), "F7(t)": ("t", "t+1", "t+3", "t^2+1", "inf")}
+_BAD_PLACE_TEXTS = ("-1", "0", "4", "t^2", "7", "x", "")
+_ROW_PLACES = {"Q": ("2", "3", "7", 5, {"kind": "prime", "p": 11}),
+               "F7(t)": ("t", "t+1", "inf", {"kind": "poly", "q": 7, "coeffs": [1, 1]},
+                         {"kind": "inf", "q": 7})}
+_BAD_ROW_PLACES = ("real", "x", 4, {"kind": "?"}, None, [])
+_ROW_VALUES = tuple(map(Fraction, ("1/2", "1/4", "-3/4", "1/3", "2/3", "0", "-1/8")))
+_BAD_ROW_VALUES = ("1/0", "x", "", 5, "1/2/3")
+_BAD_RADICANDS = {"Q": st.integers(-12, 12),
+                  "F7(t)": st.sampled_from(("t", "t+1", "(t-1)*(t-2)", "3", "t^2", "x", 0))}
+
+
+@st.composite
+def _class_json(draw, base, good):
+    """A class over `base` whose invariants sum to 0 mod 1 (the last row
+    balances the others), its base named; or, when not good, rows of drawn
+    places and values, the base named or not, or a malformed document."""
+    if good:
+        values = draw(st.lists(st.sampled_from(_ROW_VALUES), max_size=3))
+        rows = [[draw(st.sampled_from(_ROW_PLACES[base])), str(v)]
+                for v in (*values, -sum(values))]
+        return {"base": base, "invariants": rows}
+    if not draw(st.integers(0, 4)):
+        return draw(st.sampled_from(([], {}, {"invariants": 3}, "x", None,
+                                     {"invariants": [["2"]]}, {"base": "F3(t)", "invariants": []})))
+    places = st.sampled_from(_ROW_PLACES[base] + _BAD_ROW_PLACES)
+    values = st.sampled_from(tuple(map(str, _ROW_VALUES)) + _BAD_ROW_VALUES)
+    body = {"invariants": draw(st.lists(st.lists(st.one_of(places, values), max_size=3),
+                                        max_size=4))}
+    if draw(st.booleans()):
+        body["base"] = draw(st.sampled_from((base, "Q", "F7(t)", "F5(t)", "F4(t)", 3)))
+    return body
+
+
+@st.composite
+def _field_argv(draw):
+    """field, local-degree, isolated, bound-report or a brauer verb.  Half
+    the draws are well formed (a fixed extension, its places, a class whose
+    invariants sum to 0, a prime p, a character order the Galois exponent
+    divides, m >= 1); the other half draw an extension of exponent 1 to 4
+    with up to three radicands from a small pool, and every other value
+    from a wider range that includes malformed ones."""
+    good = draw(st.booleans())
+    base = draw(st.sampled_from(sorted(_FIELD_EXTS)))
+    if good:
+        ext = _FIELD_EXTS[base]
+        places = st.sampled_from(_PLACE_TEXTS[base])
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        chi, m = ext["n"] * draw(st.integers(1, 3)), draw(st.integers(1, 16))
+    else:
+        ext = {"base": base, "n": draw(st.integers(1, 4)),
+               "radicands": draw(st.lists(_BAD_RADICANDS[base], max_size=3))}
+        places = st.sampled_from(_PLACE_TEXTS[base] + _BAD_PLACE_TEXTS)
+        p, chi, m = draw(st.integers(-2, 9)), draw(st.integers(-2, 9)), draw(st.integers(-1, 16))
+    places = draw(st.lists(places, min_size=1, max_size=3))
+    klass = draw(_class_json(base, good))
+    verb = draw(st.sampled_from(("field", "local-degree", "isolated", "bound-report", "index",
+                                 "restrict", "split", "construct", "lemma21")))
+    if verb in ("field", "isolated"):
+        argv = [verb]
+    elif verb == "local-degree":
+        argv = ["local-degree", "--", *places]
+    elif verb == "bound-report":
+        argv = ["bound-report", f"--p={p}", f"--chi-order={chi}"]
+    elif verb in ("index", "split"):
+        argv = ["brauer", verb, "CLASS"]
+    elif verb == "restrict":
+        argv = ["brauer", "restrict", "CLASS"]
+        if draw(st.booleans()):
+            argv.append(f"--chi-order={chi}")
+    elif verb == "construct":
+        argv = ["brauer", "construct", f"-m={m}", "--", *places]
+    else:
+        argv = ["brauer", "lemma21", f"--p={p}", f"--count={draw(st.integers(-1, 4))}",
+                f"--seed={draw(st.integers(0, 3))}"]
+    return ext, klass, argv
+
+
+@pytest.fixture(scope="module")
+def field_home(tmp_path_factory):
+    return tmp_path_factory.mktemp("field-fuzz")
+
+
+class TestFieldFuzz:
+    @settings(deadline=None, max_examples=200)
+    @given(draw=_field_argv())
+    def test_exit_code_in_contract(self, field_home, draw):
+        ext, klass, argv = draw
+        ext_path, class_path = field_home / "ext.json", field_home / "class.json"
+        ext_path.write_text(json.dumps(ext))
+        class_path.write_text(json.dumps(klass))
+        argv = [str(class_path) if a == "CLASS" else a for a in argv]
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = main(["--ext", str(ext_path), *argv])
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
         assert code in (0, 1, 2, 3)

@@ -4,7 +4,6 @@ must parse to the same namespace, or fail with the same exit code and the
 same output."""
 
 import argparse
-import importlib.util
 import io
 import os
 import subprocess
@@ -15,19 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import perfbench_module
 from ncpbound import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _outcome(parse, argv):
@@ -52,7 +42,7 @@ def _same_as_whole_tree(argv):
     assert got == want, argv
 
 
-WORKLOAD = _workloads()
+WORKLOAD = perfbench_module("workloads")
 WORKLOAD_ARGV = sorted({
     op.argv for name in WORKLOAD.WORKLOADS for seed in range(1, 6)
     for op in WORKLOAD.make_ops(name, seed)

@@ -777,13 +777,21 @@ class TestBoundedWalk:
 def _local_data_oracle(M, place):
     """local_data computed from scratch at one place, with no memo: the
     local class-group image, its kernels, their annihilators in the Galois
-    group and the Frobenius character, all through the public helpers."""
-    from ncpbound.extensions import LocalData, local_class_group
+    group and the Frobenius character, all through the public helpers.  The
+    unramified subgroup is grown from its generators: none at a real place,
+    the class of 5 at 2, and the unit classes at a tame place."""
+    from ncpbound.extensions import LocalData, _grow, local_class_group
 
     G = local_class_group(M, place)
     exps = w_exponents(M)
     zero = (0,) * len(G.moduli)
-    unram = G.unram_subgroup()
+    if place.kind == "real":
+        gens = ()
+    elif len(G.moduli) == 3:  # at 2: coordinates (e_-1, e_5, v_2)
+        gens = ((0, 1, 0),)
+    else:  # (valuation, unit class)
+        gens = ((0, 1),)
+    unram = _grow(G.trivial(), gens, G.add)
     ker_d = [e for e in exps if G.image_of(e) == zero]
     ker_i = [e for e in exps if G.image_of(e) in unram]
     gal = galois_group(M)

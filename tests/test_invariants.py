@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Galois orders (3,) are inconsistent with n = 4: the annihilator of the
 # kernel {0, 2} has 2 elements, and 2 * 2 != 3 exponent tuples
-BAD_SPLIT = (4, (3,), LocalClassGroup((2,), ((1,),), (), None))
+BAD_SPLIT = (4, (3,), LocalClassGroup((2,), ((1,),), None))
 
 
 def test_splitting_raises_named_error():
@@ -159,7 +159,7 @@ from ncpbound.extensions import LocalClassGroup, _splitting
 assert not __debug__
 caught = []
 try:
-    _splitting(4, (3,), LocalClassGroup((2,), ((1,),), (), None))
+    _splitting(4, (3,), LocalClassGroup((2,), ((1,),), None))
 except InvariantError:
     caught.append("splitting")
 fields.FqtElt.is_nth_power = lambda self, n: False

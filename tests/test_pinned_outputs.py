@@ -6,29 +6,15 @@ here, not only when the benchmark runs.  The pins are read, never written
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import PERFBENCH, perfbench_module
 from ncpbound import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _workloads()
+workloads = perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

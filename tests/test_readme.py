@@ -1,12 +1,15 @@
 """README's verb table describes `cli.VERBS`: one row per verb path, and
 each row names every flag of its verb and no flag the parser lacks.  A
 row writes alternatives as `--p/--a`; the global flags (`cli.GLOBALS`) may
-appear in any row and need appear in none."""
+appear in any row and need appear in none.  README's `## Library` example
+runs, and each of its expressions gives what its comment states."""
 
+import ast
 import re
 from pathlib import Path
 
 from ncpbound import cli
+from ncpbound.fields import prime_place
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +53,25 @@ def test_rows_name_exactly_the_flags():
         if missing or unknown:
             wrong[row] = (sorted(missing), sorted(unknown))
     assert wrong == {}
+
+
+def _library_values() -> list:
+    """Run the python block under `## Library` statement by statement; the
+    value of each bare expression, in order."""
+    text = README.read_text()
+    block = text[text.index("## Library"):].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    return values
+
+
+def test_library_example_states_its_values():
+    isolated, restricted, fiber, passed, hits = _library_values()
+    assert isolated == [(prime_place(2), 2)]
+    assert (restricted, fiber) == (8, 16)
+    assert passed is True
+    assert hits and {E.kernel_order for E in hits} == {2}

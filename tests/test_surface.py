@@ -10,7 +10,9 @@ name there must resolve on its type.  Tests are not callers: a function
 only the tests use belongs in the tests.  References are matched by name
 (a Name or an attribute, or a string of that one table), so dunder
 methods, which the language calls, and functions registered with a
-dispatcher are exempt.  Every module import must be used as well.
+dispatcher are exempt.  Every module import must be used as well, in
+`__init__` too: the package re-exports nothing, so a name imported there
+only to be re-exported fails.
 
 Every option must have a caller too: some call in `src/` or `perfbench/`
 must pass each defaulted parameter of a function or method in
@@ -20,22 +22,17 @@ above; a call with `*` or `**` counts as passing every parameter.
 
 import ast
 import dataclasses
-import importlib.util
 import inspect
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "ncpbound"
-PERFBENCH = ROOT / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
+from helpers import PERFBENCH, perfbench_module
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncpbound"
 
 
 def _boundary() -> set:
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {f"{layer}.{path}" for layer, kinds in module.BOUNDARY.items()
+    return {f"{layer}.{path}" for layer, kinds in perfbench_module("tracing").BOUNDARY.items()
             for paths in kinds.values() for path in paths}
 
 
@@ -111,8 +108,6 @@ def test_every_table_name_resolves():
 def test_every_import_is_used():
     unused = []
     for module, tree in TREES.items():
-        if module == "__init__":  # its imports are the package's surface
-            continue
         used = _names(tree)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

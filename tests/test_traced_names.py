@@ -3,23 +3,13 @@
 them must fail here, not only when `perfbench/run.py --trace 1` runs."""
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from helpers import perfbench_module
 
-
-def _boundary() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.BOUNDARY
-
-
-BOUNDARY = _boundary()
+BOUNDARY = perfbench_module("tracing").BOUNDARY
 PATHS = [(layer, kind, path) for layer, kinds in BOUNDARY.items()
          for kind, paths in kinds.items() for path in paths]
 
