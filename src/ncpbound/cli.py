@@ -47,8 +47,9 @@ from .groupext import (
     prop32_scan,
     verify_lemma_35,
 )
-from .isolation import d_value, isolated_places, isolation_report
+from .isolation import d_value, isolation_report
 from .jsonio import (
+    PlaceJSON,
     central_from_json,
     load_class,
     load_extension,
@@ -123,11 +124,15 @@ def cmd_local_degree(args):
 
 def cmd_isolated(args):
     M = _need_ext(args)
-    found = [
-        {"place": P, "p": p, "gap": isolation_report(M, p).gap}
-        for P, p in isolated_places(M)
-    ]
-    by_prime = {str(p): isolation_report(M, p) for p in sorted(factorize(M.degree))}
+    # one report per prime; the degree and the Galois exponent have the same
+    # primes, so these are the reports isolated_places reads
+    reports = [isolation_report(M, p) for p in sorted(factorize(M.degree))]
+    found = sorted(
+        ({"place": rep.isolated_place, "p": rep.p, "gap": rep.gap}
+         for rep in reports if rep.isolated_place is not None),
+        key=lambda row: (row["place"].sort_key(), row["p"]),
+    )
+    by_prime = {str(rep.p): rep for rep in reports}
     return {"extension": M.describe(), "isolated": found, "by_prime": by_prime}, 0
 
 
@@ -416,9 +421,10 @@ def _default(spec):
 def _scan(argv) -> dict | None:
     """The whole tree's namespace for a regular argv, read from GLOBALS and
     VERBS, else None.  Regular: exact flags or --flag=value, separate values
-    not starting with "-", every conversion succeeding, no flag with nargs,
-    the positionals one contiguous run that fills them exactly, required
-    flags given; the last occurrence of a flag wins, as in the tree."""
+    not starting with "-", every conversion succeeding, a flag with nargs
+    ("+", as --extra) written apart from its values and followed by at least
+    one, the positionals one contiguous run that fills them exactly,
+    required flags given; the last occurrence of a flag wins, as in the tree."""
     specs = dict(GLOBALS)
     given, path = {}, None
     i = start = end = 0  # argv[start:end] is the positional run
@@ -442,11 +448,22 @@ def _scan(argv) -> dict | None:
             continue
         flag, eq, value = token.partition("=")
         spec = specs.get(flag)
-        if spec is None or "nargs" in spec or eq and "action" in spec:
+        if spec is None or eq and ("action" in spec or "nargs" in spec):
             return None
         i += 1
         if "action" in spec:
             value = True
+        elif "nargs" in spec:  # the values up to the next flag, as the tree takes them
+            j = i
+            while j < len(argv) and not argv[j].startswith("-"):
+                j += 1
+            if j == i:
+                return None
+            try:
+                value = [spec.get("type", str)(v) for v in argv[i:j]]
+            except ValueError:
+                return None
+            i = j
         else:
             if not eq:
                 if i == len(argv) or argv[i].startswith("-"):
@@ -520,6 +537,18 @@ def _indented(value, pad: str = "\n") -> str:
         items = [_indented(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
+        # the two place kinds a search emits by the thousand, from a template;
+        # a place's coefficient list is never empty
+        if type(value) is PlaceJSON:
+            kind = value["kind"]
+            if kind == "prime":
+                return (f'{{{inner}"kind": "prime",{inner}"p": {int.__repr__(value["p"])},'
+                        f'{inner}"str": {_encode_str(value["str"])}{pad}}}')
+            if kind == "poly":
+                coeffs = ("," + inner + "  ").join(map(int.__repr__, value["coeffs"]))
+                return (f'{{{inner}"kind": "poly",{inner}"q": {int.__repr__(value["q"])},'
+                        f'{inner}"coeffs": [{inner}  {coeffs}{inner}],'
+                        f'{inner}"str": {_encode_str(value["str"])}{pad}}}')
         if not value:
             return "{}"
         # the encoder raises TypeError on a key that is not a string

@@ -5,7 +5,9 @@ produces plain dict/list/scalar trees ready for json.dumps.  Most report
 types are encoded from one table, `_ATTRIBUTES`: the attributes each type
 emits, in output order, each value encoded by `to_json` in turn.  Places,
 rationals, base fields, function-field elements, Brauer classes and
-worked-example reports keep hand-written encoders.  The command line
+worked-example reports keep hand-written encoders.  A place encodes to a
+`PlaceJSON`, a dict subclass that adds no state, so that `cli._indented`
+can write the common kinds from a fixed template.  The command line
 encodes each payload once, in `cli.main`.
 
 Decoding covers exactly the shapes the command line accepts as input: base
@@ -74,15 +76,22 @@ def _(obj: BaseField):
     return {"kind": "Fq", "q": obj.q}
 
 
+class PlaceJSON(dict):
+    """The encoding of a Place: a plain dict of the same keys and values,
+    whose type lets the command line's writer lay it out from a template."""
+
+    __slots__ = ()
+
+
 @to_json.register
 def _(obj: Place):
     if obj.kind == "prime":
-        return {"kind": "prime", "p": obj.p, "str": str(obj)}
+        return PlaceJSON(kind="prime", p=obj.p, str=str(obj))
     if obj.kind == "real":
-        return {"kind": "real", "str": "real"}
+        return PlaceJSON(kind="real", str="real")
     if obj.kind == "poly":
-        return {"kind": "poly", "q": obj.base.q, "coeffs": list(obj.coeffs), "str": str(obj)}
-    return {"kind": "inf", "q": obj.base.q, "str": "inf"}
+        return PlaceJSON(kind="poly", q=obj.base.q, coeffs=list(obj.coeffs), str=str(obj))
+    return PlaceJSON(kind="inf", q=obj.base.q, str="inf")
 
 
 @to_json.register

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON shapes, flag handling."""
 
+import functools
 import io
 import json
 import random
@@ -11,9 +12,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncpbound import cli, groupext
+from ncpbound import cli, groupext, isolation
+from ncpbound.arith import factorize, primes_upto
 from ncpbound.cli import main
-from ncpbound.fields import QQ
+from ncpbound.fields import (
+    QQ,
+    _trusted_place,
+    infinite_place,
+    monic_irreducibles,
+    poly_place,
+    prime_place,
+    real_place,
+)
 from ncpbound.groupext import (
     _lines_for,
     ext_build,
@@ -21,7 +31,8 @@ from ncpbound.groupext import (
     power_criterion,
     verify_lemma_35,
 )
-from ncpbound.jsonio import to_json
+from ncpbound.isolation import isolated_places, isolation_report
+from ncpbound.jsonio import PlaceJSON, ext_from_json, place_from_json, to_json
 
 
 @pytest.fixture
@@ -215,6 +226,34 @@ class TestFieldVerbs:
     def test_isolated_empty_for_function_field_fixture(self, run, ff7_file):
         code, payload, _ = run("isolated", "--ext", ff7_file)
         assert code == 0 and payload["isolated"] == []
+
+    @pytest.mark.parametrize("ext", [
+        {"base": "Q", "n": 2, "radicands": [-1, 2, 3]},
+        {"base": "F7(t)", "n": 6, "radicands": ["t", "t+1"]},
+        {"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]},
+    ], ids=lambda ext: f"{ext['base']}-{ext['n']}")
+    def test_isolated_asks_one_report_per_prime(self, run, tmp_path, monkeypatch, ext):
+        M = ext_from_json(ext)
+        # the rows as isolated_places and one report per row give them
+        want = json.loads(json.dumps(to_json({
+            "extension": M.describe(),
+            "isolated": [{"place": P, "p": p, "gap": isolation_report(M, p).gap}
+                         for P, p in isolated_places(M)],
+            "by_prime": {str(p): isolation_report(M, p) for p in sorted(factorize(M.degree))},
+        })))
+        asked = []
+
+        def counting(ext, p):
+            asked.append(p)
+            return isolation_report(ext, p)
+
+        monkeypatch.setattr(cli, "isolation_report", counting)
+        monkeypatch.setattr(isolation, "isolation_report", counting)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(ext))
+        code, payload, _ = run("isolated", "--ext", str(path))
+        assert code == 0 and payload == want
+        assert asked == sorted(factorize(M.degree))
 
 
 class TestBrauerVerbs:
@@ -605,6 +644,22 @@ class TestGroupext:
 
 
 class TestFlagsAndPretty:
+    @pytest.mark.parametrize("fixture, argv, line", [
+        ("ext_file", ["search", "frobenius", "--sigma", "1,0", "--count", "5"],
+         "places: [7, 23, 31, 47, 71]"),
+        ("ff7_file", ["search", "qsigma", "--p", "2", "--sigma", "1,1", "--count", "3"],
+         "places: [(t^2+t+3), (t^2+2t+3), (t^2+t+4)]"),
+        ("ext_file", ["search", "s0", "--p", "2", "--power", "1"],
+         'pairs: [{"sigma": [0, 0], "place": {"kind": "prime", "p": 17, "str": "17"}}]'),
+    ], ids=["frobenius", "qsigma", "s0"])
+    def test_pretty_renders_places_as_plain_dicts(self, request, run, fixture, argv, line):
+        # encoded places render as the same payload decoded from stdout does
+        code, payload, err = run("--pretty", "--ext", request.getfixturevalue(fixture), *argv)
+        plain = io.StringIO()
+        cli._render(payload, plain)
+        assert code == 0 and err == plain.getvalue()
+        assert line in err.splitlines()
+
     def test_global_flags_accepted_in_both_positions(self, run, ext_file):
         before = run("--ext", ext_file, "isolated")
         after = run("isolated", "--ext", ext_file)
@@ -1034,6 +1089,33 @@ _JSON_TREES = st.recursive(
 )
 
 
+# the largest prime below 10^k for k = 1..20, built as the sieve builds its
+# places: is_prime takes time sqrt(p), so Place would not check them in a test
+_BIG_PRIMES = (7, 97, 997, 9973, 99991, 999983, 9999991, 99999989, 999999937, 9999999967,
+               99999999977, 999999999989, 9999999999971, 99999999999973, 999999999999989,
+               9999999999999937, 99999999999999997, 999999999999999989, 9999999999999999961,
+               99999999999999999989)
+_QS = (2, 3, 5, 7, 13)
+_CHECKED_PLACES = st.one_of(
+    st.sampled_from(tuple(primes_upto(1000))).map(prime_place),
+    st.just(real_place()),
+    *(st.sampled_from(monic_irreducibles(q, d)).map(functools.partial(poly_place, q))
+      for q in _QS for d in range(1, 5)),
+    st.sampled_from(_QS).map(infinite_place),
+)
+_PLACES = _CHECKED_PLACES | st.sampled_from(_BIG_PRIMES).map(
+    lambda p: _trusted_place(QQ, "prime", p=p))
+
+
+# encoded places at depth 0 to 3, next to other JSON values
+_PLACE_LEVELS = [_PLACES.map(to_json) | st.integers() | _JSON_STRINGS]
+for _ in range(3):
+    _PLACE_LEVELS.append(st.lists(_PLACE_LEVELS[-1], min_size=1, max_size=3)
+                         | st.dictionaries(_JSON_STRINGS, _PLACE_LEVELS[-1], min_size=1,
+                                           max_size=3))
+_PLACE_TREES = st.one_of(_PLACE_LEVELS)
+
+
 class TestIndentedWriter:
     """cli._indented prints byte for byte what json.dumps(indent=2) prints."""
 
@@ -1041,6 +1123,18 @@ class TestIndentedWriter:
     @given(tree=_JSON_TREES)
     def test_matches_json_dumps(self, tree):
         assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(tree=_PLACE_TREES)
+    def test_places_match_json_dumps(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(place=_CHECKED_PLACES)
+    def test_places_round_trip(self, place):
+        encoded = to_json(place)
+        assert type(encoded) is PlaceJSON
+        assert place_from_json(json.loads(cli._indented(encoded))) == place
 
     @pytest.mark.parametrize("tree", [
         [], {}, [[]], {"a": {}}, [{}, [], [[], {}]], {"": []},

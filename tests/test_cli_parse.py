@@ -93,6 +93,23 @@ HAND_PICKED = [
     ["groupext", "verify", "a.json", "b.json"],
     ["cover", "check", "--extra", "3", "--p", "2"],
     ["cover", "check", "--extra", "3", "--n=1"],
+    # --extra takes the values up to the next flag
+    ["cover", "check", "--extra", "3", "5", "--nprime", "2", "t+1", "t+3"],
+    ["cover", "check", "t+1", "t+3", "--extra", "3", "5"],
+    ["cover", "check", "t+1", "--extra", "3", "t+3"],
+    ["cover", "check", "--extra", "3", "--extra", "5", "7"],
+    ["cover", "check", "--extra", "3", "--ext", "q.json", "t+1"],
+    ["cover", "check", "--extra", "--ext", "q.json", "3"],
+    ["cover", "check", "--extra", "--nprime", "2"],
+    ["cover", "check", "--extra"],
+    ["cover", "check", "--extra=3"],
+    ["cover", "check", "--extra=3", "5"],
+    ["cover", "check", "--extra", "3", "--extra=5"],
+    ["cover", "check", "--extra", "-3", "5"],
+    ["cover", "check", "--extra", "3", "-5"],
+    ["cover", "check", "--extra", "3", "--", "t+1"],
+    ["cover", "check", "--extra", "", "3"],
+    ["cover", "check", "t+1", "--extra", "3", "--nprime", "2", "t+3"],
     ["--seed", "3", "suite", "--seed=4", "--seed", "5", "--pretty"],
     ["paper", "ex41", "3"],
     ["paper", "ex41", "x", "3"],
@@ -137,6 +154,21 @@ def test_token_sequences_parse_as_whole_tree(argv):
     _same_as_whole_tree(argv)
 
 
+def test_nargs_flag_falls_back_on_a_failed_conversion(monkeypatch):
+    # no flag of the table converts its nargs values, so give --extra a type
+    handler, arguments = cli.VERBS[("cover", "check")]
+    typed = tuple(cli._arg(*flags, **kwargs, type=int) if flags == ("--extra",)
+                  else (flags, kwargs) for flags, kwargs in arguments)
+    monkeypatch.setitem(cli.VERBS, ("cover", "check"), (handler, typed))
+    tree = cli.build_parser.__wrapped__()
+    good = ["cover", "check", "t+1", "--extra", "3", "5"]
+    assert cli._scan(good) == vars(tree.parse_args(good))
+    assert cli._scan(good)["extra"] == [3, 5]
+    bad = ["cover", "check", "--extra", "3", "x", "--nprime", "2"]
+    assert cli._scan(bad) is None
+    assert _outcome(tree.parse_args, bad)[0] == ("exit", 2)
+
+
 class TestRepeatedCalls:
     """One process calling `parse_args` again: nothing of one call reaches the next."""
     VERIFY = ["groupext", "verify", "--p", "2", "--a", "1", "--orders", "2,2", "--t", "0,0",
@@ -174,6 +206,7 @@ class TestParsersBuilt:
         ["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1", "--profile-max", "2"],
         ["paper", "ex43", "2", "3", "2"],
         ["suite", "--seed", "2", "--mutation", "beta-flip"],
+        ["cover", "check", "--extra", "3", "5", "--nprime", "2", "7"],
     ], ids=lambda v: " ".join(v[:2]))
     def test_main_builds_no_parser(self, monkeypatch, capsys, argv):
         built = self._count_parsers(monkeypatch)
@@ -206,7 +239,7 @@ class TestParsersBuilt:
     def test_fallback_builds_the_tree_once_per_process(self, monkeypatch):
         cli.build_parser.cache_clear()
         built = self._count_parsers(monkeypatch)
-        for argv in (["cover", "check", "--extra", "3"], ["--pretty"], ["nonsense"]):
+        for argv in (["cover", "check", "--extra=3"], ["--pretty"], ["nonsense"]):
             _same_as_whole_tree(argv)
         assert len(built) == 1 + len(GROUPS) + len(cli.VERBS)
 
