@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .arith import QZ, QZ_ZERO, factorize, require_prime, vp
@@ -206,11 +207,16 @@ def check_lemma_2_1(alpha: BrauerClass, M: AbExt, p: int) -> bool:
     return local <= max(total - rep.gap, 0)
 
 
+@lru_cache(maxsize=None)
+def _place_pool(base: BaseField) -> tuple:
+    """The places of norm <= 200 random_class draws from, walked once per base."""
+    return tuple(enumerate_places(base, 200))
+
+
 def random_class(base: BaseField, rng: random.Random) -> BrauerClass:
     """Random valid class: 2 to 6 finite support places of norm <= 200,
     random small-order invariants, the last place balancing the sum."""
-    pool = list(enumerate_places(base, 200))
-    chosen = rng.sample(pool, rng.randint(2, 6))
+    chosen = rng.sample(_place_pool(base), rng.randint(2, 6))
     entries: dict[Place, QZ] = {}
     total = QZ_ZERO
     for P in chosen[:-1]:

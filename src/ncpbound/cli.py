@@ -16,7 +16,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
-from .arith import factorize
+from .arith import factorize, require_prime
 from .brauer import (
     check_lemma_2_1,
     construct_class,
@@ -190,6 +190,8 @@ def cmd_brauer_construct(args):
 def cmd_brauer_lemma21(args):
     M = _need_ext(args)
     count = _count(args, 0)
+    # checked here as well, so that a count of 0 rejects a non-prime p too
+    require_prime(args.p)
     rng = random.Random(_seed(args))
     bad = 0
     for _ in range(count):

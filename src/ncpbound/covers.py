@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Optional
 
-from .arith import factorize, is_squarefree, prime_field, require_prime, require_tame
+from .arith import factorize, prime_field, primes_upto, require_prime, require_tame
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
@@ -117,14 +117,18 @@ class CertReport:
 def candidate_radicands(base, bound: int) -> list:
     """Deterministic radicand pool for cover scans.
 
-    Over Q: -1, then each squarefree 2 <= a <= bound as a, -a.  Over F_q(t):
+    Over Q: -1, then each squarefree 2 <= a <= bound as a, -a, sieved by
+    striking the multiples of k^2 for each prime k <= sqrt(bound).  Over F_q(t):
     the smallest generator of the constant group first, then the monic
     irreducibles of degree up to bound, by degree then lexicographically.
     """
     if base.is_rationals():
+        free = bytearray([1]) * (bound + 1)
+        for k in primes_upto(isqrt(max(bound, 0))):
+            free[k * k :: k * k] = bytes(len(free[k * k :: k * k]))
         pool = [-1]
         for a in range(2, bound + 1):
-            if is_squarefree(a):
+            if free[a]:
                 pool.extend((a, -a))
         return pool
     pool = [fqt_const(base.q, prime_field(base.q).primitive_root())]
@@ -205,10 +209,12 @@ def quadratic_cover_scan(M: AbExt, P: Place, bound: int) -> tuple[bool, int]:
     radicand classes, and it moves the degree at P when d's local image lies
     outside the span of M's images there.
     """
-    span, span_P = class_span(2, M.vectors), local_class_group(M, P).span()
+    # over Q a class mod squares is its squarefree representative: the atoms' product
+    span = {prod(atom for atom, _ in key) for key in class_span(2, M.vectors)}
+    span_P = local_class_group(M, P).span()
     built = 0
     for d in candidate_radicands(QQ, bound):
-        if radicand_class(QQ, 2, d)[0] in span:
+        if d in span:
             continue
         built += 1
         if _local_image(QQ, 2, d, P) not in span_P:

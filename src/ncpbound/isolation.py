@@ -12,6 +12,7 @@ converts the gap into the divisor of m that must survive locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -46,8 +47,11 @@ class IsolationReport:
             raise InvariantError(f"isolated place {self.isolated_place} with gap {self.gap}")
 
 
+@lru_cache(maxsize=None)
 def isolation_report(M: AbExt, p: int) -> IsolationReport:
     """Compute u1, u2 and the isolated place, if any, for the prime p.
+
+    Memoised on (M, p) for the process, like local_data: the report is pure.
 
     Raises for p = char K: wild ramification has no bounded valuation
     family and is outside what this tool measures.

@@ -301,6 +301,13 @@ class TestBrauerVerbs:
         )
         assert code == 0 and payload["violations"] == 0 and payload["seed"] == 5
 
+    def test_lemma21_asks_one_isolation_report(self, run, ext_file):
+        # every class asks about the same (M, p): one miss, then hits
+        isolation_report.cache_clear()
+        code, _, _ = run("brauer", "lemma21", "--p", "2", "--count", "100", "--ext", ext_file)
+        info = isolation_report.cache_info()
+        assert code == 0 and (info.misses, info.hits) == (1, 99)
+
 
 class TestCoverAndSearch:
     def test_cover_check_reports_divisor_rows(self, run, ext_file):
@@ -374,8 +381,9 @@ class TestCoverAndSearch:
     ("search", "qsigma", "--sigma", "1,1"),
     ("search", "s0", "--power", "3"),
     ("brauer", "lemma21", "--count", "2"),
+    ("brauer", "lemma21", "--count", "0"),
     ("bound-report", "--chi-order", "4"),
-], ids=["qsigma", "s0", "lemma21", "bound-report"])
+], ids=["qsigma", "s0", "lemma21", "lemma21-count0", "bound-report"])
 def test_non_prime_p_is_2(run, ext_file, argv, p):
     code, payload, err = run(*argv, f"--p={p}", "--ext", ext_file)
     assert code == 2 and err == ""

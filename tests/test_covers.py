@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from ncpbound import extensions
+from ncpbound.arith import is_squarefree
 from ncpbound.covers import (
     BoundReport,
     bound_report,
@@ -125,6 +126,14 @@ class TestCandidateRadicands:
         pool = candidate_radicands(q_ext(11).base, 50)
         assert 4 not in pool and -8 not in pool and 9 not in pool
         assert 10 in pool and -10 in pool
+
+    def test_rational_pool_matches_the_squarefree_filter(self):
+        # the sieve against the per-integer test it replaced, empty bounds included
+        want = [-1]
+        for bound in range(-1, 401):
+            if bound >= 2 and is_squarefree(bound):
+                want += [bound, -bound]
+            assert candidate_radicands(QQ, bound) == want, bound
 
     def test_function_field_pool_order(self):
         pool = candidate_radicands(ff3_quad().base, 1)

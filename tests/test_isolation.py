@@ -72,6 +72,24 @@ class TestUValues:
         assert (rep.p, rep.u1, rep.u2) == (2, 2, 1)
 
 
+class TestReportMemo:
+    def test_repeat_is_a_hit_on_the_same_report(self):
+        M = q_ext(-1, 2)
+        first = isolation_report(M, 2)
+        before = isolation_report.cache_info()
+        assert isolation_report(M, 2) is first
+        after = isolation_report.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_wild_prime_raises_on_every_call_and_is_not_stored(self):
+        M = ff7_cubic()
+        size = isolation_report.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="equals the field characteristic"):
+                isolation_report(M, 7)
+        assert isolation_report.cache_info().currsize == size
+
+
 def _report_by_enumeration(M, p):
     """(u1, u2, isolated place) with the Frobenius values read from the
     order of every element of the Galois group."""

@@ -18,6 +18,12 @@ Every option must have a caller too: some call in `src/` or `perfbench/`
 must pass each defaulted parameter of a function or method in
 `src/ncpbound`, by position or by keyword.  Calls are matched by name as
 above; a call with `*` or `**` counts as passing every parameter.
+
+Every process-wide memo is documented: each function decorated with
+`lru_cache` or `functools.cache`, and each module-level name that a function
+stores into (`x[key] = ...` or `x.attr = ...`), has a row in README's
+"Process-wide memos" table giving its key and what bounds its size, and
+every row names such a memo.
 """
 
 import ast
@@ -29,6 +35,7 @@ from pathlib import Path
 from helpers import PERFBENCH, perfbench_module
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncpbound"
+README = SRC.parent.parent / "README.md"
 
 
 def _boundary() -> set:
@@ -164,3 +171,53 @@ def test_every_option_has_a_caller():
                        for count, keywords, starred in calls.get(node.name, ())):
                 unpassed.append(f"{qualname}({name})")
     assert unpassed == [], f"defaulted parameters no call passes: {unpassed}"
+
+
+def _memoised(node) -> bool:
+    """Decorated with lru_cache(...) or functools.cache, in any spelling."""
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name in ("lru_cache", "cache"):
+            return True
+    return False
+
+
+def _memos() -> set:
+    """module.name of every memoised function and every module-level name a
+    function of the same module stores into."""
+    out = {qualname for qualname, node in _definitions() if _memoised(node)}
+    for module, tree in TREES.items():
+        top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Subscript, ast.Attribute))
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id in top):
+                out.add(f"{module}.{node.value.id}")
+    return out
+
+
+def _memo_rows() -> dict:
+    """First cell (`module.name`) -> the other cells, of the table after the
+    README line naming the process-wide memos."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "Process-wide memos" in line)
+    header = next(i for i in range(start, len(lines)) if lines[i].startswith("|"))
+    rows = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        first, *rest = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[first.strip("`")] = rest
+    return rows
+
+
+def test_every_memo_is_documented():
+    rows = _memo_rows()
+    memos = _memos()
+    assert {"fields._irreducible_cache", "isolation.isolation_report"} <= memos
+    assert sorted(memos - set(rows)) == [], "memos missing from README's table"
+    assert sorted(set(rows) - memos) == [], "README rows that name no memo"
+    assert [name for name, cells in rows.items() if len(cells) != 2 or not all(cells)] == []

@@ -1,11 +1,17 @@
 """Worked example runners and the seeded property suite."""
 
+import random
+from collections import Counter
+from math import prod
+
 import pytest
 
 from helpers import check
+from ncpbound import worked
 from ncpbound.arith import is_prime, legendre
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.fields import poly_place, prime_place, real_place
+from ncpbound.groupext import beta
 from ncpbound.worked import (
     DEFAULT_SEED,
     MUTATIONS,
@@ -229,6 +235,22 @@ class TestPropertySuite:
         rep = run_property_suite(DEFAULT_SEED, mutation="beta-flip")
         assert not rep.passed
         assert "beta-bilinear" in rep.failed
+
+    def test_beta_battery_work_is_linear_in_the_pairs(self, monkeypatch):
+        # one inverse per vector and three products per pair, on the collection route
+        calls = Counter()
+        for name in ("ext_mul", "ext_inv"):
+            def counted(*args, _name=name, _f=getattr(worked, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(worked, name, counted)
+        passed, detail = worked._battery_beta(random.Random(DEFAULT_SEED), {"beta": beta})
+        sizes = [prod(E.orders) for _, E in worked._sample_exts()]
+        vectors, pairs = sum(sizes), sum(size * size for size in sizes)
+        assert passed and detail == "1162 pairs across 6 extensions" and pairs == 1162
+        assert calls["ext_inv"] <= vectors
+        assert calls["ext_mul"] <= 3 * pairs
 
     def test_unknown_mutation_raises(self):
         with pytest.raises(ValidationError):
