@@ -31,6 +31,7 @@ from .extensions import (
     relative_degree,
     require_chi_order,
     roots_of_unity_s,
+    span_squarefree,
 )
 from .fields import QQ, Place, fqt_const, fqt_from_factors, monic_irreducibles
 from .isolation import d_value
@@ -209,8 +210,7 @@ def quadratic_cover_scan(M: AbExt, P: Place, bound: int) -> tuple[bool, int]:
     radicand classes, and it moves the degree at P when d's local image lies
     outside the span of M's images there.
     """
-    # over Q a class mod squares is its squarefree representative: the atoms' product
-    span = {prod(atom for atom, _ in key) for key in class_span(2, M.vectors)}
+    span = span_squarefree(M)
     span_P = local_class_group(M, P).span()
     built = 0
     for d in candidate_radicands(QQ, bound):

@@ -13,9 +13,11 @@ by <sigma, e> = sum s_i e_i mod n.
 Local data at a place comes from the image of W in the local class group
 K_P*/(K_P*)^n.  Away from the residue characteristic that group is
 Z/n x Z/n (valuation, unit class); the dyadic and real completions of Q get
-explicit small tables.  Decomposition and inertia subgroups are annihilators
-of the corresponding kernels, and the Frobenius is pinned down on the
-unramified part by n-th power residue symbols.
+explicit small tables.  Everything is read off the radicands' images in
+closed form (see _splitting): the local degree is the size of their span,
+the inertia group is spanned by the characters of the ramified coordinates,
+and the Frobenius is pinned down on the unramified part by n-th power
+residue symbols.  Nothing enumerates the Galois group per place.
 
 The place searches read the Frobenius over Q once per Artin class p mod the
 conductor, since by quadratic reciprocity the Legendre symbols depend on
@@ -271,11 +273,12 @@ def gal_identity(M: AbExt) -> tuple:
 
 def pairing(M: AbExt, sigma, exps) -> int:
     """dlog of the root of unity by which sigma moves the W-element of exps."""
-    return _pair(M.n, sigma, exps)
+    return sum(s * e for s, e in zip(sigma, exps)) % M.n
 
 
-def _pair(n: int, sigma, exps) -> int:
-    return sum(s * e for s, e in zip(sigma, exps)) % n
+def _gal_adder(n: int):
+    """Addition of Galois elements, tuples in (Z/n)^r."""
+    return lambda x, y: tuple((a + b) % n for a, b in zip(x, y))
 
 
 def validate_sigma(M: AbExt, sigma) -> tuple:
@@ -333,19 +336,10 @@ class LocalClassGroup:
         """The trivial subgroup."""
         return frozenset(((0,) * len(self.moduli),))
 
-    def image_of(self, exps) -> tuple:
-        return tuple(
-            sum(e * img[k] for e, img in zip(exps, self.images)) % self.moduli[k]
-            for k in range(len(self.moduli))
-        )
-
     def span(self, count: int | None = None) -> frozenset:
         """The image of W, or of the classes of the first count radicands:
         its size is the local degree of the field they generate."""
         return _grow(self.trivial(), self.images[:count], self.add)
-
-    def is_unramified(self, coords) -> bool:
-        return all(c == 0 for k, c in enumerate(coords) if k != self.symbol_coord)
 
     def symbol(self, coords) -> int:
         return 0 if self.symbol_coord is None else coords[self.symbol_coord]
@@ -395,17 +389,15 @@ def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
 
 @dataclass(frozen=True)
 class LocalData:
-    """Splitting of a place in M/K: the local degree [M_P : K_P], its
-    ramification/residue split, the decomposition and inertia subgroups, and
-    a Frobenius representative (exact when unramified, a coset representative
-    modulo inertia otherwise)."""
+    """Splitting of a place in M/K: the local degree [M_P : K_P] = e * f,
+    the ramification index e = |I| and residue degree f, and a Frobenius
+    representative: exact when unramified, otherwise the lexicographically
+    least element of its coset modulo the inertia group I (see _splitting)."""
 
     place: Place
     degree: int
     ram_index: int
     res_degree: int
-    decomposition: tuple
-    inertia: tuple
     frobenius: tuple
 
     @property
@@ -417,42 +409,43 @@ class LocalData:
 def local_data(M: AbExt, place: Place) -> LocalData:
     """Splitting data of M at a place: the place's local class-group image,
     then the place-free splitting that image determines."""
-    G = local_class_group(M, place)
-    return LocalData(place, *_splitting(M.n, M.orders, G))
+    return LocalData(place, *_splitting(M.n, local_class_group(M, place)))
 
 
 @lru_cache(maxsize=None)
-def _splitting(n: int, orders: tuple, G: LocalClassGroup) -> tuple:
-    """(degree, e, f, D, I, Frobenius) for an extension of exponent n with
-    Galois group prod Z/orders and local class-group image G.
+def _splitting(n: int, G: LocalClassGroup) -> tuple:
+    """(degree, e, f, Frobenius) of an extension of exponent n whose
+    radicands have the local images G.images, in closed form.
 
-    D, I and the Frobenius are annihilators and characters of kernels of G,
-    so they depend on (n, orders, G) alone and not on the place or the
-    radicands: one extension has at most as many entries as its radicands
-    have distinct local images (7 for Q(sqrt 3, sqrt -7) over all primes).
+    With ker_d and ker_i the exponent tuples of trivial and of unramified
+    image (zero off the symbol coordinate c), the degree is |W / ker_d|,
+    the size of the images' span.  The inertia group I = ann(ker_i) is
+    spanned by the vectors ((n/m_k) img_i[k] mod n)_i, k running over the
+    coordinates other than c, of moduli m_k: a character trivial on ker_i
+    factors through the ramified quotient, which embeds in prod Z/m_k with
+    every m_k | n, and Z/n is self-injective, so it extends to a sum of
+    these.  So |I| <= n at a tame place, 4 at 2 and 2 at the real place;
+    e = |I|, checked against the index of the unramified classes in the
+    span, and f = degree / e.  s0 = (symbol(img_i))_i solves
+    <s, x> = symbol(x) on ker_i, so the Frobenius candidates form the coset
+    s0 + I; the least in lexicographic order is reported.
+
+    The result depends on (n, G) alone, not on the place or the radicands:
+    one extension has at most as many entries as its radicands have
+    distinct local images (7 for Q(sqrt 3, sqrt -7) over all primes).
     """
-    exps = _exponent_tuples(orders)
-    zero = (0,) * len(G.moduli)
-    image = {e: G.image_of(e) for e in exps}
-    ker_d = [e for e in exps if image[e] == zero]
-    ker_i = [e for e in exps if G.is_unramified(image[e])]
-
-    D = tuple(s for s in _gal_elements(n, orders) if all(_pair(n, s, e) == 0 for e in ker_d))
-    I = tuple(s for s in D if all(_pair(n, s, e) == 0 for e in ker_i))
-    if len(D) * len(ker_d) != len(exps):
-        raise InvariantError("annihilator size mismatch")
-
-    # unit classes in ker_i carry power residue symbols; symbols must extend
-    # to a character of the whole group, realized by some element of D
-    sym = {e: G.symbol(image[e]) for e in ker_i}
-    frob = next((s for s in D if all(_pair(n, s, e) == sym[e] for e in ker_i)), None)
-    if frob is None:
-        raise InvariantError("residue symbols define no character of D")
-
-    e_idx = len(exps) // len(ker_i)
-    if e_idx != len(I):
-        raise InvariantError("inertia size mismatch")
-    return len(D), e_idx, len(D) // e_idx, D, I, frob
+    span = G.span()
+    ramified = [k for k in range(len(G.moduli)) if k != G.symbol_coord]
+    add = _gal_adder(n)
+    gens = [tuple(n // G.moduli[k] * img[k] % n for img in G.images) for k in ramified]
+    inertia = _grow(frozenset(((0,) * len(G.images),)), gens, add)
+    index = len(span) // sum(1 for x in span if not any(x[k] for k in ramified))
+    if len(inertia) != index:
+        raise InvariantError(f"inertia of order {len(inertia)}, but the unramified classes"
+                             f" have index {index} in the local image")
+    s0 = tuple(G.symbol(img) for img in G.images)
+    frob = min(add(s0, s) for s in inertia)
+    return len(span), index, len(span) // index, frob
 
 
 def local_degree(M: AbExt, place: Place) -> int:
@@ -672,11 +665,7 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     if power:
         require_tame(M, p, "the search needs residue norms prime to p")
     zero = gal_identity(M)
-
-    def add(x, y):
-        return tuple((a + b) % M.n for a, b in zip(x, y))
-
-    gens = greedy_generators(gal_fixing_cyclotomic(M, p), add, zero) or (zero,)
+    gens = greedy_generators(gal_fixing_cyclotomic(M, p), _gal_adder(M.n), zero) or (zero,)
     modulus, frobenius = p**power, _frobenius_reader(M)
     out = {}
     missing = []

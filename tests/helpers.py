@@ -10,7 +10,16 @@ from pathlib import Path
 from ncpbound.arith import prime_field
 from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
-from ncpbound.extensions import AbExt, build_extension, local_degree
+from ncpbound.extensions import (
+    AbExt,
+    _grow,
+    build_extension,
+    galois_group,
+    local_class_group,
+    local_degree,
+    pairing,
+    w_exponents,
+)
 from ncpbound.fields import (
     QQ,
     FqtElt,
@@ -123,6 +132,41 @@ def oracle_cover(M, extra, n_prime=None):
 def oracle_local_degree(C, P):
     """[L:M]_P as the quotient of the two local degrees."""
     return local_degree(C.L, P) // local_degree(C.M, P)
+
+
+def local_data_oracle(M, place):
+    """The splitting of M at a place by enumeration, with no memo: the image
+    of every exponent tuple in the local class group, the kernels ker_d
+    (trivial image) and ker_i (unramified image), their annihilators D and I
+    in the Galois group, and the first element of D whose pairings match
+    the residue symbols on ker_i.  The unramified classes are grown from
+    their generators: none at a real place, the class of 5 at 2, and the
+    unit class at a tame place.  Returns (degree, e, f, D, I, frobenius)."""
+    G = local_class_group(M, place)
+
+    def image(exps):
+        return tuple(sum(e * img[k] for e, img in zip(exps, G.images)) % m
+                     for k, m in enumerate(G.moduli))
+
+    if place.kind == "real":
+        gens = ()
+    elif len(G.moduli) == 3:  # at 2: coordinates (e_-1, e_5, v_2)
+        gens = ((0, 1, 0),)
+    else:  # (valuation, unit class)
+        gens = ((0, 1),)
+    unram = _grow(G.trivial(), gens, G.add)
+    exps = w_exponents(M)
+    images = {e: image(e) for e in exps}
+    ker_d = [e for e in exps if not any(images[e])]
+    ker_i = [e for e in exps if images[e] in unram]
+    D = tuple(s for s in galois_group(M) if all(pairing(M, s, e) == 0 for e in ker_d))
+    I = tuple(s for s in D if all(pairing(M, s, e) == 0 for e in ker_i))
+    if len(D) * len(ker_d) != len(exps):
+        raise InvariantError("annihilator size mismatch")
+    frob = next(s for s in D
+                if all(pairing(M, s, e) == G.symbol(images[e]) for e in ker_i))
+    e_idx = len(exps) // len(ker_i)
+    return len(D), e_idx, len(D) // e_idx, D, I, frob
 
 
 # ------------------------------------------------------------ F_q[t] oracles

@@ -12,7 +12,7 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import fqt_mul, sigma_order
+from helpers import fqt_mul, local_data_oracle, sigma_order
 from ncpbound import brauer, covers, extensions, worked
 from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
@@ -442,7 +442,7 @@ class TestLocalDataRationals:
         ld5 = local_data(M, prime_place(5))
         assert (ld5.degree, ld5.ram_index) == (2, 1)
         assert ld5.frobenius == (1, 1)
-        assert ld5.decomposition == ((0, 0), (1, 1))
+        assert local_data_oracle(M, prime_place(5))[3] == ((0, 0), (1, 1))
 
     def test_split(self):
         M = q_ext(3, -7)
@@ -454,7 +454,8 @@ class TestLocalDataRationals:
         M = q_ext(3, -7)
         ld = local_data(M, real_place())
         assert ld.degree == 2
-        assert ld.inertia == ld.decomposition
+        D, I = local_data_oracle(M, real_place())[3:5]
+        assert I == D
         assert ld.frobenius == (0, 0)
         assert not is_real_field(M)
         assert is_real_field(q_ext(3))
@@ -774,37 +775,6 @@ class TestBoundedWalk:
 # the two-level local-data memo against a per-place brute force
 
 
-def _local_data_oracle(M, place):
-    """local_data computed from scratch at one place, with no memo: the
-    local class-group image, its kernels, their annihilators in the Galois
-    group and the Frobenius character, all through the public helpers.  The
-    unramified subgroup is grown from its generators: none at a real place,
-    the class of 5 at 2, and the unit classes at a tame place."""
-    from ncpbound.extensions import LocalData, _grow, local_class_group
-
-    G = local_class_group(M, place)
-    exps = w_exponents(M)
-    zero = (0,) * len(G.moduli)
-    if place.kind == "real":
-        gens = ()
-    elif len(G.moduli) == 3:  # at 2: coordinates (e_-1, e_5, v_2)
-        gens = ((0, 1, 0),)
-    else:  # (valuation, unit class)
-        gens = ((0, 1),)
-    unram = _grow(G.trivial(), gens, G.add)
-    ker_d = [e for e in exps if G.image_of(e) == zero]
-    ker_i = [e for e in exps if G.image_of(e) in unram]
-    gal = galois_group(M)
-    D = tuple(s for s in gal if all(pairing(M, s, e) == 0 for e in ker_d))
-    I = tuple(s for s in D if all(pairing(M, s, e) == 0 for e in ker_i))
-    assert len(D) * len(ker_d) == len(exps)
-    sym = {e: G.symbol(G.image_of(e)) for e in ker_i}
-    frob = next(s for s in D if all(pairing(M, s, e) == sym[e] for e in ker_i))
-    e_idx = len(exps) // len(ker_i)
-    assert e_idx == len(I)
-    return LocalData(place, len(D), e_idx, len(D) // e_idx, D, I, frob)
-
-
 class TestLocalDataMemo:
     @pytest.mark.parametrize(
         "M, bound",
@@ -824,7 +794,7 @@ class TestLocalDataMemo:
         if M.base.is_rationals():
             assert prime_place(2) in places and real_place() in places
         for P in places:
-            assert local_data(M, P) == _local_data_oracle(M, P), str(P)
+            _assert_matches_oracle(M, P)
 
     def test_splitting_memo_is_bounded_by_local_images(self):
         from ncpbound.extensions import _splitting, local_class_group
@@ -839,6 +809,93 @@ class TestLocalDataMemo:
         # 2 (dyadic), 3 and 7 (ramified) and four Frobenius classes
         assert _splitting.cache_info().currsize == len(images) == 7
         local_data.cache_clear()
+
+
+def _assert_matches_oracle(M, P):
+    degree, e, f, D, I, frob = local_data_oracle(M, P)
+    ld = local_data(M, P)
+    assert (ld.degree, ld.ram_index, ld.res_degree, ld.frobenius) == (degree, e, f, frob), str(P)
+    assert (len(D), len(I)) == (ld.degree, ld.ram_index), str(P)
+
+
+_ATOMS = (-1, 2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def _rational_extension(draw):
+    """Q(sqrt d_1, ..., sqrt d_r), r = 1..8: d_i is the i-th drawn atom
+    times some later ones, so the classes are independent, and the places
+    to check: the ramified ones, 2, the real place and a few unramified."""
+    atoms = draw(st.permutations(_ATOMS))[:draw(st.integers(1, 8))]
+    rads = tuple(a * prod(b for b in atoms[i + 1:] if draw(st.booleans()))
+                 for i, a in enumerate(atoms))
+    M = AbExt(QQ, 2, rads)
+    extra = draw(st.lists(st.sampled_from((23, 29, 31, 37, 41, 43)), max_size=2))
+    places = (*ramified_places(M), prime_place(2), real_place(), *map(prime_place, extra))
+    return M, tuple(dict.fromkeys(places))
+
+
+@st.composite
+def _function_field_extension(draw):
+    """F_q(t)(n-th roots of r = 1..3 radicands c * prod (t + a)^k), n | q - 1
+    composite or prime, with the ramified places, infinity and a few places
+    of degree at most 2."""
+    q = draw(st.sampled_from((5, 7, 13, 17)))
+    n = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    rads = []
+    for _ in range(draw(st.integers(1, 3))):
+        roots = draw(st.lists(st.integers(0, q - 1), max_size=2, unique=True))
+        rads.append(fqt_from_factors(q, draw(st.integers(1, q - 1)),
+                                     [((a, 1), draw(st.integers(1, n - 1))) for a in roots]))
+    try:
+        M = AbExt(rational_function_field(q), n, tuple(rads))
+    except ValidationError:
+        reject()  # an n-th power or dependent classes
+    pool = list(enumerate_places(M.base, q * q))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=3))
+    return M, tuple(dict.fromkeys((*ramified_places(M), infinite_place(q), *extra)))
+
+
+class TestLocalDataOracle:
+    """local_data reads degree, e, f and the Frobenius off the local image;
+    the enumerating oracle in helpers agrees on every kind of place."""
+
+    @given(_rational_extension())
+    @settings(max_examples=40, deadline=None)
+    def test_rationals(self, drawn):
+        M, places = drawn
+        for P in places:
+            _assert_matches_oracle(M, P)
+
+    @given(_function_field_extension())
+    @settings(max_examples=100, deadline=None)
+    def test_function_fields(self, drawn):
+        M, places = drawn
+        for P in places:
+            _assert_matches_oracle(M, P)
+
+    def test_rank_10_enumerates_no_group(self, monkeypatch):
+        # 2^10 exponent tuples and Galois elements: the splitting is read
+        # off the local images without listing either
+        M = q_ext(-1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+        def refuse(*args):
+            raise AssertionError("local_data enumerated a group")
+
+        local_data.cache_clear()
+        extensions._splitting.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(extensions, "_exponent_tuples", refuse)
+                patch.setattr(extensions, "_gal_elements", refuse)
+                ramified = ramified_places(M)
+                got = {P: local_data(M, P) for P in (*ramified, real_place())}
+        finally:
+            local_data.cache_clear()
+        assert ramified == tuple(map(prime_place, (2, 3, 5, 7, 11, 13, 17, 19, 23)))
+        assert got[prime_place(2)].degree == 8 and got[real_place()].ram_index == 2
+        for P in got:
+            _assert_matches_oracle(M, P)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,15 @@ from ncpbound.isolation import IsolationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Galois orders (3,) are inconsistent with n = 4: the annihilator of the
-# kernel {0, 2} has 2 elements, and 2 * 2 != 3 exponent tuples
-BAD_SPLIT = (4, (3,), LocalClassGroup((2,), ((1,),), None))
+# a coordinate of modulus 4 does not divide n = 2: its character (n/m) x
+# is zero, so the inertia group is trivial, while the image {0, 1, 2, 3}
+# has only its trivial class unramified, an index of 4
+BAD_SPLIT = (2, LocalClassGroup((4,), ((1,),), None))
 
 
 def test_splitting_raises_named_error():
-    with pytest.raises(InvariantError, match="annihilator size mismatch"):
+    with pytest.raises(InvariantError, match="inertia of order 1, but the unramified classes"
+                                             " have index 4 in the local image"):
         _splitting(*BAD_SPLIT)
 
 
@@ -40,7 +42,7 @@ def test_class_order_raises_named_error(monkeypatch):
 
 def test_cli_maps_invariant_error_to_exit_1(monkeypatch, capsys, tmp_path):
     def broken(*args):
-        raise InvariantError("residue symbols define no character of D")
+        raise InvariantError("inertia of order 1, but the unramified classes have index 4")
 
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": [-1, 2]}))
@@ -53,7 +55,7 @@ def test_cli_maps_invariant_error_to_exit_1(monkeypatch, capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["error"] == "invariant-violated"
-    assert "no character" in payload["detail"]
+    assert "inertia of order 1" in payload["detail"]
 
 
 def test_build_cover_raises_named_error(monkeypatch):
@@ -159,7 +161,7 @@ from ncpbound.extensions import LocalClassGroup, _splitting
 assert not __debug__
 caught = []
 try:
-    _splitting(4, (3,), LocalClassGroup((2,), ((1,),), None))
+    _splitting(2, LocalClassGroup((4,), ((1,),), None))
 except InvariantError:
     caught.append("splitting")
 fields.FqtElt.is_nth_power = lambda self, n: False

@@ -14,6 +14,10 @@ dispatcher are exempt.  Every module import must be used as well, in
 `__init__` too: the package re-exports nothing, so a name imported there
 only to be re-exported fails.
 
+Every dataclass field must be read: as an attribute somewhere in `src/`, or
+through a string of `_ATTRIBUTES`.  A field nothing reads is data computed
+for no one.
+
 Every option must have a caller too: some call in `src/` or `perfbench/`
 must pass each defaulted parameter of a function or method in
 `src/ncpbound`, by position or by keyword.  Calls are matched by name as
@@ -96,6 +100,27 @@ def test_every_function_has_a_caller():
         if everywhere[name] - _names(node)[name] <= 0:
             callerless.append(qualname)
     assert callerless == [], f"no caller in src/ and not in BOUNDARY: {callerless}"
+
+
+def _dataclass_fields():
+    """(module.class.field, field name) of every annotated field of a class
+    decorated with @dataclass, in any spelling."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        yield f"{module}.{node.name}.{sub.target.id}", sub.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # read as an attribute somewhere in src/, or emitted through the table
+    read = Counter(n.attr for tree in TREES.values() for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    read += _table_names()
+    unread = [qualname for qualname, name in _dataclass_fields() if not read[name]]
+    assert unread == [], f"dataclass fields nothing in src/ reads: {unread}"
 
 
 def test_every_table_name_resolves():
