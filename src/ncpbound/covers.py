@@ -20,17 +20,19 @@ from .arith import factorize, prime_field, primes_upto, require_prime, require_t
 from .errors import InvariantError, ValidationError
 from .extensions import (
     AbExt,
+    _class_vector,
     _local_image,
-    _vector_adder,
-    class_span,
+    _vector_order,
+    class_row,
     cyclotomic_degree,
+    image_row,
     is_real_field,
     local_class_group,
     r_value,
-    radicand_class,
     relative_degree,
     require_chi_order,
     roots_of_unity_s,
+    span_members,
     span_squarefree,
 )
 from .fields import QQ, Place, fqt_const, fqt_from_factors, monic_irreducibles
@@ -78,7 +80,7 @@ def cover_local_degree(C: Cover, P: Place) -> int:
     """[L:M]_P: the index of the local image of M's radicands in that of L's,
     both read in K_P*/(K_P*)^n' (extensions.relative_degree)."""
     G, k = local_class_group(C.L, P), len(C.M.radicands)
-    return relative_degree(G.span(k), G.images[k:], G.add)
+    return relative_degree(G.n, G.span(k), [image_row(img) for img in G.images[k:]])
 
 
 def full_local_degree(C: Cover, P: Place) -> bool:
@@ -153,10 +155,10 @@ def check_Bm(M: AbExt, m: int, S, radicand_bound: Optional[int] = None,
     The default bound is 100 over Q (absolute value) and 3 over F_q(t)
     (polynomial degree; the pool grows like q^d past that).
 
-    No cover is built until the witness: each pool radicand's class vector
-    and its images at the places of S are read once, a combination builds
-    when its classes are independent over M's span, and its local degrees
-    are span indices (extensions.relative_degree).
+    No cover is built until the witness: each pool radicand's class row and
+    its images at the places of S are read once, a combination builds when
+    its classes are independent over M's span, and its local degrees are
+    span indices (extensions.relative_degree).
     """
     if m < 1:
         raise ValidationError("m must be a positive integer")
@@ -168,28 +170,26 @@ def check_Bm(M: AbExt, m: int, S, radicand_bound: Optional[int] = None,
         raise ValidationError(f"max_extra must be at least 0, got {max_extra}")
     places = tuple(sorted(set(S), key=lambda P: P.sort_key()))
     need = [d_value(P, m, M) for P in places]
-    groups = [local_class_group(M, P) for P in places]
-    below = [G.span() for G in groups]
+    below = [local_class_group(M, P).span() for P in places]
     pool = candidate_radicands(M.base, radicand_bound)
     # a cover that builds has [L:M] = the product of the extra orders, so
     # only nontrivial classes of order dividing m can take part
-    cands = []
+    cands, index = [], dict(M.columns)
     for f in pool:
-        key, o = radicand_class(M.base, M.n, f)
+        o = _vector_order(M.n, vec := _class_vector(M.base, M.n, f))
         if o > 1 and m % o == 0:
-            cands.append((f, key, o, [_local_image(M.base, M.n, f, P) for P in places]))
-    span, add = class_span(M.n, M.vectors), _vector_adder(M.n)
+            images = [image_row(_local_image(M.base, M.n, f, P)) for P in places]
+            cands.append((f, class_row(index, vec), o, images))
     tried = 0
     for k in range(max_extra + 1):
         for combo in combinations(cands, k):
             if prod(o for _, _, o, _ in combo) != m:
                 continue
             # the cover builds iff the extra classes multiply M's span by m
-            if relative_degree(span, [key for _, key, _, _ in combo], add) != m:
+            if relative_degree(M.n, M.span, [row for _, row, _, _ in combo]) != m:
                 continue
             tried += 1
-            got = [relative_degree(b, [c[3][j] for c in combo], G.add)
-                   for j, (b, G) in enumerate(zip(below, groups))]
+            got = [relative_degree(M.n, b, [c[3][j] for c in combo]) for j, b in enumerate(below)]
             checks = [_divisor_row(P, d, g) for P, d, g in zip(places, need, got)]
             if all(ok for _, ok, _ in checks):
                 witness = build_cover(M, tuple(f for f, _, _, _ in combo), M.n)
@@ -208,11 +208,11 @@ def quadratic_cover_scan(M: AbExt, P: Place, bound: int) -> tuple[bool, int]:
 
     M(sqrt d) is a cover when d's class lies outside the span of M's
     radicand classes, and it moves the degree at P when d's local image lies
-    outside the span of M's images there.
+    outside the span of M's images there.  Both spans are read as member sets.
     """
-    span = span_squarefree(M)
-    span_P = local_class_group(M, P).span()
-    built = 0
+    span, G, built = span_squarefree(M), local_class_group(M, P), 0
+    width = len(G.images[0])
+    span_P = {tuple(x.get(k, 0) for k in range(width)) for x in span_members(2, G.span())}
     for d in candidate_radicands(QQ, bound):
         if d in span:
             continue

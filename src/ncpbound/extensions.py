@@ -14,10 +14,11 @@ Local data at a place comes from the image of W in the local class group
 K_P*/(K_P*)^n.  Away from the residue characteristic that group is
 Z/n x Z/n (valuation, unit class); the dyadic and real completions of Q get
 explicit small tables.  Everything is read off the radicands' images in
-closed form (see _splitting): the local degree is the size of their span,
+closed form (see _splitting): the local degree is the order of their span,
 the inertia group is spanned by the characters of the ramified coordinates,
 and the Frobenius is pinned down on the unramified part by n-th power
-residue symbols.  Nothing enumerates the Galois group per place.
+residue symbols.  Every span is a Howell basis over Z/n (see howell): no
+valid extension lists W, and only s0_search lists Gal(M/K).
 
 The place searches read the Frobenius over Q once per Artin class p mod the
 conductor, since by quadratic reciprocity the Legendre symbols depend on
@@ -69,8 +70,9 @@ class AbExt:
     from the radicand's class vector, and the constructor does not take it.
     The classes must be independent (no nontrivial product of powers is an
     n-th power), so Gal(M/K) = prod Z/orders[i].  vectors keeps the class
-    vectors and _hash the hash, computed once since every local_data lookup
-    hashes M; neither takes part in equality, hashing or the repr.
+    vectors, columns the column of each atom, span the Howell basis of W and
+    _hash the hash, computed once since every local_data lookup hashes M;
+    none takes part in equality, hashing or the repr.
     """
 
     base: BaseField
@@ -78,6 +80,8 @@ class AbExt:
     radicands: tuple
     orders: tuple = field(default=(), init=False)
     vectors: tuple = field(default=(), init=False, compare=False, repr=False)
+    columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    span: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,12 +104,13 @@ class AbExt:
         vectors, orders = tuple(vectors), tuple(orders)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "vectors", vectors)
+        rows = [class_row(self.columns, vec) for vec in vectors]
+        object.__setattr__(self, "span", howell(self.n, rows))
         # the classes generate a group of order at most prod(orders), with
         # equality exactly when they are independent
-        if len(class_span(self.n, vectors)) != prod(orders):
-            # name the first dependent exponent tuple, in enumeration order
-            e = next(e for e in _exponent_tuples(orders)
-                     if any(e) and not _combine(self.n, vectors, e))
+        if span_order(self.n, self.span) != prod(orders):
+            kernel = _kernel(self.n, vectors, orders)
+            e = _exponents(kernel[max(kernel)], self.n, orders)
             raise ValidationError(f"radicand classes are dependent at exponents {e}")
         # the tuple the dataclass hash would build, over the compared fields
         object.__setattr__(self, "_hash", hash((self.base, self.n, self.radicands, orders)))
@@ -155,86 +160,128 @@ def _vector_order(n: int, vec: dict) -> int:
     return n // gcd(n, *vec.values())
 
 
-def radicand_class(base: BaseField, n: int, f) -> tuple:
-    """The class of f in K*/(K*)^n as a span key (see class_span), with its
-    order (1 when f is an n-th power)."""
-    vec = _class_vector(base, n, f)
-    return _vector_key(vec), _vector_order(n, vec)
-
-
-def _combine(n: int, vectors, exps) -> dict:
-    """The class vector of prod f_i^(e_i), zero coordinates left out."""
-    out: dict = {}
-    for vec, e in zip(vectors, exps):
-        for atom, x in vec.items():
-            out[atom] = (out.get(atom, 0) + e * x) % n
-    return {atom: x for atom, x in out.items() if x}
-
-
 # ---------------------------------------------------------------------------
-# spans of classes
-#
-# A span is a finite subgroup given as a frozenset of its members, with the
-# group's addition passed alongside.  Global radicand classes are keyed by
-# _vector_key; their images in a local class group are coordinate tuples.
+# spans over Z/n: rows are dicts {column: nonzero entry}, pivot the least
 
 
-def _multiples(span: frozenset, g, add) -> list:
-    """g, 2g, ..., (k-1)g for the least k >= 1 with kg in the span.  k, one
-    more than their number, is the index of the span in <span, g>."""
-    out, x = [], g
-    while x not in span:
-        out.append(x)
-        x = add(x, g)
+def class_row(index: dict, vec: dict) -> dict:
+    """A class vector as a row over the atom index, grown by its new atoms."""
+    return {index.setdefault(atom, len(index)): x for atom, x in vec.items()}
+
+
+def image_row(coords) -> dict:
+    return {k: x for k, x in enumerate(coords) if x}
+
+
+def _axpy(v: dict, c: int, b: dict, n: int) -> dict:
+    """v + c*b mod n."""
+    out = dict(v)
+    for k, x in b.items():
+        y = (out.get(k, 0) + c * x) % n
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
     return out
 
 
-def _grow(span: frozenset, gens, add) -> frozenset:
-    """The group generated by the span and gens."""
-    for g in gens:
-        span = span.union([add(s, x) for s in span for x in _multiples(span, g, add)])
-    return span
+def howell(n: int, rows, basis: dict | None = None) -> dict:
+    """The Howell basis of the span of the rows and of basis, if given: a
+    dict from pivot column to row, each pivot entry a divisor of n, whose
+    rows of pivot >= j span every member zero before column j (J. A. Howell,
+    1986; A. Storjohann and T. Mulders, ESA 1998).  Each member is then
+    sum c_j row_j for one choice of 0 <= c_j < n / pivot_j.
 
-
-def relative_degree(span: frozenset, gens, add) -> int:
-    """|<span, gens>| / |span|.
-
-    By Kummer theory this is [L:M] when the span is W_M, the group of M's
-    radicand classes in K*/(K*)^n, and gens are the classes of the radicands
-    L adds; and it is [L:M]_P when both are read in K_P*/(K_P*)^n, where the
-    image of W has the local degree as its size.
+    A row is reduced by the basis row at its pivot; if that row's pivot
+    entry does not divide the row's, the row, holding the remainder, takes
+    the column and the old row goes back in (Euclid).  A row taking a column
+    is scaled by a unit to pivot entry g = gcd(entry, n), and (n/g) * row,
+    zero there, goes on: that gives the Howell property.
     """
-    grown = len(_grow(span, gens, add))
-    if grown % len(span):
-        raise InvariantError(f"span of size {len(span)} does not divide the size {grown}"
+    basis, todo = dict(basis or ()), list(rows)
+    while todo:
+        v = todo.pop()
+        while v:
+            j = min(v)
+            b = basis.get(j)
+            if b is not None:
+                v = _axpy(v, -(v[j] // b[j]), b, n)
+                if j not in v:
+                    continue
+                todo.append(b)
+            a = v[j]
+            g = gcd(a, n)
+            if a != g:
+                # a unit u = (a/g)^-1 mod n/g, lifted to a unit mod n
+                u = pow(a // g, -1, n // g)
+                while gcd(u, n) != 1:
+                    u += n // g
+                v = _axpy({}, u, v, n)
+            basis[j] = v
+            v = _axpy({}, n // g, v, n)
+    return basis
+
+
+def span_order(n: int, basis: dict) -> int:
+    return prod(n // row[j] for j, row in basis.items())
+
+
+def in_span(n: int, basis: dict, v: dict) -> bool:
+    while v:
+        j = min(v)
+        b = basis.get(j)
+        if b is None or v[j] % b[j]:
+            return False
+        v = _axpy(v, -(v[j] // b[j]), b, n)
+    return True
+
+
+def span_members(n: int, basis: dict) -> list:
+    """Every member, as a row: only for groups known to be small."""
+    out = [{}]
+    for j, row in basis.items():
+        out = [_axpy(x, c, row, n) for x in out for c in range(n // row[j])]
+    return out
+
+
+def relative_degree(n: int, basis: dict, rows) -> int:
+    """|<span, rows>| / |span|: by Kummer theory [L:M] for the span W_M and
+    the classes of the radicands L adds, and [L:M]_P for their images in
+    K_P*/(K_P*)^n, where the image of W has the local degree as its order."""
+    below, grown = span_order(n, basis), span_order(n, howell(n, rows, basis))
+    if grown % below:
+        raise InvariantError(f"span of size {below} does not divide the size {grown}"
                              " of the group it generates with the extra classes")
-    return grown // len(span)
+    return grown // below
 
 
-def _vector_key(vec: dict) -> frozenset:
-    return frozenset(vec.items())
+def _kernel(n: int, vectors, orders, targets=()) -> dict:
+    """The exponent tuples e with prod f_i^(e_i) in the span of the targets,
+    each e_i scaled by n/o_i: the rows past the atom block of the Howell
+    basis of [v_i | (n/o_i) delta_i] and [t | 0].  Its row of largest pivot
+    is its lexicographically least nonzero element: an element nonzero
+    before that pivot is larger, and no later row spans (n/g) * row."""
+    index: dict = {}
+    rows = [class_row(index, vec) for vec in vectors]
+    targets = [class_row(index, t) for t in targets]
+    w = len(index)
+    rows = [{**row, w + i: n // o} for i, (row, o) in enumerate(zip(rows, orders))]
+    return {j - w: {k - w: x for k, x in row.items()}
+            for j, row in howell(n, rows + targets).items() if j >= w}
 
 
-def _vector_adder(n: int):
-    """Addition of class vectors mod n in their _vector_key form."""
-
-    def add(x, y):
-        out = dict(x)
-        for atom, v in y:
-            # v is nonzero, so a zero sum means the atom was in x
-            v = (out.get(atom, 0) + v) % n
-            if v:
-                out[atom] = v
-            else:
-                del out[atom]
-        return frozenset(out.items())
-
-    return add
+def _exponents(row: dict, n: int, orders) -> tuple:
+    return tuple(row.get(i, 0) // (n // o) for i, o in enumerate(orders))
 
 
-def class_span(n: int, vectors) -> frozenset:
-    """The span of the class vectors in K*/(K*)^n, keyed by _vector_key."""
-    return _grow(frozenset((frozenset(),)), map(_vector_key, vectors), _vector_adder(n))
+def _exponents_in(M: AbExt, targets) -> tuple:
+    """The exponent tuples of W in the span of the targets, in product order."""
+    members = span_members(M.n, _kernel(M.n, M.vectors, M.orders, targets))
+    return tuple(sorted(_exponents(x, M.n, M.orders) for x in members))
+
+
+def _in_w(M: AbExt, vec: dict) -> bool:
+    return in_span(M.n, M.span, class_row(dict(M.columns), vec))
 
 
 def build_extension(base: BaseField, n: int, radicands) -> AbExt:
@@ -251,34 +298,17 @@ def build_extension(base: BaseField, n: int, radicands) -> AbExt:
 # Galois group bookkeeping
 
 
-def w_exponents(M: AbExt) -> tuple:
-    return _exponent_tuples(M.orders)
-
-
 def galois_group(M: AbExt) -> tuple:
     return _gal_elements(M.n, M.orders)
-
-
-def _exponent_tuples(orders) -> tuple:
-    return tuple(itertools.product(*[range(o) for o in orders]))
 
 
 def _gal_elements(n: int, orders) -> tuple:
     return tuple(itertools.product(*[range(0, n, n // o) for o in orders]))
 
 
-def gal_identity(M: AbExt) -> tuple:
-    return (0,) * len(M.orders)
-
-
 def pairing(M: AbExt, sigma, exps) -> int:
     """dlog of the root of unity by which sigma moves the W-element of exps."""
     return sum(s * e for s, e in zip(sigma, exps)) % M.n
-
-
-def _gal_adder(n: int):
-    """Addition of Galois elements, tuples in (Z/n)^r."""
-    return lambda x, y: tuple((a + b) % n for a, b in zip(x, y))
 
 
 def validate_sigma(M: AbExt, sigma) -> tuple:
@@ -302,47 +332,24 @@ def require_chi_order(M: AbExt, chi_order: int) -> None:
             f"character order {chi_order} is incompatible with the Galois exponent")
 
 
-def greedy_generators(members, add, zero) -> tuple:
-    """A small generating set for a subgroup given as a member list."""
-    gens: list = []
-    have = frozenset((zero,))
-    for x in sorted(members):
-        if x not in have:
-            gens.append(x)
-            have = _grow(have, (x,), add)
-    return tuple(gens)
-
-
 # ---------------------------------------------------------------------------
 # local class groups
 
 
 @dataclass(frozen=True)
 class LocalClassGroup:
-    """The finite group K_P*/(K_P*)^n together with the images of the
-    radicands, and the coordinate that reads off the Frobenius symbol on the
-    unramified classes, which are the classes zero off that coordinate.  A
-    real place has no such coordinate, and only its trivial class is
-    unramified."""
+    """K_P*/(K_P*)^n = (Z/n)^k (k = 1 at the real place, 3 at 2) with the
+    radicands' images and the coordinate that reads the Frobenius symbol on
+    the unramified classes, those zero off it (none at the real place)."""
 
-    moduli: tuple
+    n: int
     images: tuple
     symbol_coord: int | None
 
-    def add(self, x, y) -> tuple:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def trivial(self) -> frozenset:
-        """The trivial subgroup."""
-        return frozenset(((0,) * len(self.moduli),))
-
-    def span(self, count: int | None = None) -> frozenset:
-        """The image of W, or of the classes of the first count radicands:
-        its size is the local degree of the field they generate."""
-        return _grow(self.trivial(), self.images[:count], self.add)
-
-    def symbol(self, coords) -> int:
-        return 0 if self.symbol_coord is None else coords[self.symbol_coord]
+    def span(self, count: int | None = None) -> dict:
+        """The Howell basis of the image of W, or of the first count radicands'
+        classes: its order is the local degree of the field they generate."""
+        return howell(self.n, [image_row(img) for img in self.images[:count]])
 
 
 _DYADIC_UNIT_TABLE = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
@@ -376,11 +383,7 @@ def local_class_group(M: AbExt, place: Place) -> LocalClassGroup:
     if place.base != M.base:
         raise ValidationError("place and extension live over different fields")
     images = tuple([_local_image(M.base, M.n, f, place) for f in M.radicands])
-    if place.kind == "real":
-        return LocalClassGroup((2,), images, None)
-    if place.kind == "prime" and place.p == 2:
-        return LocalClassGroup((2, 2, 2), images, 1)
-    return LocalClassGroup((M.n, M.n), images, 1)
+    return LocalClassGroup(M.n, images, None if place.kind == "real" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,43 +412,42 @@ class LocalData:
 def local_data(M: AbExt, place: Place) -> LocalData:
     """Splitting data of M at a place: the place's local class-group image,
     then the place-free splitting that image determines."""
-    return LocalData(place, *_splitting(M.n, local_class_group(M, place)))
+    return LocalData(place, *_splitting(local_class_group(M, place)))
 
 
 @lru_cache(maxsize=None)
-def _splitting(n: int, G: LocalClassGroup) -> tuple:
-    """(degree, e, f, Frobenius) of an extension of exponent n whose
+def _splitting(G: LocalClassGroup) -> tuple:
+    """(degree, e, f, Frobenius) of an extension of exponent n = G.n whose
     radicands have the local images G.images, in closed form.
 
     With ker_d and ker_i the exponent tuples of trivial and of unramified
     image (zero off the symbol coordinate c), the degree is |W / ker_d|,
-    the size of the images' span.  The inertia group I = ann(ker_i) is
-    spanned by the vectors ((n/m_k) img_i[k] mod n)_i, k running over the
-    coordinates other than c, of moduli m_k: a character trivial on ker_i
-    factors through the ramified quotient, which embeds in prod Z/m_k with
-    every m_k | n, and Z/n is self-injective, so it extends to a sum of
-    these.  So |I| <= n at a tame place, 4 at 2 and 2 at the real place;
-    e = |I|, checked against the index of the unramified classes in the
-    span, and f = degree / e.  s0 = (symbol(img_i))_i solves
-    <s, x> = symbol(x) on ker_i, so the Frobenius candidates form the coset
-    s0 + I; the least in lexicographic order is reported.
+    the order of the images' span.  The inertia group I = ann(ker_i) is
+    spanned by the vectors (img_i[k])_i, k running over the coordinates
+    other than c: a character trivial on ker_i factors through the ramified
+    quotient, which embeds in (Z/n)^k, and Z/n is self-injective, so it
+    extends to a sum of these.  So |I| <= n at a tame place, 4 at 2 and 2
+    at the real place; e = |I|, checked against the index of the
+    unramified classes in the span (the order of the images' projection
+    onto the other coordinates), and f = degree / e.  The residue symbols
+    s0 = (img_i[c])_i solve <s, x> = x[c] on ker_i, so the Frobenius
+    candidates form the coset s0 + I, whose least element is reported.
 
-    The result depends on (n, G) alone, not on the place or the radicands:
-    one extension has at most as many entries as its radicands have
-    distinct local images (7 for Q(sqrt 3, sqrt -7) over all primes).
+    The result depends on G alone, so one extension has at most as many
+    entries as distinct local images (7 for Q(sqrt 3, sqrt -7)).
     """
-    span = G.span()
-    ramified = [k for k in range(len(G.moduli)) if k != G.symbol_coord]
-    add = _gal_adder(n)
-    gens = [tuple(n // G.moduli[k] * img[k] % n for img in G.images) for k in ramified]
-    inertia = _grow(frozenset(((0,) * len(G.images),)), gens, add)
-    index = len(span) // sum(1 for x in span if not any(x[k] for k in ramified))
+    n, c = G.n, G.symbol_coord
+    degree = span_order(n, G.span())
+    ramified = [{k: x for k, x in enumerate(img) if x and k != c} for img in G.images]
+    index = span_order(n, howell(n, ramified))
+    gens = [image_row(col) for k, col in enumerate(zip(*G.images)) if k != c]
+    inertia = span_members(n, howell(n, gens))
     if len(inertia) != index:
         raise InvariantError(f"inertia of order {len(inertia)}, but the unramified classes"
                              f" have index {index} in the local image")
-    s0 = tuple(G.symbol(img) for img in G.images)
-    frob = min(add(s0, s) for s in inertia)
-    return len(span), index, len(span) // index, frob
+    s0 = tuple(0 if c is None else img[c] for img in G.images)
+    frob = min(tuple((a + s.get(i, 0)) % n for i, a in enumerate(s0)) for s in inertia)
+    return degree, index, degree // index, frob
 
 
 def local_degree(M: AbExt, place: Place) -> int:
@@ -479,27 +481,23 @@ def is_real_field(M: AbExt) -> bool:
 # roots of unity and the cyclotomic part
 
 
-def _w_vectors(M: AbExt) -> dict:
-    """The class vector of every element of W, keyed by its exponent tuple."""
-    return {e: _combine(M.n, M.vectors, e) for e in w_exponents(M)}
-
-
 def span_squarefree(M: AbExt) -> frozenset:
     """Squarefree representatives of the group generated by the radicands
-    modulo squares (Q only): the product of each class vector's atoms."""
+    modulo squares (Q only): the product of each member's atoms.  It lists
+    W, so only a small M may ask."""
     if not M.base.is_rationals():
         raise ValidationError("squarefree span is a rational-field notion")
-    return frozenset(prod(vec) for vec in _w_vectors(M).values())
+    atoms = list(M.columns)
+    return frozenset(prod(atoms[k] for k in row) for row in span_members(M.n, M.span))
 
 
 def constant_classes(M: AbExt) -> dict:
-    """Exponent tuples whose W-element is constant modulo n-th powers, with
-    the order of its class in F_q*/(F_q*)^n (function fields only)."""
+    """Exponent tuples whose W-element is constant modulo n-th powers (at
+    most n), with its class order in F_q*/(F_q*)^n (function fields only)."""
     if M.base.is_rationals():
         raise ValidationError("constant classes are a function-field notion")
-    return {
-        e: _vector_order(M.n, vec) for e, vec in _w_vectors(M).items() if set(vec) <= {None}
-    }
+    return {e: _vector_order(M.n, {None: sum(x * v.get(None, 0) for x, v in zip(e, M.vectors))})
+            for e in _exponents_in(M, ({None: 1},))}
 
 
 def constant_field_degree(M: AbExt) -> int:
@@ -510,17 +508,9 @@ def constant_field_degree(M: AbExt) -> int:
 def roots_of_unity_s(M: AbExt, p: int) -> int:
     """s with p^s = number of p-power roots of unity in M."""
     if M.base.is_rationals():
-        span = span_squarefree(M)
-        if p == 2:
-            s = 1
-            if -1 in span:
-                s += 1
-                if 2 in span:
-                    s += 1
-            return s
-        if p == 3:
-            return 1 if -3 in span else 0
-        return 0
+        if p == 2:  # i, then zeta_8 = (1 + i) / sqrt 2
+            return 1 + _in_w(M, {-1: 1}) * (1 + _in_w(M, {2: 1}))
+        return int(p == 3 and _in_w(M, {-1: 1, 3: 1}))
     m = constant_field_degree(M)
     if p == M.base.char:
         return 0
@@ -530,8 +520,7 @@ def roots_of_unity_s(M: AbExt, p: int) -> int:
 def r_value(M: AbExt) -> int:
     """v_2 of the number of 2-power roots of unity after adjoining i."""
     if M.base.is_rationals():
-        span = span_squarefree(M)
-        return 3 if (2 in span or -2 in span) else 2
+        return 3 if (_in_w(M, {2: 1}) or _in_w(M, {-1: 1, 2: 1})) else 2
     m = constant_field_degree(M)
     qm = M.base.q**m
     m2 = m * (2 if qm % 4 == 3 else 1)
@@ -542,11 +531,9 @@ def cyclotomic_members(M: AbExt, p: int) -> tuple:
     """All exponent tuples whose class lies in the maximal subfield of M cut
     out by p-power roots of unity over the base."""
     if M.base.is_rationals():
-        if p == 2:
-            targets = {1, -1, 2, -2}
-        else:
-            targets = {1, p if p % 4 == 1 else -p}
-        return tuple(e for e, vec in _w_vectors(M).items() if prod(vec) in targets)
+        # <-1, 2> for p = 2, else <p*> for p* = +-p = 1 mod 4
+        targets = ({-1: 1}, {2: 1}) if p == 2 else ({p: 1, -1: 1} if p % 4 == 3 else {p: 1},)
+        return _exponents_in(M, targets)
     # in scope q = 1 mod p, so the cyclotomic tower is constant p-power
     # extensions; keep constant classes of p-power order
     return tuple(e for e, o in constant_classes(M).items() if o == p ** vp(o, p))
@@ -653,23 +640,34 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     return first_places(found, count, bound, "places meeting the norm-order condition")
 
 
+MAX_GALOIS_ORDER = 2**16  # s0_search lists Gal(M/K), the one group enumerated
+
+
 def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     """For each generator of Gal(M/T) (just the identity when that group is
     trivial), an unramified place with that Frobenius and norm = 1 mod
     p^power.  Raises SearchExhausted with the partial dict on failure.  With
     power >= 1, p must not be the characteristic, whose powers are all the
-    residue norms; every norm is 1 mod p^0."""
+    residue norms; every norm is 1 mod p^0.  Refuses |G| > MAX_GALOIS_ORDER."""
+    if M.degree > MAX_GALOIS_ORDER:
+        raise ValidationError(f"Galois group of order {M.degree} exceeds the Galois order"
+                              f" ceiling {MAX_GALOIS_ORDER} of the s0 search")
     require_prime(p)
     if power < 0:
         raise ValidationError(f"power must be at least 0, got {power}")
     if power:
         require_tame(M, p, "the search needs residue norms prime to p")
-    zero = gal_identity(M)
-    gens = greedy_generators(gal_fixing_cyclotomic(M, p), _gal_adder(M.n), zero) or (zero,)
+    # greedy generators of Gal(M/T), which comes in product order
+    basis, gens = {}, []
+    for sigma in gal_fixing_cyclotomic(M, p):
+        row = image_row(sigma)
+        if not in_span(M.n, basis, row):
+            gens.append(sigma)
+            basis = howell(M.n, [row], basis)
     modulus, frobenius = p**power, _frobenius_reader(M)
     out = {}
     missing = []
-    for sigma in gens:
+    for sigma in gens or [(0,) * len(M.orders)]:
         found = (P for P in enumerate_places(M.base, bound)
                  if (P.norm() - 1) % modulus == 0 and frobenius(P) == sigma)
         try:

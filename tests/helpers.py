@@ -12,13 +12,11 @@ from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
     AbExt,
-    _grow,
     build_extension,
     galois_group,
     local_class_group,
     local_degree,
     pairing,
-    w_exponents,
 )
 from ncpbound.fields import (
     QQ,
@@ -134,6 +132,45 @@ def oracle_local_degree(C, P):
     return local_degree(C.L, P) // local_degree(C.M, P)
 
 
+# ------------------------------------------------------------ span oracles
+
+
+def _multiples(span: frozenset, g, add) -> list:
+    """g, 2g, ..., (k-1)g for the least k >= 1 with kg in the span."""
+    out, x = [], g
+    while x not in span:
+        out.append(x)
+        x = add(x, g)
+    return out
+
+
+def grow(span: frozenset, gens, add) -> frozenset:
+    """The group generated by a subgroup, given as the frozenset of its
+    members, and gens: the oracle for the Howell-basis spans."""
+    for g in gens:
+        span = span.union([add(s, x) for s in span for x in _multiples(span, g, add)])
+    return span
+
+
+def tuple_adder(n: int):
+    """Addition in (Z/n)^w on tuples."""
+    return lambda x, y: tuple((a + b) % n for a, b in zip(x, y))
+
+
+def combine(n: int, vectors, exps) -> dict:
+    """The class vector of prod f_i^(e_i), zero coordinates left out."""
+    out: dict = {}
+    for vec, e in zip(vectors, exps):
+        for atom, x in vec.items():
+            out[atom] = (out.get(atom, 0) + e * x) % n
+    return {atom: x for atom, x in out.items() if x}
+
+
+def w_exponents(M) -> tuple:
+    """Every exponent tuple of W, in product order."""
+    return tuple(itertools.product(*[range(o) for o in M.orders]))
+
+
 def local_data_oracle(M, place):
     """The splitting of M at a place by enumeration, with no memo: the image
     of every exponent tuple in the local class group, the kernels ker_d
@@ -144,17 +181,19 @@ def local_data_oracle(M, place):
     unit class at a tame place.  Returns (degree, e, f, D, I, frobenius)."""
     G = local_class_group(M, place)
 
+    width = 1 if place.kind == "real" else 3 if place.kind == "prime" and place.p == 2 else 2
+
     def image(exps):
-        return tuple(sum(e * img[k] for e, img in zip(exps, G.images)) % m
-                     for k, m in enumerate(G.moduli))
+        return tuple(sum(e * img[k] for e, img in zip(exps, G.images)) % G.n
+                     for k in range(width))
 
     if place.kind == "real":
         gens = ()
-    elif len(G.moduli) == 3:  # at 2: coordinates (e_-1, e_5, v_2)
+    elif width == 3:  # at 2: coordinates (e_-1, e_5, v_2)
         gens = ((0, 1, 0),)
     else:  # (valuation, unit class)
         gens = ((0, 1),)
-    unram = _grow(G.trivial(), gens, G.add)
+    unram = grow(frozenset(((0,) * width,)), gens, tuple_adder(G.n))
     exps = w_exponents(M)
     images = {e: image(e) for e in exps}
     ker_d = [e for e in exps if not any(images[e])]
@@ -164,7 +203,7 @@ def local_data_oracle(M, place):
     if len(D) * len(ker_d) != len(exps):
         raise InvariantError("annihilator size mismatch")
     frob = next(s for s in D
-                if all(pairing(M, s, e) == G.symbol(images[e]) for e in ker_i))
+                if all(pairing(M, s, e) == (images[e][1] if width > 1 else 0) for e in ker_i))
     e_idx = len(exps) // len(ker_i)
     return len(D), e_idx, len(D) // e_idx, D, I, frob
 

@@ -24,11 +24,13 @@ from ncpbound.extensions import (
     _class_vector,
     _local_image,
     build_extension,
-    class_span,
+    class_row,
+    image_row,
+    in_span,
     local_class_group,
     local_degree,
-    radicand_class,
     relative_degree,
+    span_order,
 )
 from ncpbound.fields import (
     QQ,
@@ -75,8 +77,8 @@ def _compare(M, extras, places, n_prime=None):
             degree = oracle_local_degree(want, P)
             assert cover_local_degree(got, P) == degree, (extra, str(P))
             if n_prime is None:
-                images = [_local_image(M.base, M.n, f, P) for f in extra]
-                assert relative_degree(G.span(), images, G.add) == degree, (extra, str(P))
+                images = [image_row(_local_image(M.base, M.n, f, P)) for f in extra]
+                assert relative_degree(G.n, G.span(), images) == degree, (extra, str(P))
             moving += degree > 1
             fixed += degree == 1
     return covers, moving, fixed
@@ -101,7 +103,7 @@ class TestSpanRouteOverQ:
         # where M is complex; it moves elsewhere
         M = q_ext(3, -7)
         G = local_class_group(M, prime_place(7))
-        assert len(G.span()) == local_degree(M, prime_place(7)) == 4
+        assert span_order(2, G.span()) == local_degree(M, prime_place(7)) == 4
         covers = [C for C in (oracle_cover(M, (d,)) for d in candidate_radicands(QQ, 30))
                   if not isinstance(C, str)]
         moved = {str(P) for P in RATIONAL_PLACES for C in covers
@@ -162,10 +164,14 @@ class TestStoredVectors:
         fresh = build_cover(q_ext(3), (-7,), 2).L
         assert fresh == M and hash(fresh) == hash(M)
 
-    def test_class_span_is_w(self):
+    def test_span_is_w(self):
+        # the stored Howell basis over M's atom index holds 3, -7 and -21
+        # and nothing else of their atoms
         M = q_ext(3, -7)
-        keys = {radicand_class(QQ, 2, d)[0] for d in (3, -7, -21)}
-        assert class_span(2, M.vectors) == keys | {frozenset()}
+        assert span_order(2, M.span) == 4
+        for d, member in ((3, True), (-7, True), (-21, True), (-1, False), (21, False)):
+            row = class_row(dict(M.columns), _class_vector(QQ, 2, d))
+            assert in_span(2, M.span, row) == member, d
 
 
 def _scan_oracle(M, P, bound):

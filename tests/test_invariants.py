@@ -22,16 +22,17 @@ from ncpbound.isolation import IsolationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# a coordinate of modulus 4 does not divide n = 2: its character (n/m) x
-# is zero, so the inertia group is trivial, while the image {0, 1, 2, 3}
-# has only its trivial class unramified, an index of 4
-BAD_SPLIT = (2, LocalClassGroup((4,), ((1,),), None))
+# the image {0, 1, 2, 3} of a real-like place of exponent 4 has only its
+# trivial class unramified, an index of 4; a member routine that lists only
+# zero makes its inertia group trivial
+BAD_SPLIT = LocalClassGroup(4, ((1,),), None)
 
 
-def test_splitting_raises_named_error():
+def test_splitting_raises_named_error(monkeypatch):
+    monkeypatch.setattr(extensions, "span_members", lambda n, basis: [{}])
     with pytest.raises(InvariantError, match="inertia of order 1, but the unramified classes"
                                              " have index 4 in the local image"):
-        _splitting(*BAD_SPLIT)
+        _splitting(BAD_SPLIT)
 
 
 def test_class_order_raises_named_error(monkeypatch):
@@ -71,14 +72,15 @@ def test_build_cover_raises_named_error(monkeypatch):
 
 def test_cover_local_degree_raises_named_error(monkeypatch):
     M = AbExt(QQ, 2, (-1,))
-    C = Cover(M, AbExt(QQ, 2, (-1, 2)), 2)
-    real_grow = extensions._grow
+    C = Cover(M, AbExt(QQ, 2, (-1, 3)), 2)
+    real_order = extensions.span_order
 
-    def broken(span, gens, add):
-        # M's image at 3 has 2 elements; what it grows into gets 3
-        return real_grow(span, gens, add) if len(span) == 1 else frozenset(range(3))
+    def broken(n, basis):
+        # M's image at 3 has order 2; what it grows into gets 3 in place of 4
+        order = real_order(n, basis)
+        return 3 if order == 4 else order
 
-    monkeypatch.setattr(extensions, "_grow", broken)
+    monkeypatch.setattr(extensions, "span_order", broken)
     with pytest.raises(InvariantError, match="span of size 2 does not divide the size 3"):
         cover_local_degree(C, prime_place(3))
 
@@ -157,13 +159,17 @@ def test_invariants_fire_under_python_O():
     script = """
 import ncpbound.fields as fields
 from ncpbound.errors import InvariantError
+import ncpbound.extensions as extensions
 from ncpbound.extensions import LocalClassGroup, _splitting
 assert not __debug__
 caught = []
+real_members = extensions.span_members
+extensions.span_members = lambda n, basis: [{}]
 try:
-    _splitting(2, LocalClassGroup((4,), ((1,),), None))
+    _splitting(LocalClassGroup(4, ((1,),), None))
 except InvariantError:
     caught.append("splitting")
+extensions.span_members = real_members
 fields.FqtElt.is_nth_power = lambda self, n: False
 try:
     fields.fqt_const(7, 3).class_order(3)
@@ -186,7 +192,6 @@ try:
     fields.monic_irreducibles(2, 2)
 except InvariantError:
     caught.append("monic_irreducibles")
-import ncpbound.extensions as extensions
 extensions._conductor = lambda M: 28
 try:
     extensions._frobenius_reader(extensions.AbExt(fields.QQ, 2, (3, -7)))(fields.prime_place(3))
