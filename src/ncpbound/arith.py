@@ -76,11 +76,16 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+MAX_TRIAL = 10**12  # trial division takes time sqrt(n)
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (desk scale)."""
+    """Prime factorization of |n| by trial division, refused past MAX_TRIAL."""
     n = abs(n)
     if n == 0:
         raise ValidationError("cannot factor 0")
+    if n > MAX_TRIAL:
+        raise ValidationError(f"{n} exceeds the trial-division ceiling {MAX_TRIAL}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -94,14 +99,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def require_prime(n: int, name: str = "p") -> None:

@@ -32,6 +32,7 @@ from .covers import bound_report, build_cover, check_Bm, check_cor210
 from .errors import InvariantError, SearchExhausted, ValidationError
 from .extensions import (
     find_places_with_frobenius,
+    gal_exponent,
     is_real_field,
     local_data,
     local_degree,
@@ -124,9 +125,8 @@ def cmd_local_degree(args):
 
 def cmd_isolated(args):
     M = _need_ext(args)
-    # one report per prime; the degree and the Galois exponent have the same
-    # primes, so these are the reports isolated_places reads
-    reports = [isolation_report(M, p) for p in sorted(factorize(M.degree))]
+    # one report per prime of the Galois exponent, as isolated_places reads them
+    reports = [isolation_report(M, p) for p in sorted(factorize(gal_exponent(M)))]
     found = sorted(
         ({"place": rep.isolated_place, "p": rep.p, "gap": rep.gap}
          for rep in reports if rep.isolated_place is not None),

@@ -17,8 +17,10 @@ explicit small tables.  Everything is read off the radicands' images in
 closed form (see _splitting): the local degree is the order of their span,
 the inertia group is spanned by the characters of the ramified coordinates,
 and the Frobenius is pinned down on the unramified part by n-th power
-residue symbols.  Every span is a Howell basis over Z/n (see howell): no
-valid extension lists W, and only s0_search lists Gal(M/K).
+residue symbols.  Every span is a Howell basis over Z/n (see howell), and
+membership, each Frobenius and the generators of Gal(M/T) are reductions to
+a least coset member (see coset_least): no valid extension lists W, and
+only galois_group, for the worked examples, lists Gal(M/K).
 
 The place searches read the Frobenius over Q once per Artin class p mod the
 conductor, since by quadratic reciprocity the Legendre symbols depend on
@@ -226,14 +228,15 @@ def span_order(n: int, basis: dict) -> int:
     return prod(n // row[j] for j, row in basis.items())
 
 
-def in_span(n: int, basis: dict, v: dict) -> bool:
-    while v:
-        j = min(v)
-        b = basis.get(j)
-        if b is None or v[j] % b[j]:
-            return False
-        v = _axpy(v, -(v[j] // b[j]), b, n)
-    return True
+def coset_least(n: int, basis: dict, v: dict) -> dict:
+    """The least member of v + span in product order, {} exactly when v is a
+    member: v's entry at each pivot, left to right, reduced mod the pivot
+    entry.  By the Howell property, the members agreeing with v before column
+    j take at j v[j] plus every multiple of its pivot entry, or only v[j]."""
+    for j, b in sorted(basis.items()):
+        if v.get(j, 0) >= b[j]:
+            v = _axpy(v, -(v[j] // b[j]), b, n)
+    return v
 
 
 def span_members(n: int, basis: dict) -> list:
@@ -281,7 +284,7 @@ def _exponents_in(M: AbExt, targets) -> tuple:
 
 
 def _in_w(M: AbExt, vec: dict) -> bool:
-    return in_span(M.n, M.span, class_row(dict(M.columns), vec))
+    return not coset_least(M.n, M.span, class_row(dict(M.columns), vec))
 
 
 def build_extension(base: BaseField, n: int, radicands) -> AbExt:
@@ -431,7 +434,8 @@ def _splitting(G: LocalClassGroup) -> tuple:
     unramified classes in the span (the order of the images' projection
     onto the other coordinates), and f = degree / e.  The residue symbols
     s0 = (img_i[c])_i solve <s, x> = x[c] on ker_i, so the Frobenius
-    candidates form the coset s0 + I, whose least element is reported.
+    candidates form the coset s0 + I, whose least element is reported, read
+    off I's Howell basis by coset_least.
 
     The result depends on G alone, so one extension has at most as many
     entries as distinct local images (7 for Q(sqrt 3, sqrt -7)).
@@ -440,14 +444,13 @@ def _splitting(G: LocalClassGroup) -> tuple:
     degree = span_order(n, G.span())
     ramified = [{k: x for k, x in enumerate(img) if x and k != c} for img in G.images]
     index = span_order(n, howell(n, ramified))
-    gens = [image_row(col) for k, col in enumerate(zip(*G.images)) if k != c]
-    inertia = span_members(n, howell(n, gens))
-    if len(inertia) != index:
-        raise InvariantError(f"inertia of order {len(inertia)}, but the unramified classes"
+    inertia = howell(n, [image_row(col) for k, col in enumerate(zip(*G.images)) if k != c])
+    e = span_order(n, inertia)
+    if e != index:
+        raise InvariantError(f"inertia of order {e}, but the unramified classes"
                              f" have index {index} in the local image")
-    s0 = tuple(0 if c is None else img[c] for img in G.images)
-    frob = min(tuple((a + s.get(i, 0)) % n for i, a in enumerate(s0)) for s in inertia)
-    return degree, index, degree // index, frob
+    frob = coset_least(n, inertia, {} if c is None else image_row(img[c] for img in G.images))
+    return degree, index, degree // index, tuple(frob.get(i, 0) for i in range(len(G.images)))
 
 
 def local_degree(M: AbExt, place: Place) -> int:
@@ -544,14 +547,6 @@ def cyclotomic_degree(M: AbExt, p: int) -> int:
     return len(cyclotomic_members(M, p))
 
 
-def gal_fixing_cyclotomic(M: AbExt, p: int) -> tuple:
-    """Gal(M/T): annihilator of the cyclotomic classes."""
-    members = cyclotomic_members(M, p)
-    return tuple(
-        s for s in galois_group(M) if all(pairing(M, s, e) == 0 for e in members)
-    )
-
-
 def restriction_order_to_cyclotomic(M: AbExt, p: int, sigma) -> int:
     """Order of sigma restricted to T = M intersect K(p-power roots of unity)."""
     sigma = validate_sigma(M, sigma)
@@ -640,30 +635,27 @@ def qsigma_search(M: AbExt, p: int, sigma, count: int = 1, bound: int = 2000):
     return first_places(found, count, bound, "places meeting the norm-order condition")
 
 
-MAX_GALOIS_ORDER = 2**16  # s0_search lists Gal(M/K), the one group enumerated
-
-
 def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     """For each generator of Gal(M/T) (just the identity when that group is
     trivial), an unramified place with that Frobenius and norm = 1 mod
     p^power.  Raises SearchExhausted with the partial dict on failure.  With
     power >= 1, p must not be the characteristic, whose powers are all the
-    residue norms; every norm is 1 mod p^0.  Refuses |G| > MAX_GALOIS_ORDER."""
-    if M.degree > MAX_GALOIS_ORDER:
-        raise ValidationError(f"Galois group of order {M.degree} exceeds the Galois order"
-                              f" ceiling {MAX_GALOIS_ORDER} of the s0 search")
+    residue norms; every norm is 1 mod p^0."""
     require_prime(p)
     if power < 0:
         raise ValidationError(f"power must be at least 0, got {power}")
     if power:
         require_tame(M, p, "the search needs residue norms prime to p")
-    # greedy generators of Gal(M/T), which comes in product order
-    basis, gens = {}, []
-    for sigma in gal_fixing_cyclotomic(M, p):
-        row = image_row(sigma)
-        if not in_span(M.n, basis, row):
-            gens.append(sigma)
-            basis = howell(M.n, [row], basis)
+    # the greedy generators of Gal(M/T) in product order: Gal(M/T) is the
+    # kernel H of s -> (sum_i s_i e_k[i])_k over the cyclotomic members e_k, and
+    # they are H's rows by decreasing pivot, each reduced by the rows past it
+    n, members = M.n, cyclotomic_members(M, p)
+    columns = [{k: x for k, e in enumerate(members) if (x := n // o * e[i])}
+               for i, o in enumerate(M.orders)]
+    H, gens = _kernel(n, columns, M.orders), []
+    for j in sorted(H, reverse=True):
+        row = coset_least(n, {k: b for k, b in H.items() if k > j}, H[j])
+        gens.append(tuple(row.get(i, 0) for i in range(len(M.orders))))
     modulus, frobenius = p**power, _frobenius_reader(M)
     out = {}
     missing = []

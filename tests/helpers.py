@@ -13,6 +13,7 @@ from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
     AbExt,
     build_extension,
+    cyclotomic_members,
     galois_group,
     local_class_group,
     local_degree,
@@ -169,6 +170,25 @@ def combine(n: int, vectors, exps) -> dict:
 def w_exponents(M) -> tuple:
     """Every exponent tuple of W, in product order."""
     return tuple(itertools.product(*[range(o) for o in M.orders]))
+
+
+def gal_fixing_cyclotomic(M, p) -> tuple:
+    """Gal(M/T), in product order: the Galois elements that annihilate every
+    cyclotomic class."""
+    members = cyclotomic_members(M, p)
+    return tuple(s for s in galois_group(M) if all(pairing(M, s, e) == 0 for e in members))
+
+
+def greedy_generators(M, p) -> list:
+    """The generators of Gal(M/T) that s0_search looks for, by listing the
+    group: each element in product order that lies outside the span of
+    those picked before it."""
+    span, gens = frozenset([(0,) * len(M.orders)]), []
+    for sigma in gal_fixing_cyclotomic(M, p):
+        if sigma not in span:
+            gens.append(sigma)
+            span = grow(span, [sigma], tuple_adder(M.n))
+    return gens
 
 
 def local_data_oracle(M, place):

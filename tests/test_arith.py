@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncpbound.arith import (
+    MAX_TRIAL,
     QZ,
     QZ_ZERO,
     PrimeField,
@@ -88,6 +89,18 @@ class TestIntegerHelpers:
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
         assert not is_prime(7919 * 7907)
         assert is_prime(7919)
+
+    def test_trial_division_refuses_past_the_ceiling(self):
+        # refused before any division: 99999999999999999989, the largest prime
+        # below 10^20, would take minutes to prove
+        ceiling = f"exceeds the trial-division ceiling {MAX_TRIAL}"
+        for n in (MAX_TRIAL + 1, -MAX_TRIAL - 1, 99999999999999999989):
+            with pytest.raises(ValidationError, match=ceiling):
+                factorize(n)
+        for n in (MAX_TRIAL + 1, 99999999999999999989):
+            with pytest.raises(ValidationError, match=ceiling):
+                is_prime(n)
+        assert not is_prime(-MAX_TRIAL - 1)  # below 2: no division
 
     def test_primes_upto(self):
         assert list(primes_upto(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

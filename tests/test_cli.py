@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncpbound import cli, groupext, isolation
+from ncpbound import arith, cli, groupext, isolation
 from ncpbound.arith import factorize, primes_upto
 from ncpbound.cli import main
 from ncpbound.fields import (
@@ -388,6 +388,37 @@ def test_non_prime_p_is_2(run, ext_file, argv, p):
     code, payload, err = run(*argv, f"--p={p}", "--ext", ext_file)
     assert code == 2 and err == ""
     assert payload == {"error": "invalid-input", "detail": f"p must be prime, got {p}"}
+
+
+BIG_PRIME = 99999999999999999989  # the largest prime below 10^20
+
+
+@pytest.mark.parametrize("argv, ext", [
+    (("local-degree", str(BIG_PRIME)), {"base": "Q", "n": 2, "radicands": [-1, 2]}),
+    (("search", "s0", "--p", str(BIG_PRIME), "--power", "0"),
+     {"base": "Q", "n": 2, "radicands": [-1, 2]}),
+    (("field",), {"base": "Q", "n": 2, "radicands": [-1, BIG_PRIME]}),
+    (("field",), {"base": f"F{BIG_PRIME}(t)", "n": 2, "radicands": ["t"]}),
+], ids=["place", "p", "radicand", "base"])
+def test_past_the_trial_division_ceiling_is_2(run, tmp_path, argv, ext):
+    # refused before any division, which would take minutes at 20 digits
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(ext))
+    code, payload, err = run(*argv, "--ext", str(path))
+    assert code == 2 and err == ""
+    assert payload["error"] == "invalid-input"
+    assert payload["detail"].endswith(f"{BIG_PRIME} exceeds the trial-division ceiling"
+                                      f" {arith.MAX_TRIAL}")
+
+
+def test_isolated_past_the_ceiling_in_degree_runs(run, tmp_path):
+    # rank 41: the degree 2^41 lies past the trial-division ceiling, and
+    # isolated factors only the Galois exponent 2
+    path = tmp_path / "q41.json"
+    path.write_text(json.dumps({"base": "Q", "n": 2,
+                                "radicands": [-1, *list(primes_upto(200))[:40]]}))
+    code, payload, _ = run("isolated", "--ext", str(path))
+    assert code == 0 and list(payload["by_prime"]) == ["2"]
 
 
 @pytest.mark.parametrize("power", [-1, -3])

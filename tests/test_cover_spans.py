@@ -25,8 +25,8 @@ from ncpbound.extensions import (
     _local_image,
     build_extension,
     class_row,
+    coset_least,
     image_row,
-    in_span,
     local_class_group,
     local_degree,
     relative_degree,
@@ -171,7 +171,7 @@ class TestStoredVectors:
         assert span_order(2, M.span) == 4
         for d, member in ((3, True), (-7, True), (-21, True), (-1, False), (21, False)):
             row = class_row(dict(M.columns), _class_vector(QQ, 2, d))
-            assert in_span(2, M.span, row) == member, d
+            assert (not coset_least(2, M.span, row)) == member, d
 
 
 def _scan_oracle(M, P, bound):

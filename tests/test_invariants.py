@@ -23,13 +23,13 @@ from ncpbound.isolation import IsolationReport
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the image {0, 1, 2, 3} of a real-like place of exponent 4 has only its
-# trivial class unramified, an index of 4; a member routine that lists only
-# zero makes its inertia group trivial
+# trivial class unramified, an index of 4; a row builder that drops every
+# entry makes the inertia group, built from the image's columns, trivial
 BAD_SPLIT = LocalClassGroup(4, ((1,),), None)
 
 
 def test_splitting_raises_named_error(monkeypatch):
-    monkeypatch.setattr(extensions, "span_members", lambda n, basis: [{}])
+    monkeypatch.setattr(extensions, "image_row", lambda coords: {})
     with pytest.raises(InvariantError, match="inertia of order 1, but the unramified classes"
                                              " have index 4 in the local image"):
         _splitting(BAD_SPLIT)
@@ -163,13 +163,14 @@ import ncpbound.extensions as extensions
 from ncpbound.extensions import LocalClassGroup, _splitting
 assert not __debug__
 caught = []
-real_members = extensions.span_members
-extensions.span_members = lambda n, basis: [{}]
+real_row = extensions.image_row
+extensions.image_row = lambda coords: {}
 try:
     _splitting(LocalClassGroup(4, ((1,),), None))
-except InvariantError:
-    caught.append("splitting")
-extensions.span_members = real_members
+except InvariantError as exc:
+    if str(exc).startswith("inertia of order 1, but the unramified classes have index 4"):
+        caught.append("splitting")
+extensions.image_row = real_row
 fields.FqtElt.is_nth_power = lambda self, n: False
 try:
     fields.fqt_const(7, 3).class_order(3)

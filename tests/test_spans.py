@@ -1,12 +1,14 @@
 """Spans over Z/n in Howell form against the frozenset oracle.
 
 `extensions.howell` turns rows of (Z/n)^w into a Howell basis, and the
-order, membership, members and relative index are read off it.  The oracle
-is `helpers.grow`, which builds the whole subgroup as a frozenset.  The
-readers built on the basis (the dependent-family message, the preimage of
-a target span, the squarefree span, the roots of unity) are compared with
-enumeration of every exponent tuple, and a rank-20 extension runs its
-verbs with that enumeration refused.
+order, the least member of a coset (with membership), the members and the
+relative index are read off it.  The oracle is `helpers.grow`, which builds
+the whole subgroup as a frozenset.  The readers built on the basis (the
+dependent-family message, the preimage of a target span, the squarefree
+span, the roots of unity, the generators of Gal(M/T) that `s0_search`
+looks for) are compared with enumeration of every exponent tuple or Galois
+element, and a rank-20 extension runs its verbs with that enumeration
+refused.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from math import prod
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import combine, grow, tuple_adder, w_exponents
+from helpers import combine, greedy_generators, grow, tuple_adder, w_exponents
 from ncpbound import extensions
 from ncpbound.arith import factorize, is_squarefree, vp
 from ncpbound.cli import main
@@ -24,9 +26,9 @@ from ncpbound.errors import ValidationError
 from ncpbound.extensions import (
     AbExt,
     constant_classes,
+    coset_least,
     cyclotomic_members,
     howell,
-    in_span,
     r_value,
     relative_degree,
     roots_of_unity_s,
@@ -72,12 +74,25 @@ class TestHowellAgainstGrow:
         basis = howell(n, [_row(r) for r in rows])
         assert span_order(n, basis) == len(want)
         for v in itertools.product(range(n), repeat=width):
-            assert in_span(n, basis, _row(v)) == (v in want), v
+            assert (not coset_least(n, basis, _row(v))) == (v in want), v
         assert sorted(_coords(x, width) for x in span_members(n, basis)) == sorted(want)
         below = grow(frozenset((zero,)), rows[:split], add)
         got = relative_degree(n, howell(n, [_row(r) for r in rows[:split]]),
                               [_row(r) for r in rows[split:]])
         assert got == len(want) // len(below)
+
+    @given(_rows(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_coset_least_is_the_least_member_of_the_coset(self, drawn, data):
+        n, width, rows = drawn
+        add = tuple_adder(n)
+        want = grow(frozenset(((0,) * width,)), rows, add)
+        basis = howell(n, [_row(r) for r in rows])
+        vectors = st.tuples(*[st.integers(0, n - 1)] * width) | st.sampled_from(sorted(want))
+        for v in data.draw(st.lists(vectors, min_size=1, max_size=6)):
+            got = coset_least(n, basis, _row(v))
+            assert _coords(got, width) == min(add(v, m) for m in want), v
+            assert (got == {}) == (v in want), v
 
     @given(_rows())
     @settings(max_examples=100, deadline=None)
@@ -102,6 +117,14 @@ def _first_dependent(M_n, vectors, orders):
     """The first nonzero exponent tuple of trivial class, in product order."""
     return next((e for e in itertools.product(*[range(o) for o in orders])
                  if any(e) and not combine(M_n, vectors, e)), None)
+
+
+def _generators(M, p):
+    """The generators s0_search looks for, in its order, with the place walk
+    patched out: every search returns at once."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extensions, "first_places", lambda found, count, bound, what: [None])
+        return list(s0_search(M, p, 0))
 
 
 def _radicand_vectors(base, n, radicands):
@@ -133,6 +156,7 @@ def test_rationals_match_enumeration(radicands):
     for p in (2, 3, 5, 7, 11):
         targets = {1, -1, 2, -2} if p == 2 else {1, p if p % 4 == 1 else -p}
         assert cyclotomic_members(M, p) == tuple(x for x, v in w.items() if v in targets), p
+        assert _generators(M, p) == (greedy_generators(M, p) or [(0,) * len(M.orders)]), p
     s2 = 1 + (-1 in span) + (-1 in span and 2 in span)
     assert roots_of_unity_s(M, 2) == s2 and roots_of_unity_s(M, 3) == (-3 in span)
     assert r_value(M) == (3 if 2 in span or -2 in span else 2)
@@ -172,6 +196,8 @@ def test_function_fields_match_enumeration(q, n):
         for p in factorize(n):
             members = tuple(x for x, o in want.items() if o == p ** vp(o, p))
             assert cyclotomic_members(M, p) == members, p
+        for p in (2, 3, 5):
+            assert _generators(M, p) == (greedy_generators(M, p) or [(0,) * len(M.orders)]), p
 
     check()
 
@@ -236,16 +262,15 @@ def test_rank_20_dependent_family_exits_2(no_enumeration, capsys, tmp_path):
                        "detail": f"radicand classes are dependent at exponents {e}"}
 
 
-def test_s0_search_refuses_a_galois_order_past_the_ceiling(monkeypatch, capsys, tmp_path):
-    # refused before any work: the annihilator is never formed
-    monkeypatch.setattr(extensions, "gal_fixing_cyclotomic", lambda M, p: pytest.fail("work"))
-    M = AbExt(QQ, 2, RANK_20[:17])
-    assert M.degree == 2 * extensions.MAX_GALOIS_ORDER
-    with pytest.raises(ValidationError, match="Galois group of order 131072 exceeds"):
-        s0_search(M, 2, 1)
-    path = tmp_path / "q17.json"
-    path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": list(RANK_20[:17])}))
-    code, payload = _run(capsys, "search", "s0", "--p", "2", "--power", "1", "--ext", str(path))
-    assert code == 2 and payload["error"] == "invalid-input"
-    assert payload["detail"] == ("Galois group of order 131072 exceeds the Galois order"
-                                 " ceiling 65536 of the s0 search")
+def test_rank_20_s0_search_reads_its_generators_off_a_basis(no_enumeration, capsys, tmp_path):
+    # T = Q(sqrt -3), so Gal(M/T) = {s : s_0 = s_2} has order 2^19; its 19
+    # greedy generators come off a basis, and none has a place below norm 200
+    path = tmp_path / "q20.json"
+    path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": list(RANK_20)}))
+    code, payload = _run(capsys, "search", "s0", "--p", "3", "--power", "0",
+                         "--bound", "200", "--ext", str(path))
+    units = [tuple(int(i == k) for i in range(20)) for k in (*range(19, 2, -1), 1)]
+    gens = [*units, (1, 0, 1) + (0,) * 17]
+    assert code == 3
+    assert payload == {"error": "search-exhausted",
+                       "detail": f"no qualifying place below norm 200 for generators {gens}"}

@@ -28,10 +28,15 @@ Every process-wide memo is documented: each function decorated with
 stores into (`x[key] = ...` or `x.attr = ...`), has a row in README's
 "Process-wide memos" table giving its key and what bounds its size, and
 every row names such a memo.
+
+Every work ceiling is documented the same way: each module-level `MAX_*`
+constant has a row in README's "Work ceilings" table giving its value, and
+every row names such a constant.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -224,11 +229,11 @@ def _memos() -> set:
     return out
 
 
-def _memo_rows() -> dict:
+def _readme_table(marker: str) -> dict:
     """First cell (`module.name`) -> the other cells, of the table after the
-    README line naming the process-wide memos."""
+    first README line holding marker."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if "Process-wide memos" in line)
+    start = next(i for i, line in enumerate(lines) if marker in line)
     header = next(i for i in range(start, len(lines)) if lines[i].startswith("|"))
     rows = {}
     for line in lines[header + 2:]:
@@ -240,9 +245,30 @@ def _memo_rows() -> dict:
 
 
 def test_every_memo_is_documented():
-    rows = _memo_rows()
+    rows = _readme_table("Process-wide memos")
     memos = _memos()
     assert {"fields._irreducible_cache", "isolation.isolation_report"} <= memos
     assert sorted(memos - set(rows)) == [], "memos missing from README's table"
     assert sorted(set(rows) - memos) == [], "README rows that name no memo"
     assert [name for name, cells in rows.items() if len(cells) != 2 or not all(cells)] == []
+
+
+def _ceilings() -> set:
+    """module.name of every module-level MAX_* constant."""
+    return {f"{module}.{t.id}" for module, tree in TREES.items() for node in tree.body
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
+
+
+def test_every_ceiling_is_documented():
+    rows = _readme_table("**Work ceilings.**")
+    ceilings = _ceilings()
+    assert {"fields.MAX_SIEVE", "arith.MAX_TRIAL"} <= ceilings
+    assert sorted(ceilings - set(rows)) == [], "ceilings missing from README's table"
+    assert sorted(set(rows) - ceilings) == [], "README rows that name no ceiling"
+    for name, cells in rows.items():
+        assert len(cells) == 2 and all(cells), name
+        module, attr = name.split(".")
+        base, _, exp = cells[0].partition("^")
+        value = getattr(importlib.import_module(f"ncpbound.{module}"), attr)
+        assert value == int(base) ** int(exp or 1), (name, cells[0])
