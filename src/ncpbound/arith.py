@@ -76,25 +76,26 @@ def vp(n: int, p: int) -> int:
     return v
 
 
-MAX_TRIAL = 10**12  # trial division takes time sqrt(n)
+MAX_TRIAL = 10**12  # trial divisors d run while d^2 <= MAX_TRIAL
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, refused past MAX_TRIAL."""
-    n = abs(n)
+    """Prime factorization of |n| by trial division by d with d^2 <= MAX_TRIAL;
+    refused when a cofactor of at least d^2 is left past that."""
+    n = m = abs(n)
     if n == 0:
         raise ValidationError("cannot factor 0")
-    if n > MAX_TRIAL:
-        raise ValidationError(f"{n} exceeds the trial-division ceiling {MAX_TRIAL}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
+    while d * d <= m:
+        if d * d > MAX_TRIAL:
+            raise ValidationError(f"{n} exceeds the trial-division ceiling {MAX_TRIAL}")
+        while m % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            m //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
     return out
 
 

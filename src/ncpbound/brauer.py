@@ -24,30 +24,10 @@ from .isolation import isolation_report
 
 @dataclass(frozen=True)
 class BrauerClass:
-    """Finitely many nonzero local invariants in Q/Z, summing to zero."""
+    """Finitely many nonzero local invariants in Q/Z, summing to zero, sorted
+    by place; built and validated by make_class."""
 
     invariants: tuple[tuple[Place, QZ], ...]
-
-    def __post_init__(self):
-        total = QZ_ZERO
-        seen = set()
-        bases = set()
-        for place, inv in self.invariants:
-            if inv.is_zero():
-                raise ValidationError("zero invariants must not be stored")
-            if place in seen:
-                raise ValidationError(f"duplicate invariant at {place}")
-            seen.add(place)
-            bases.add(place.base)
-            if place.kind == "real" and inv != QZ(1, 2):
-                raise ValidationError("a real place carries invariant 0 or 1/2 only")
-            total = total + inv
-        if len(bases) > 1:
-            raise ValidationError("invariants live over different base fields")
-        if not total.is_zero():
-            raise ValidationError(f"invariants sum to {total}, not 0")
-        ordered = tuple(sorted(self.invariants, key=lambda e: e[0].sort_key()))
-        object.__setattr__(self, "invariants", ordered)
 
     def invariant(self, place: Place) -> QZ:
         for P, inv in self.invariants:
@@ -60,10 +40,19 @@ class BrauerClass:
         return tuple(P for P, _ in self.invariants)
 
 
-def make_class(invariants) -> BrauerClass:
-    """Build a validated class from a place -> Q/Z mapping (or pair iterable).
+def _total(invariants) -> tuple[int, int]:
+    """Sum in Q/Z as (num mod den, den) over den the lcm of the orders."""
+    den = lcm(*(inv.den for inv in invariants))
+    return sum(inv.num * (den // inv.den) for inv in invariants) % den, den
 
-    Duplicate places accumulate; zero invariants are dropped.
+
+def make_class(invariants) -> BrauerClass:
+    """Build a class from a place -> Q/Z mapping (or pair iterable); the one
+    place a class is validated.
+
+    Duplicate places accumulate; zero invariants are dropped.  Then a real
+    place must carry 1/2, all places must share one base field, and the
+    invariants must sum to zero.
     """
     items = invariants.items() if hasattr(invariants, "items") else invariants
     acc: dict[Place, QZ] = {}
@@ -72,8 +61,16 @@ def make_class(invariants) -> BrauerClass:
             raise ValidationError(f"not a place: {place!r}")
         if not isinstance(inv, QZ):
             raise ValidationError(f"not an element of Q/Z: {inv!r}")
-        acc[place] = acc.get(place, QZ_ZERO) + inv
-    return BrauerClass(tuple((P, v) for P, v in acc.items() if not v.is_zero()))
+        acc[place] = acc[place] + inv if place in acc else inv
+    pairs = [(P, inv) for P, inv in acc.items() if not inv.is_zero()]
+    if any(P.kind == "real" and inv != QZ(1, 2) for P, inv in pairs):
+        raise ValidationError("a real place carries invariant 0 or 1/2 only")
+    if len({P.base for P, _ in pairs}) > 1:
+        raise ValidationError("invariants live over different base fields")
+    num, den = _total([inv for _, inv in pairs])
+    if num:
+        raise ValidationError(f"invariants sum to {QZ(num, den)}, not 0")
+    return BrauerClass(tuple(sorted(pairs, key=lambda e: e[0].sort_key())))
 
 
 def index(alpha: BrauerClass) -> int:
@@ -102,7 +99,7 @@ def restricted_local_index(alpha: BrauerClass, M: AbExt, place: Place) -> int:
 def restricted_index(alpha: BrauerClass, M: AbExt) -> int:
     """lcm of the restricted local indices over the support."""
     _check_base(alpha, M)
-    return lcm(*(restricted_local_index(alpha, M, P) for P in alpha.support))
+    return lcm(*(inv.scale(local_degree(M, P)).order for P, inv in alpha.invariants))
 
 
 def fiber_index(alpha: BrauerClass, M: AbExt, chi_order: int) -> int:
@@ -158,7 +155,7 @@ def construct_class(M: AbExt, m: int, S) -> BrauerClass:
             raise ValidationError(f"{P} does not live on the base field of M")
     finite_S = [P for P in places if P.kind != "real"]
     real_in_S = any(P.kind == "real" for P in places)
-    entries: dict[Place, QZ] = {}
+    entries: list[tuple[Place, QZ]] = []
     for p, n in factorize(m).items():
         rep = isolation_report(M, p)
         p1 = _find_witness(M, p, rep.u1, exclude=set(), preferred=finite_S)
@@ -173,7 +170,7 @@ def construct_class(M: AbExt, m: int, S) -> BrauerClass:
             component[real_place()] = QZ(1, 2)
         full = p ** (n + rep.u2)
         while True:
-            x0 = sum(component.values(), QZ_ZERO)
+            x0 = QZ(*_total(component.values()))
             c = next(
                 (c for c in range(1, full)
                  if c % p and (x0 + QZ(c, full)).order == full),
@@ -187,8 +184,7 @@ def construct_class(M: AbExt, m: int, S) -> BrauerClass:
             component[extra] = QZ(1, full)
         component[p2] = QZ(c, full)
         component[p1] = -(x0 + component[p2])
-        for P, inv in component.items():
-            entries[P] = entries.get(P, QZ_ZERO) + inv
+        entries.extend(component.items())
     return make_class(entries)
 
 
@@ -217,11 +213,7 @@ def random_class(base: BaseField, rng: random.Random) -> BrauerClass:
     """Random valid class: 2 to 6 finite support places of norm <= 200,
     random small-order invariants, the last place balancing the sum."""
     chosen = rng.sample(_place_pool(base), rng.randint(2, 6))
-    entries: dict[Place, QZ] = {}
-    total = QZ_ZERO
-    for P in chosen[:-1]:
-        inv = QZ(rng.randint(1, 23), rng.randint(2, 24))
-        entries[P] = inv
-        total = total + inv
-    entries[chosen[-1]] = -total
+    entries = {P: QZ(rng.randint(1, 23), rng.randint(2, 24)) for P in chosen[:-1]}
+    num, den = _total(entries.values())
+    entries[chosen[-1]] = QZ(-num, den)
     return make_class(entries)

@@ -7,7 +7,7 @@ from functools import cache, lru_cache
 from math import gcd, lcm
 from pathlib import Path
 
-from ncpbound.arith import prime_field
+from ncpbound.arith import QZ, QZ_ZERO, prime_field
 from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
@@ -22,6 +22,7 @@ from ncpbound.extensions import (
 from ncpbound.fields import (
     QQ,
     FqtElt,
+    Place,
     fqt_from_factors,
     poly_degree,
     poly_is_irreducible,
@@ -112,6 +113,33 @@ def fqt_mul(a, b):
 def check(report, name: str):
     """The (name, passed, detail) row of a worked-example report."""
     return next(row for row in report.checks if row[0] == name)
+
+
+def make_class_oracle(invariants) -> tuple:
+    """The sorted invariants of the class built from these pairs, by the route
+    that validated each class twice: add up (type-checking each pair) and
+    drop zeros, then check each entry, the bases and the sum as a chain of
+    QZ additions, then sort.  Raises the ValidationError make_class must."""
+    items = invariants.items() if hasattr(invariants, "items") else invariants
+    acc = {}
+    for place, inv in items:
+        if not isinstance(place, Place):
+            raise ValidationError(f"not a place: {place!r}")
+        if not isinstance(inv, QZ):
+            raise ValidationError(f"not an element of Q/Z: {inv!r}")
+        acc[place] = acc.get(place, QZ_ZERO) + inv
+    entries = [(P, v) for P, v in acc.items() if not v.is_zero()]
+    total, bases = QZ_ZERO, set()
+    for place, inv in entries:
+        bases.add(place.base)
+        if place.kind == "real" and inv != QZ(1, 2):
+            raise ValidationError("a real place carries invariant 0 or 1/2 only")
+        total = total + inv
+    if len(bases) > 1:
+        raise ValidationError("invariants live over different base fields")
+    if not total.is_zero():
+        raise ValidationError(f"invariants sum to {total}, not 0")
+    return tuple(sorted(entries, key=lambda e: e[0].sort_key()))
 
 
 def oracle_cover(M, extra, n_prime=None):

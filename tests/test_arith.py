@@ -1,5 +1,7 @@
 """Exact rational-torsion and prime-field arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,6 +86,10 @@ class TestIntegerHelpers:
         assert factorize(1) == {}
         assert factorize(97) == {97: 1}
         assert factorize(-12) == {2: 2, 3: 1}
+        # past the ceiling, but smooth or with a prime cofactor below d^2
+        assert factorize(2**40) == {2: 40}
+        assert factorize(MAX_TRIAL + 1) == {73: 1, 137: 1, 99990001: 1}
+        assert factorize(-2 * 999999999989) == {2: 1, 999999999989: 1}
 
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -91,16 +97,19 @@ class TestIntegerHelpers:
         assert is_prime(7919)
 
     def test_trial_division_refuses_past_the_ceiling(self):
-        # refused before any division: 99999999999999999989, the largest prime
-        # below 10^20, would take minutes to prove
+        # refused once the divisors pass 10^6 with a cofactor of at least d^2
+        # left: (10^6+3)(10^6+33) has no factor below 10^6+3, and
+        # 99999999999999999989, the largest prime below 10^20, would take
+        # minutes to prove
+        big = (10**6 + 3) * (10**6 + 33)
         ceiling = f"exceeds the trial-division ceiling {MAX_TRIAL}"
-        for n in (MAX_TRIAL + 1, -MAX_TRIAL - 1, 99999999999999999989):
-            with pytest.raises(ValidationError, match=ceiling):
+        for n in (big, -big, 99999999999999999989):
+            with pytest.raises(ValidationError, match=f"{abs(n)} {ceiling}"):
                 factorize(n)
-        for n in (MAX_TRIAL + 1, 99999999999999999989):
+        for n in (big, 99999999999999999989):
             with pytest.raises(ValidationError, match=ceiling):
                 is_prime(n)
-        assert not is_prime(-MAX_TRIAL - 1)  # below 2: no division
+        assert not is_prime(-big)  # below 2: no division
 
     def test_primes_upto(self):
         assert list(primes_upto(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -214,6 +223,26 @@ class TestSympyOracle:
             want = factorint(abs(a))
             assert factorize(a) == want, a
             assert is_squarefree(a) == all(e == 1 for e in want.values()), a
+
+    def test_factorize_past_the_ceiling(self):
+        from sympy import factorint, nextprime, primerange
+
+        # smooth n up to 10^30, some times a prime cofactor near 10^10, factor
+        # as sympy does; a product of two primes just above 10^6 is refused
+        rng = random.Random(2)
+        small = list(primerange(2, 1000))
+        for i in range(200):
+            n = 1
+            while n * 1000 < 10**30 and rng.random() < 0.95:
+                n *= rng.choice(small)
+            if i % 20 == 0:
+                n *= nextprime(rng.randint(10**9, 10**10))
+            assert factorize(n) == factorint(n), n
+        for _ in range(3):
+            p = nextprime(10**6 + rng.randint(0, 10**4))
+            q = nextprime(p + rng.randint(0, 10**4))
+            with pytest.raises(ValidationError, match=f"^{p * q} exceeds the trial-division"):
+                factorize(p * q)
 
     def test_legendre(self):
         from sympy import primerange

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from helpers import ff7_cubic, q_ext
+from helpers import ff7_cubic, make_class_oracle, q_ext
 from ncpbound.arith import QZ, QZ_ZERO
 from ncpbound.brauer import (
     BrauerClass,
@@ -44,11 +44,12 @@ class TestMakeClass:
         assert make_class({}).invariants == ()
 
     def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^invariants sum to 1/8, not 0$"):
             make_class({prime_place(3): qz(1, 8)})
 
     def test_real_invariant_constrained(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^a real place carries invariant 0 or 1/2 only$"):
             make_class({real_place(): qz(1, 4), prime_place(3): qz(3, 4)})
         alpha = make_class({real_place(): qz(1, 2), prime_place(3): qz(1, 2)})
         assert alpha.invariant(real_place()) == qz(1, 2)
@@ -58,14 +59,62 @@ class TestMakeClass:
         assert alpha.invariants == ()
 
     def test_rejects_mixed_bases(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^invariants live over different base fields$"):
             make_class({prime_place(3): qz(1, 2), poly_place(3, (0, 1)): qz(1, 2)})
 
     def test_rejects_non_qz(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^not an element of Q/Z: 0\.5$"):
             make_class({prime_place(3): 0.5, prime_place(7): 0.5})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^not a place: 3$"):
             make_class({3: qz(1, 2), 7: qz(1, 2)})
+
+
+def _drawn_pairs(rng):
+    """Pairs with duplicate places, pairs cancelling to zero, real invariants
+    1/2, 1/4 and 3/4, now and then an F_3(t) place among places of Q, a
+    value that is not a QZ or a key that is not a place; most are balanced."""
+    finite = [prime_place(p) for p in (2, 3, 5, 7)]
+    if rng.random() < 0.1:
+        finite.append(poly_place(3, (rng.randint(0, 2), 1)))
+    pairs = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.25:
+            P, inv = real_place(), QZ(rng.choice((1, 2, 3)), 4)
+        else:
+            P, inv = rng.choice(finite), QZ(rng.randint(0, 11), rng.choice((1, 2, 3, 4, 6, 8)))
+        pairs.append((P, inv))
+        if rng.random() < 0.3:
+            pairs.append((P, -inv))
+    if rng.random() < 0.8:
+        pairs.append((rng.choice(finite), -sum((v for _, v in pairs), QZ_ZERO)))
+    if rng.random() < 0.05:
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(finite), rng.choice((0.5, "1/2"))))
+    if rng.random() < 0.05:
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice((3, "2")), QZ(1, 2)))
+    return dict(pairs) if rng.random() < 0.2 else pairs
+
+
+def _outcome(build, pairs):
+    try:
+        return "class", build(pairs)
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+def test_make_class_matches_the_validate_twice_oracle():
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(3000):
+        pairs = _drawn_pairs(rng)
+        kind, got = _outcome(lambda ps: make_class(ps).invariants, pairs)
+        assert (kind, got) == _outcome(make_class_oracle, pairs), pairs
+        seen.add(got.partition(":")[0].partition(" to ")[0] if kind == "refused"
+                 else f"{kind} of support {min(len(got), 2)}")
+    assert seen == {"class of support 0", "class of support 2", "not a place",
+                    "not an element of Q/Z", "invariants sum",
+                    "a real place carries invariant 0 or 1/2 only",
+                    "invariants live over different base fields"}
 
 
 class TestIndex:

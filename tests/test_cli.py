@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON shapes, flag handling."""
 
 import functools
+import hashlib
 import io
 import json
 import random
@@ -401,7 +402,8 @@ BIG_PRIME = 99999999999999999989  # the largest prime below 10^20
     (("field",), {"base": f"F{BIG_PRIME}(t)", "n": 2, "radicands": ["t"]}),
 ], ids=["place", "p", "radicand", "base"])
 def test_past_the_trial_division_ceiling_is_2(run, tmp_path, argv, ext):
-    # refused before any division, which would take minutes at 20 digits
+    # refused once the trial divisors pass 10^6: proving a 20-digit prime
+    # by trial division would take minutes
     path = tmp_path / "big.json"
     path.write_text(json.dumps(ext))
     code, payload, err = run(*argv, "--ext", str(path))
@@ -419,6 +421,25 @@ def test_isolated_past_the_ceiling_in_degree_runs(run, tmp_path):
                                 "radicands": [-1, *list(primes_upto(200))[:40]]}))
     code, payload, _ = run("isolated", "--ext", str(path))
     assert code == 0 and list(payload["by_prime"]) == ["2"]
+
+
+@pytest.mark.parametrize("argv, code, sha", [
+    (("cover", "check", "5", "--extra", *map(str, list(primes_upto(179))[1:])), 1,
+     "be249c98898c23c907d6e97dd048d25217f28c630d0a240d0230ab795c3a53a8"),
+    (("brauer", "construct", "-m", str(2**40), "2", "5"), 0,
+     "294ae97051af36acc75c70b032de184a211fae1b81b5b15fda314089e8e6b70b"),
+    (("cover", "scan", "-m", str(2**40), "5"), 3,
+     "5b30a171ebe10dfa35bf0d12a7e85cb81ced639aaadef50fdb51711663f01079"),
+], ids=["cover-check", "brauer-construct", "cover-scan"])
+def test_smooth_degree_past_the_ceiling_runs(capsys, tmp_path, argv, code, sha):
+    # 2^40 lies past the trial-division ceiling but factors in 40 divisions,
+    # so each verb over Q(sqrt -1) prints the report it printed before the
+    # ceiling existed (sha256 of stdout)
+    path = tmp_path / "qi.json"
+    path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": [-1]}))
+    got = main([*argv, "--ext", str(path)])
+    out = capsys.readouterr()
+    assert (got, out.err, hashlib.sha256(out.out.encode()).hexdigest()) == (code, "", sha)
 
 
 @pytest.mark.parametrize("power", [-1, -3])

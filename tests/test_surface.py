@@ -32,6 +32,9 @@ every row names such a memo.
 Every work ceiling is documented the same way: each module-level `MAX_*`
 constant has a row in README's "Work ceilings" table giving its value, and
 every row names such a constant.
+
+A Brauer class has one validation point: `brauer.make_class` is the only
+code in `src/` that calls `BrauerClass(...)`.
 """
 
 import ast
@@ -272,3 +275,15 @@ def test_every_ceiling_is_documented():
         base, _, exp = cells[0].partition("^")
         value = getattr(importlib.import_module(f"ncpbound.{module}"), attr)
         assert value == int(base) ** int(exp or 1), (name, cells[0])
+
+
+def _brauer_class_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+               == "BrauerClass" for n in ast.walk(node))
+
+
+def test_only_make_class_builds_a_brauer_class():
+    builders = [qualname for qualname, node in _definitions() if _brauer_class_calls(node)]
+    assert builders == ["brauer.make_class"]
+    assert sum(_brauer_class_calls(tree) for tree in TREES.values()) == 1, \
+        "BrauerClass(...) called outside every function"
