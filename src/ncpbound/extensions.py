@@ -19,8 +19,9 @@ the inertia group is spanned by the characters of the ramified coordinates,
 and the Frobenius is pinned down on the unramified part by n-th power
 residue symbols.  Every span is a Howell basis over Z/n (see howell), and
 membership, each Frobenius and the generators of Gal(M/T) are reductions to
-a least coset member (see coset_least): no valid extension lists W, and
-only galois_group, for the worked examples, lists Gal(M/K).
+a least coset member (see coset_least).  Only three routes list a group:
+span_squarefree (W) and the local span in covers.quadratic_cover_scan, for
+ex41's cover scan, and galois_group (Gal(M/K)), for the worked examples.
 
 The place searches read the Frobenius over Q once per Artin class p mod the
 conductor, since by quadratic reciprocity the Legendre symbols depend on
@@ -55,6 +56,9 @@ from .fields import (
     prime_place,
     real_place,
 )
+
+# the largest n over F_q(t): a discrete log in mu_n takes up to n steps
+MAX_KUMMER_EXPONENT = 10**6
 
 # ---------------------------------------------------------------------------
 # the extensions themselves
@@ -95,6 +99,8 @@ class AbExt:
                 raise ValidationError("over Q only square roots are supported")
         elif (self.base.q - 1) % self.n != 0:
             raise ValidationError(f"n = {self.n} does not divide q - 1 = {self.base.q - 1}")
+        elif self.n > MAX_KUMMER_EXPONENT:
+            raise ValidationError(f"n = {self.n} exceeds the ceiling {MAX_KUMMER_EXPONENT}")
         vectors, orders = [], []
         for f in self.radicands:
             vec = _class_vector(self.base, self.n, f)
@@ -277,10 +283,10 @@ def _exponents(row: dict, n: int, orders) -> tuple:
     return tuple(row.get(i, 0) // (n // o) for i, o in enumerate(orders))
 
 
-def _exponents_in(M: AbExt, targets) -> tuple:
-    """The exponent tuples of W in the span of the targets, in product order."""
-    members = span_members(M.n, _kernel(M.n, M.vectors, M.orders, targets))
-    return tuple(sorted(_exponents(x, M.n, M.orders) for x in members))
+def _generators_in(M: AbExt, targets) -> list:
+    """Exponent tuples generating the subgroup of W in the targets' span."""
+    return [_exponents(row, M.n, M.orders)
+            for row in _kernel(M.n, M.vectors, M.orders, targets).values()]
 
 
 def _in_w(M: AbExt, vec: dict) -> bool:
@@ -494,18 +500,16 @@ def span_squarefree(M: AbExt) -> frozenset:
     return frozenset(prod(atoms[k] for k in row) for row in span_members(M.n, M.span))
 
 
-def constant_classes(M: AbExt) -> dict:
-    """Exponent tuples whose W-element is constant modulo n-th powers (at
-    most n), with its class order in F_q*/(F_q*)^n (function fields only)."""
-    if M.base.is_rationals():
-        raise ValidationError("constant classes are a function-field notion")
-    return {e: _vector_order(M.n, {None: sum(x * v.get(None, 0) for x, v in zip(e, M.vectors))})
-            for e in _exponents_in(M, ({None: 1},))}
-
-
 def constant_field_degree(M: AbExt) -> int:
-    """Degree over F_q of the field of constants of M."""
-    return lcm(*constant_classes(M).values())
+    """Degree over F_q of M's constants: the order of the constant W-elements,
+    in the cyclic F_q*/(F_q*)^n the lcm of their generators' class orders."""
+    return lcm(*[_vector_order(M.n, {None: sum(x * v.get(None, 0) for x, v in zip(e, M.vectors))})
+                 for e in _generators_in(M, ({None: 1},))])
+
+
+def _vp_power_minus_1(q: int, m: int, p: int) -> int:
+    """v_p(q^m - 1) without forming q^m: the least k with q^m != 1 mod p^(k+1)."""
+    return next(k for k in itertools.count() if pow(q, m, p ** (k + 1)) != 1)
 
 
 def roots_of_unity_s(M: AbExt, p: int) -> int:
@@ -514,46 +518,44 @@ def roots_of_unity_s(M: AbExt, p: int) -> int:
         if p == 2:  # i, then zeta_8 = (1 + i) / sqrt 2
             return 1 + _in_w(M, {-1: 1}) * (1 + _in_w(M, {2: 1}))
         return int(p == 3 and _in_w(M, {-1: 1, 3: 1}))
-    m = constant_field_degree(M)
-    if p == M.base.char:
-        return 0
-    return vp(M.base.q**m - 1, p)
+    # 0 at the characteristic p = q, since q^m = 0 mod p
+    return _vp_power_minus_1(M.base.q, constant_field_degree(M), p)
 
 
 def r_value(M: AbExt) -> int:
     """v_2 of the number of 2-power roots of unity after adjoining i."""
     if M.base.is_rationals():
         return 3 if (_in_w(M, {2: 1}) or _in_w(M, {-1: 1, 2: 1})) else 2
-    m = constant_field_degree(M)
-    qm = M.base.q**m
-    m2 = m * (2 if qm % 4 == 3 else 1)
-    return vp(M.base.q**m2 - 1, 2)
+    q, m = M.base.q, constant_field_degree(M)
+    return _vp_power_minus_1(q, m * (2 if pow(q, m, 4) == 3 else 1), 2)
 
 
-def cyclotomic_members(M: AbExt, p: int) -> tuple:
-    """All exponent tuples whose class lies in the maximal subfield of M cut
-    out by p-power roots of unity over the base."""
+def _cyclotomic_generators(M: AbExt, p: int) -> list:
+    """Exponent tuples generating the classes of W that lie in the maximal
+    subfield of M cut out by p-power roots of unity over the base."""
     if M.base.is_rationals():
         # <-1, 2> for p = 2, else <p*> for p* = +-p = 1 mod 4
         targets = ({-1: 1}, {2: 1}) if p == 2 else ({p: 1, -1: 1} if p % 4 == 3 else {p: 1},)
-        return _exponents_in(M, targets)
-    # in scope q = 1 mod p, so the cyclotomic tower is constant p-power
-    # extensions; keep constant classes of p-power order
-    return tuple(e for e, o in constant_classes(M).items() if o == p ** vp(o, p))
+    else:
+        # in scope q = 1 mod p, so the cyclotomic tower is constant p-power
+        # extensions: the constant classes of p-power order, <n / p^v_p(n)>
+        targets = ({None: M.n // p ** vp(M.n, p)},) if M.n % p == 0 else ()
+    return _generators_in(M, targets)
 
 
 def cyclotomic_degree(M: AbExt, p: int) -> int:
-    """[T : K] for T = M intersect K(p-power roots of unity)."""
-    return len(cyclotomic_members(M, p))
+    """[T : K] for T = M intersect K(p-power roots of unity): the order of
+    the span of the generators, each e_i scaled by n/o_i as in _kernel."""
+    rows = [{i: x * (M.n // o) for i, (x, o) in enumerate(zip(e, M.orders)) if x}
+            for e in _cyclotomic_generators(M, p)]
+    return span_order(M.n, howell(M.n, rows))
 
 
 def restriction_order_to_cyclotomic(M: AbExt, p: int, sigma) -> int:
-    """Order of sigma restricted to T = M intersect K(p-power roots of unity)."""
+    """Order of sigma restricted to T = M intersect K(p-power roots of
+    unity): the lcm of its pairing orders on the generators."""
     sigma = validate_sigma(M, sigma)
-    orders = [
-        M.n // gcd(M.n, pairing(M, sigma, e)) for e in cyclotomic_members(M, p)
-    ]
-    return lcm(*orders) if orders else 1
+    return lcm(*[M.n // gcd(M.n, pairing(M, sigma, e)) for e in _cyclotomic_generators(M, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +649,18 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
     if power:
         require_tame(M, p, "the search needs residue norms prime to p")
     # the greedy generators of Gal(M/T) in product order: Gal(M/T) is the
-    # kernel H of s -> (sum_i s_i e_k[i])_k over the cyclotomic members e_k, and
-    # they are H's rows by decreasing pivot, each reduced by the rows past it
-    n, members = M.n, cyclotomic_members(M, p)
-    columns = [{k: x for k, e in enumerate(members) if (x := n // o * e[i])}
+    # kernel H of s -> (sum_i s_i e_k[i])_k over the cyclotomic generators e_k,
+    # and they are H's rows by decreasing pivot, each reduced by the rows past it
+    n, cyclotomic = M.n, _cyclotomic_generators(M, p)
+    columns = [{k: x for k, e in enumerate(cyclotomic) if (x := n // o * e[i])}
                for i, o in enumerate(M.orders)]
     H, gens = _kernel(n, columns, M.orders), []
     for j in sorted(H, reverse=True):
         row = coset_least(n, {k: b for k, b in H.items() if k > j}, H[j])
         gens.append(tuple(row.get(i, 0) for i in range(len(M.orders))))
-    modulus, frobenius = p**power, _frobenius_reader(M)
-    out = {}
-    missing = []
+    # a norm N <= bound has 0 < N - 1 < 2^L <= p^L, L = bound.bit_length()
+    modulus, frobenius = p ** min(power, bound.bit_length()), _frobenius_reader(M)
+    out, missing = {}, []
     for sigma in gens or [(0,) * len(M.orders)]:
         found = (P for P in enumerate_places(M.base, bound)
                  if (P.norm() - 1) % modulus == 0 and frobenius(P) == sigma)
@@ -667,8 +669,6 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
         except SearchExhausted:
             missing.append(sigma)
     if missing:
-        raise SearchExhausted(
-            f"no qualifying place below norm {bound} for generators {missing}",
-            partial=out,
-        )
+        raise SearchExhausted(f"no qualifying place below norm {bound} for generators"
+                              f" {missing}", partial=out)
     return out

@@ -38,7 +38,7 @@ MAX_GROUP_ORDER = 10**5
 def _require_fits(p: int, a: int, factors, what: str) -> None:
     """ValidationError once a partial product of p^a and the factors passes
     MAX_GROUP_ORDER, so p^a is never formed; a p below 2 or a factor below
-    1 counts as 1 and is rejected later."""
+    1 counts as 1 and is rejected by the caller."""
     size = 1
     for f in chain(factors, repeat(p, a if p > 1 else 0)):
         size *= max(f, 1)
@@ -405,10 +405,13 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
     are prefiltered by the residues of their data mod p; every survivor is
     re-verified by `fiber_is_cyclic` on the collected fibers, and a
     disagreement between the two routes is a hard failure.  A negative
-    a_max or a scan past MAX_GROUP_ORDER is refused before any work.
+    a_max, a profile entry below 1 or a scan past MAX_GROUP_ORDER is refused
+    before any work; entries from 1 to p - 1 leave the scan empty.
     """
     if a_max < 0:
         raise ValidationError(f"a_max must be at least 0, got {a_max}")
+    if any(m < 1 for m in b_profile_max):
+        raise ValidationError(f"profile entries must be at least 1, got {list(b_profile_max)}")
     _require_fits(p, a_max, _capped(p, b_profile_max), "p^a_max*prod(capped profile)")
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")

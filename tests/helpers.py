@@ -4,20 +4,26 @@ import importlib.util
 import itertools
 import sys
 from functools import cache, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
-from ncpbound.arith import QZ, QZ_ZERO, prime_field
+from ncpbound.arith import QZ, QZ_ZERO, prime_field, vp
 from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
     AbExt,
+    _cyclotomic_generators,
+    _generators_in,
     build_extension,
-    cyclotomic_members,
+    constant_field_degree,
+    cyclotomic_degree,
     galois_group,
     local_class_group,
     local_degree,
     pairing,
+    r_value,
+    restriction_order_to_cyclotomic,
+    roots_of_unity_s,
 )
 from ncpbound.fields import (
     QQ,
@@ -198,6 +204,60 @@ def combine(n: int, vectors, exps) -> dict:
 def w_exponents(M) -> tuple:
     """Every exponent tuple of W, in product order."""
     return tuple(itertools.product(*[range(o) for o in M.orders]))
+
+
+def exponent_adder(orders):
+    """Addition of exponent tuples, coordinate i mod orders[i]."""
+    return lambda x, y: tuple((a + b) % o for a, b, o in zip(x, y, orders))
+
+
+def constant_classes(M) -> dict:
+    """Every exponent tuple whose W-element is constant modulo n-th powers,
+    with its class order in F_q*/(F_q*)^n, by listing W: the oracle for the
+    generators that constant_field_degree and the cyclotomic part read."""
+    out = {}
+    for e in w_exponents(M):
+        vec = combine(M.n, M.vectors, e)
+        if set(vec) <= {None}:
+            out[e] = M.n // gcd(M.n, *vec.values())
+    return out
+
+
+def cyclotomic_members(M, p) -> tuple:
+    """Every exponent tuple whose class lies in T = M intersect K(p-power
+    roots of unity), in product order, by listing W: over Q those whose
+    squarefree value lies in <-1, 2> (p = 2) or <p*>, p* = +-p = 1 mod 4,
+    over F_q(t) the constant classes of p-power order."""
+    if M.base.is_rationals():
+        targets = {1, -1, 2, -2} if p == 2 else {1, p if p % 4 == 1 else -p}
+        return tuple(e for e in w_exponents(M) if prod(combine(2, M.vectors, e)) in targets)
+    return tuple(e for e, o in constant_classes(M).items() if o == p ** vp(o, p))
+
+
+def assert_generators_match_oracles(M, primes):
+    """The constant field and the cyclotomic part T are read off generators;
+    against the listing oracles, the generators span the members, the
+    constant field degree is the lcm of the constant classes' orders, [T : K]
+    is the number of members, every sigma's order on T is the lcm of its
+    orders on the members, and over F_q(t) s and r are v_p(q^m - 1) and
+    v_2(q^m' - 1), m' = 2m when q^m = 3 mod 4, with q^m formed."""
+    zero, add = (0,) * len(M.orders), exponent_adder(M.orders)
+    if not M.base.is_rationals():
+        consts = constant_classes(M)
+        assert grow(frozenset([zero]), _generators_in(M, ({None: 1},)), add) == set(consts)
+        q, m = M.base.q, constant_field_degree(M)
+        assert m == lcm(*consts.values())
+        assert r_value(M) == vp(q ** (m * (2 if q**m % 4 == 3 else 1)) - 1, 2)
+    for p in primes:
+        members = cyclotomic_members(M, p)
+        gens = _cyclotomic_generators(M, p)
+        assert grow(frozenset([zero]), gens, add) == set(members), p
+        assert cyclotomic_degree(M, p) == len(members), p
+        for sigma in galois_group(M):
+            want = lcm(*[M.n // gcd(M.n, pairing(M, sigma, e)) for e in members])
+            assert restriction_order_to_cyclotomic(M, p, sigma) == want, (p, sigma)
+        if not M.base.is_rationals():
+            assert roots_of_unity_s(M, p) == vp(q**m - 1, p), p
 
 
 def gal_fixing_cyclotomic(M, p) -> tuple:

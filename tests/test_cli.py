@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncpbound import arith, cli, groupext, isolation
+from ncpbound import arith, cli, extensions, groupext, isolation
 from ncpbound.arith import factorize, primes_upto
 from ncpbound.cli import main
 from ncpbound.fields import (
@@ -469,6 +469,27 @@ def test_s0_zero_power_is_valid(run, ext_file):
     assert code == 0 and payload["pairs"]
 
 
+def test_s0_power_past_the_bound_reads_as_its_bit_length(capsys, ext_file):
+    # a norm N <= bound has 0 < N - 1 < 2^L <= p^L, L = bound.bit_length(),
+    # so from L up no power admits a place, and p^power is never formed
+    got = []
+    for power in ("40", "1000000000"):
+        code = main(["search", "s0", "--p", "2", "--power", power, "--ext", ext_file])
+        got.append((code, capsys.readouterr()))
+    assert got[0] == got[1] and got[0][0] == 3 and got[0][1].err == ""
+
+
+@pytest.mark.parametrize("q, n", [(2000003, 1000001), (10000019, 10000018)])
+def test_kummer_exponent_past_the_ceiling_is_2(run, tmp_path, q, n):
+    # each discrete log in mu_n would take up to n steps
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"base": f"F{q}(t)", "n": n, "radicands": ["t"]}))
+    code, payload, err = run("field", "--ext", str(path))
+    assert code == 2 and err == ""
+    assert payload == {"error": "invalid-input",
+                       "detail": f"n = {n} exceeds the ceiling {extensions.MAX_KUMMER_EXPONENT}"}
+
+
 def test_s0_zero_power_with_p_equal_to_char_is_valid(run, ff7_file):
     # every norm is 1 mod 7^0, so only power >= 1 needs norms prime to p
     code, payload, _ = run("search", "s0", "--p", "7", "--power", "0", "--bound", "2401",
@@ -668,6 +689,22 @@ class TestGroupext:
         )
         assert code == 2
         assert payload == {"error": "invalid-input", "detail": "a_max must be at least 0, got -3"}
+
+    @pytest.mark.parametrize("profile", ["-4,4", "0,0", "4,-1"])
+    def test_scan_profile_entry_below_1_is_2(self, run, profile):
+        code, payload, _ = run(
+            "groupext", "scan", "--p", "2", "--a-max", "2", f"--profile-max={profile}"
+        )
+        assert code == 2
+        assert payload == {"error": "invalid-input", "detail": "profile entries must be at"
+                           f" least 1, got [{profile.replace(',', ', ')}]"}
+
+    @pytest.mark.parametrize("p, profile", [(2, "1,1"), (3, "2,1,2")])
+    def test_scan_profile_entries_below_p_are_empty(self, run, p, profile):
+        code, payload, _ = run(
+            "groupext", "scan", "--p", str(p), "--a-max", "2", "--profile-max", profile
+        )
+        assert code == 0 and payload["count"] == 0 and payload["hits"] == []
 
     def test_scan_zero_a_max_is_empty(self, run):
         code, payload, _ = run(

@@ -12,7 +12,16 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import fqt_mul, gal_fixing_cyclotomic, local_data_oracle, sigma_order, w_exponents
+from helpers import (
+    assert_generators_match_oracles,
+    constant_classes,
+    cyclotomic_members,
+    fqt_mul,
+    gal_fixing_cyclotomic,
+    local_data_oracle,
+    sigma_order,
+    w_exponents,
+)
 from ncpbound import brauer, covers, extensions, worked
 from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
 from ncpbound.errors import SearchExhausted, ValidationError
@@ -22,10 +31,8 @@ from ncpbound.extensions import (
     _frobenius_reader,
     _vector_order,
     build_extension,
-    constant_classes,
     constant_field_degree,
     cyclotomic_degree,
-    cyclotomic_members,
     find_places_with_frobenius,
     gal_exponent,
     galois_group,
@@ -318,9 +325,11 @@ def _extensions(base, n, pool, size):
 
 
 class TestWFromClassVectors:
-    """span_squarefree, constant_classes and cyclotomic_members read W from
-    the radicands' class vectors; multiplying the radicands out and
-    refactoring the products must give the same answers."""
+    """span_squarefree and the listing oracles constant_classes and
+    cyclotomic_members read W from the radicands' class vectors;
+    multiplying the radicands out and refactoring the products must give
+    the same answers, and the generators behind the constant field and the
+    cyclotomic part must agree with the oracles."""
 
     def test_rationals_match_products(self):
         pool = [-1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 21]
@@ -332,6 +341,7 @@ class TestWFromClassVectors:
                 targets = {1, -1, 2, -2} if p == 2 else {1, p if p % 4 == 1 else -p}
                 want = tuple(e for e, v in w.items() if v in targets)
                 assert cyclotomic_members(M, p) == want, (M, p)
+            assert_generators_match_oracles(M, (2, 3, 5, 7))
             built += 1
         assert built > 100
 
@@ -356,8 +366,22 @@ class TestWFromClassVectors:
                 for p in factorize(n):
                     members = tuple(e for e, o in want.items() if o == p ** vp(o, p))
                     assert cyclotomic_members(M, p) == members, (M, p)
+                assert_generators_match_oracles(M, (2, 3, 5, q))
                 built += 1
         assert built > 50
+
+
+class TestKummerExponentCeiling:
+    @pytest.mark.parametrize("q, n", [(2000003, 1000001), (10000019, 10000018)])
+    def test_refused_before_any_discrete_log(self, monkeypatch, q, n):
+        def refuse(*args):
+            raise AssertionError("a discrete log ran")
+
+        monkeypatch.setattr(type(prime_field(q)), "dlog_in_mu", refuse)
+        t = fqt_from_factors(q, 1, [(T_, 1)])
+        with pytest.raises(ValidationError, match=f"^n = {n} exceeds the ceiling"
+                           f" {extensions.MAX_KUMMER_EXPONENT}$"):
+            AbExt(rational_function_field(q), n, (t, fqt_const(q, 2)))
 
 
 class TestGaloisGroup:

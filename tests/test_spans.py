@@ -4,13 +4,15 @@
 order, the least member of a coset (with membership), the members and the
 relative index are read off it.  The oracle is `helpers.grow`, which builds
 the whole subgroup as a frozenset.  The readers built on the basis (the
-dependent-family message, the preimage of a target span, the squarefree
-span, the roots of unity, the generators of Gal(M/T) that `s0_search`
-looks for) are compared with enumeration of every exponent tuple or Galois
-element, and a rank-20 extension runs its verbs with that enumeration
-refused.
+dependent-family message, the generators of a target span's preimage,
+the squarefree span, the roots of unity, the constant field, the
+cyclotomic part, the generators of Gal(M/T) that `s0_search` looks for)
+are compared with enumeration of every exponent tuple or Galois element,
+and a rank-20 extension and a function field with n = 50001 run their
+verbs with that enumeration refused.
 """
 
+import hashlib
 import itertools
 import json
 from math import prod
@@ -18,16 +20,21 @@ from math import prod
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from helpers import combine, greedy_generators, grow, tuple_adder, w_exponents
+from helpers import (
+    assert_generators_match_oracles,
+    combine,
+    greedy_generators,
+    grow,
+    tuple_adder,
+    w_exponents,
+)
 from ncpbound import extensions
-from ncpbound.arith import factorize, is_squarefree, vp
+from ncpbound.arith import is_squarefree
 from ncpbound.cli import main
 from ncpbound.errors import ValidationError
 from ncpbound.extensions import (
     AbExt,
-    constant_classes,
     coset_least,
-    cyclotomic_members,
     howell,
     r_value,
     relative_degree,
@@ -150,13 +157,11 @@ def test_rationals_match_enumeration(radicands):
         assert e is not None and str(exc) == f"radicand classes are dependent at exponents {e}"
         return
     assert e is None
-    w = {x: prod(combine(2, M.vectors, x)) for x in w_exponents(M)}
-    span = set(w.values())
+    span = {prod(combine(2, M.vectors, x)) for x in w_exponents(M)}
     assert span_squarefree(M) == span
     for p in (2, 3, 5, 7, 11):
-        targets = {1, -1, 2, -2} if p == 2 else {1, p if p % 4 == 1 else -p}
-        assert cyclotomic_members(M, p) == tuple(x for x, v in w.items() if v in targets), p
         assert _generators(M, p) == (greedy_generators(M, p) or [(0,) * len(M.orders)]), p
+    assert_generators_match_oracles(M, (2, 3, 5, 7, 11))
     s2 = 1 + (-1 in span) + (-1 in span and 2 in span)
     assert roots_of_unity_s(M, 2) == s2 and roots_of_unity_s(M, 3) == (-3 in span)
     assert r_value(M) == (3 if 2 in span or -2 in span else 2)
@@ -190,14 +195,9 @@ def test_function_fields_match_enumeration(q, n):
             assert str(exc) == f"radicand classes are dependent at exponents {e}"
             return
         assert e is None
-        want = {x: extensions._vector_order(n, v) for x in w_exponents(M)
-                if set(v := combine(n, M.vectors, x)) <= {None}}
-        assert constant_classes(M) == want
-        for p in factorize(n):
-            members = tuple(x for x, o in want.items() if o == p ** vp(o, p))
-            assert cyclotomic_members(M, p) == members, p
         for p in (2, 3, 5):
             assert _generators(M, p) == (greedy_generators(M, p) or [(0,) * len(M.orders)]), p
+        assert_generators_match_oracles(M, (2, 3, 5, 7, q))
 
     check()
 
@@ -274,3 +274,23 @@ def test_rank_20_s0_search_reads_its_generators_off_a_basis(no_enumeration, caps
     assert code == 3
     assert payload == {"error": "search-exhausted",
                        "detail": f"no qualifying place below norm 200 for generators {gens}"}
+
+
+@pytest.mark.parametrize("argv, code, sha", [
+    (("bound-report", "--p", "3", "--chi-order", "50001"), 0,
+     "1e1ef3755897ee981a2e5b60c91691c3cc99908648f24beeca7dc879ccc99bc5"),
+    (("search", "qsigma", "--p", "3", "--sigma", "0,0"), 3,
+     "d3913688086540551bbd04e1b7f8dd54e436f9fcabb8afff2df0ed2cf10f4497"),
+    (("search", "s0", "--p", "3", "--power", "0"), 3,
+     "4cabfd789fa6f361ec51c81239d96fc299b80df96fd251d15e9789a02ff99d4f"),
+], ids=["bound-report", "qsigma", "s0"])
+def test_constant_field_and_cyclotomic_part_list_no_group(no_enumeration, capsys, tmp_path,
+                                                          argv, code, sha):
+    # over F_100003(t)[50001-th roots of 2, t] the constant W-elements form a
+    # group of order 50001 and T one of order 3; each verb prints the report
+    # it printed when it listed them (sha256 of stdout)
+    path = tmp_path / "f100003.json"
+    path.write_text(json.dumps({"base": "F100003(t)", "n": 50001, "radicands": ["2", "t"]}))
+    got = main([*argv, "--ext", str(path)])
+    out = capsys.readouterr()
+    assert (got, out.err, hashlib.sha256(out.out.encode()).hexdigest()) == (code, "", sha)

@@ -35,6 +35,10 @@ every row names such a constant.
 
 A Brauer class has one validation point: `brauer.make_class` is the only
 code in `src/` that calls `BrauerClass(...)`.
+
+Member lists stay where a small group is listed on purpose: only
+`extensions.span_squarefree` and `covers.quadratic_cover_scan` call
+`span_members`.
 """
 
 import ast
@@ -277,13 +281,21 @@ def test_every_ceiling_is_documented():
         assert value == int(base) ** int(exp or 1), (name, cells[0])
 
 
-def _brauer_class_calls(node) -> int:
+def _calls_to(node, name: str) -> int:
     return sum(isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
-               == "BrauerClass" for n in ast.walk(node))
+               == name for n in ast.walk(node))
 
 
 def test_only_make_class_builds_a_brauer_class():
-    builders = [qualname for qualname, node in _definitions() if _brauer_class_calls(node)]
+    builders = [qualname for qualname, node in _definitions()
+                if _calls_to(node, "BrauerClass")]
     assert builders == ["brauer.make_class"]
-    assert sum(_brauer_class_calls(tree) for tree in TREES.values()) == 1, \
+    assert sum(_calls_to(tree, "BrauerClass") for tree in TREES.values()) == 1, \
         "BrauerClass(...) called outside every function"
+
+
+def test_only_two_readers_list_span_members():
+    callers = [qualname for qualname, node in _definitions() if _calls_to(node, "span_members")]
+    assert sorted(callers) == ["covers.quadratic_cover_scan", "extensions.span_squarefree"]
+    assert sum(_calls_to(tree, "span_members") for tree in TREES.values()) == 2, \
+        "span_members(...) called outside those two functions"
