@@ -6,6 +6,7 @@ of a/b is exactly b.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,12 +121,10 @@ def primes_upto(bound: int):
         return
     sieve = bytearray([1]) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(bound**0.5) + 1):
+    for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    for i in range(2, bound + 1):
-        if sieve[i]:
-            yield i
+            sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    yield from itertools.compress(range(bound + 1), sieve)
 
 
 def squarefree_part(n: int) -> int:
@@ -219,13 +218,19 @@ class PrimeField:
         return pow(self.primitive_root(), (self.q - 1) // n, self.q)
 
     def dlog_in_mu(self, x: int, n: int) -> int:
-        """Discrete log of x base zeta_n; x must lie in mu_n."""
-        zeta = self.nth_root_of_unity(n)
-        y = 1
-        for i in range(n):
-            if y == x % self.q:
-                return i
-            y = y * zeta % self.q
+        """Discrete log k of x base zeta_n, x in mu_n, by baby-step giant-step:
+        x * zeta^(-i*m) first meets {zeta^j: j < m} at i = k // m, as m^2 >= n."""
+        q, zeta, m = self.q, self.nth_root_of_unity(n), math.isqrt(n - 1) + 1
+        baby, y = {}, 1
+        for j in range(m):
+            baby[y] = j
+            y = y * zeta % q
+        giant, y = pow(zeta, -m, q), x % q
+        for i in range(m):
+            j = baby.get(y)
+            if j is not None:
+                return i * m + j
+            y = y * giant % q
         raise ValidationError(f"{x} is not an n-th root of unity in F_{self.q}")
 
     def power_class_order(self, a: int, n: int) -> int:

@@ -2,9 +2,9 @@
 
 Every subcommand prints one JSON document to stdout; `--pretty` adds a
 human-readable rendering on stderr.  Handlers return library values, which
-`main` encodes once with `jsonio.to_json`.  Exit codes: 0 when the requested
-computation or check succeeded, 1 when a checked fact failed, 2 for
-malformed input, 3 when a bounded search ran out of candidates.
+`main` writes in one pass, with `jsonio.to_json` for reports.  Exit codes:
+0 when the requested computation or check succeeded, 1 when a checked fact
+failed, 2 for malformed input, 3 when a bounded search ran out of candidates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .extensions import (
     ramified_places,
     s0_search,
 )
-from .fields import QQ, rational_function_field
+from .fields import QQ, Place, rational_function_field
 from .groupext import (
     ext_build,
     fiber_cyclicity,
@@ -50,7 +50,6 @@ from .groupext import (
 )
 from .isolation import d_value, isolation_report
 from .jsonio import (
-    PlaceJSON,
     central_from_json,
     load_class,
     load_extension,
@@ -519,9 +518,20 @@ def parse_args(argv):
 
 
 def _indented(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, for trees of dict, list,
-    str, int, bool and None; with indent set, the json module encodes in pure
-    Python and is slower than this."""
+    """json.dumps(to_json(value), indent=2), byte for byte, in one pass: the
+    places a search emits by the thousand, containers and scalars written
+    here, every other value through to_json (indent makes json pure Python)."""
+    inner = pad + "  "
+    if type(value) is Place:
+        # the prime's "str" is its digits; a place's coefficients are never empty
+        if value.kind == "prime":
+            p = int.__repr__(value.p)
+            return f'{{{inner}"kind": "prime",{inner}"p": {p},{inner}"str": "{p}"{pad}}}'
+        if value.kind == "poly":
+            coeffs = ("," + inner + "  ").join(map(int.__repr__, value.coeffs))
+            return (f'{{{inner}"kind": "poly",{inner}"q": {int.__repr__(value.base.q)},'
+                    f'{inner}"coeffs": [{inner}  {coeffs}{inner}],'
+                    f'{inner}"str": {_encode_str(str(value))}{pad}}}')
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -532,31 +542,19 @@ def _indented(value, pad: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [_indented(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
-        # the two place kinds a search emits by the thousand, from a template;
-        # a place's coefficient list is never empty
-        if type(value) is PlaceJSON:
-            kind = value["kind"]
-            if kind == "prime":
-                return (f'{{{inner}"kind": "prime",{inner}"p": {int.__repr__(value["p"])},'
-                        f'{inner}"str": {_encode_str(value["str"])}{pad}}}')
-            if kind == "poly":
-                coeffs = ("," + inner + "  ").join(map(int.__repr__, value["coeffs"]))
-                return (f'{{{inner}"kind": "poly",{inner}"q": {int.__repr__(value["q"])},'
-                        f'{inner}"coeffs": [{inner}  {coeffs}{inner}],'
-                        f'{inner}"str": {_encode_str(value["str"])}{pad}}}')
         if not value:
             return "{}"
-        # the encoder raises TypeError on a key that is not a string
+        # to_json's keys: str(k), the last value at the first key's place
+        value = {str(k): v for k, v in value.items()}
         items = [_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"no indented JSON for {type(value).__name__}")
+    return _indented(to_json(value), pad)
 
 
 def _compact(value) -> str:
@@ -601,10 +599,9 @@ def main(argv=None) -> int:
         if exc.partial:
             payload["partial"] = exc.partial
         code = 3
-    payload = to_json(payload)
     print(_indented(payload))
     if args.pretty:
-        _render(payload, sys.stderr)
+        _render(to_json(payload), sys.stderr)
     return code
 
 

@@ -113,7 +113,13 @@ def _resultant(a, b, q: int) -> int:
     """Res(a, b) over F_q by the Euclidean algorithm: with r = a mod b,
     Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r),
     and Res(a, c) = c^(deg a) for a constant c.  For monic irreducible a
-    this is the norm of b mod a from F_q[t]/(a) down to F_q."""
+    this is the norm of b mod a from F_q[t]/(a) down to F_q.  At a monic
+    linear b = t + b0 it is (-1)^(deg a) * a(-b0), by Horner's rule."""
+    if len(b) == 2 and b[1] == 1:
+        v = 0
+        for c in reversed(a):
+            v = (c - v * b[0]) % q
+        return v if len(a) % 2 else -v % q
     res = 1
     while len(b) > 1:
         r = poly_mod(a, b, q)

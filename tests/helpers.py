@@ -382,16 +382,28 @@ def unit_residue(x, place):
     return r
 
 
+def oracle_dlog_in_mu(q, x, n):
+    """Discrete log of x base zeta_n in F_q, by walking mu_n one power at a
+    time; ValidationError when x is not in mu_n."""
+    zeta = prime_field(q).nth_root_of_unity(n)
+    y = 1
+    for i in range(n):
+        if y == x % q:
+            return i
+        y = y * zeta % q
+    raise ValidationError(f"{x} is not an n-th root of unity in F_{q}")
+
+
 def oracle_residue_symbol_dlog(x, place, n):
     """The n-th power residue symbol of x's unit part as dlog base zeta_n,
     read as u^((N - 1)/n) in the residue field of norm N."""
     u, k = unit_residue(x, place), (place.norm() - 1) // n
     if place.kind == "inf":
-        return prime_field(x.q).dlog_in_mu(pow(u, k, x.q), n)
+        return oracle_dlog_in_mu(x.q, pow(u, k, x.q), n)
     r = poly_pow_mod(u, k, place.coeffs, x.q)
     if len(r) != 1:
         raise InvariantError("symbol did not land in the constants")
-    return prime_field(x.q).dlog_in_mu(r[0], n)
+    return oracle_dlog_in_mu(x.q, r[0], n)
 
 
 # ------------------------------------------------------------ groupext oracles

@@ -1,10 +1,14 @@
 """Exact rational-torsion and prime-field arithmetic."""
 
+import inspect
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from sympy import divisors, primerange
 
+from helpers import oracle_dlog_in_mu
+from ncpbound import arith
 from ncpbound.arith import (
     MAX_TRIAL,
     QZ,
@@ -115,6 +119,18 @@ class TestIntegerHelpers:
         assert list(primes_upto(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert list(primes_upto(1)) == []
 
+    def test_primes_upto_is_a_generator_function(self):
+        assert inspect.isgeneratorfunction(arith.primes_upto)
+
+    @pytest.mark.parametrize("bound", range(201))
+    def test_primes_upto_matches_sympy(self, bound):
+        assert list(primes_upto(bound)) == list(primerange(0, bound + 1))
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10**5))
+    def test_primes_upto_matches_sympy_on_drawn_bounds(self, bound):
+        assert list(primes_upto(bound)) == list(primerange(0, bound + 1))
+
     def test_squarefree(self):
         assert squarefree_part(12) == 3
         assert squarefree_part(-12) == -3
@@ -167,6 +183,43 @@ class TestPrimeField:
             assert F.dlog_in_mu(pow(z, k, 7), 3) == k
         with pytest.raises(ValidationError):
             F.dlog_in_mu(3, 3)  # 3 has order 6, not in mu_3
+
+    @pytest.mark.parametrize("q", list(primes_upto(60)))
+    def test_dlog_in_mu_matches_the_walk_on_every_residue(self, q):
+        # every n | q - 1 (1, 2 and q - 1 among them) and every x mod q:
+        # the same log, or the same refusal
+        F = PrimeField(q)
+        for n in (d for d in range(1, q) if (q - 1) % d == 0):
+            for x in range(-1, q + 1):
+                try:
+                    want = oracle_dlog_in_mu(q, x, n)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError, match=f"^{exc}$"):
+                        F.dlog_in_mu(x, n)
+                else:
+                    assert F.dlog_in_mu(x, n) == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), q=st.sampled_from(tuple(primes_upto(20000))))
+    def test_dlog_in_mu_matches_the_walk_on_drawn_fields(self, data, q):
+        n = data.draw(st.sampled_from(divisors(q - 1)), label="n")
+        F = PrimeField(q)
+        k = data.draw(st.integers(0, n - 1), label="k")
+        x = pow(F.nth_root_of_unity(n), k, q) + q * data.draw(st.integers(-2, 2), label="lift")
+        assert F.dlog_in_mu(x, n) == oracle_dlog_in_mu(q, x, n) == k
+        y = data.draw(st.integers(0, q - 1), label="y")
+        if y == 0 or pow(y, n, q) != 1:
+            with pytest.raises(ValidationError, match=f"^{y} is not an n-th root of unity in F_{q}$"):
+                F.dlog_in_mu(y, n)
+
+    def test_dlog_in_mu_at_a_large_n(self):
+        # n = 500001 divides 1000003 - 1; the walk would take up to n steps
+        F = PrimeField(1000003)
+        z = F.nth_root_of_unity(500001)
+        for k in (0, 1, 706, 707, 500000):
+            assert F.dlog_in_mu(pow(z, k, 1000003), 500001) == k
+        with pytest.raises(ValidationError, match="^2 is not an n-th root of unity"):
+            F.dlog_in_mu(2, 500001)
 
     def test_power_class_order(self):
         # cubes in F_7* are {1, 6}; 2 has residue class of order 3

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncpbound import arith, cli, extensions, groupext, isolation
-from ncpbound.arith import factorize, primes_upto
+from ncpbound.arith import QZ, factorize, primes_upto
+from ncpbound.brauer import make_class
 from ncpbound.cli import main
 from ncpbound.fields import (
     QQ,
+    Place,
     _trusted_place,
     infinite_place,
     monic_irreducibles,
@@ -33,7 +35,7 @@ from ncpbound.groupext import (
     verify_lemma_35,
 )
 from ncpbound.isolation import isolated_places, isolation_report
-from ncpbound.jsonio import PlaceJSON, ext_from_json, place_from_json, to_json
+from ncpbound.jsonio import ext_from_json, parse_fqt_text, place_from_json, to_json
 
 
 @pytest.fixture
@@ -1213,8 +1215,31 @@ for _ in range(3):
 _PLACE_TREES = st.one_of(_PLACE_LEVELS)
 
 
+def _reports() -> list:
+    """One value of each kind to_json encodes by its own rule, places inside."""
+    M = ext_from_json({"base": "Q", "n": 2, "radicands": [3, -7]})
+    F = ext_from_json({"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]})
+    return [M, F, M.base, F.base, QZ(2, 3), parse_fqt_text("3*t*(t+1)^2", 7),
+            extensions.local_data(M, prime_place(5)), extensions.local_data(F, infinite_place(7)),
+            extensions.local_data(F, poly_place(7, (1, 0, 1))), isolation_report(M, 2),
+            make_class([(prime_place(3), QZ(1, 2)), (real_place(), QZ(1, 2))])]
+
+
+# what handlers return: places of every kind and reports in lists, tuples
+# and dicts, with int, tuple, bool and None keys next to strings
+_HANDLER_TREES = st.recursive(
+    _PLACES | st.deferred(lambda: st.sampled_from(_reports())) | st.none() | st.booleans()
+    | st.integers() | _JSON_STRINGS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_STRINGS | st.integers(-2, 2) | st.tuples(st.integers(0, 2))
+                      | st.booleans() | st.none(), kids, max_size=4),
+    max_leaves=25,
+)
+
+
 class TestIndentedWriter:
-    """cli._indented prints byte for byte what json.dumps(indent=2) prints."""
+    """cli._indented(v) prints byte for byte what json.dumps(to_json(v),
+    indent=2) prints."""
 
     @settings(deadline=None, max_examples=500)
     @given(tree=_JSON_TREES)
@@ -1226,12 +1251,15 @@ class TestIndentedWriter:
     def test_places_match_json_dumps(self, tree):
         assert cli._indented(tree) == json.dumps(tree, indent=2)
 
+    @settings(deadline=None, max_examples=300)
+    @given(tree=_HANDLER_TREES)
+    def test_handler_values_match_to_json(self, tree):
+        assert cli._indented(tree) == json.dumps(to_json(tree), indent=2)
+
     @settings(deadline=None, max_examples=200)
     @given(place=_CHECKED_PLACES)
     def test_places_round_trip(self, place):
-        encoded = to_json(place)
-        assert type(encoded) is PlaceJSON
-        assert place_from_json(json.loads(cli._indented(encoded))) == place
+        assert place_from_json(json.loads(cli._indented(place))) == place
 
     @pytest.mark.parametrize("tree", [
         [], {}, [[]], {"a": {}}, [{}, [], [[], {}]], {"": []},
@@ -1240,7 +1268,33 @@ class TestIndentedWriter:
     def test_empty_containers_and_bools(self, tree):
         assert cli._indented(tree) == json.dumps(tree, indent=2)
 
-    @pytest.mark.parametrize("tree", [1.5, (1, 2), {1: "a"}, {"a": {None: 1}}, [set()], b"x"])
+    @pytest.mark.parametrize("tree", [(1, 2), {1: "a"}, {"a": {None: 1}}, (),
+                                      {1: "a", "1": "b"}, {(0, 1): [()]}])
+    def test_tuples_and_keys_encode_as_to_json(self, tree):
+        assert cli._indented(tree) == json.dumps(to_json(tree), indent=2)
+
+    @pytest.mark.parametrize("tree", [1.5, [set()], b"x"])
     def test_other_types_raise_type_error(self, tree):
         with pytest.raises(TypeError):
             cli._indented(tree)
+
+    def test_search_writes_its_places_without_to_json(self, capsys, tmp_path, monkeypatch):
+        # the 1262 places go through the template, not to_json; --pretty
+        # encodes the payload for stderr, which keeps its bytes (sha256 of
+        # stdout and stderr)
+        path = tmp_path / "q37.json"
+        path.write_text(json.dumps({"base": "Q", "n": 2, "radicands": [3, -7]}))
+        encoded = []
+
+        def counting(value):
+            encoded.append(value)
+            return to_json(value)
+
+        monkeypatch.setattr(cli, "to_json", counting)
+        code = main(["search", "frobenius", "--sigma", "0,0", "--count", "1262",
+                     "--bound", "50000", "--ext", str(path), "--pretty"])
+        out = capsys.readouterr()
+        assert [type(v) for v in encoded if isinstance(v, Place)] == []
+        assert (code, *(hashlib.sha256(s.encode()).hexdigest() for s in out)) == (
+            0, "c8fac4f716d6509805318f4e64c72d959746cf8e792b0df2bff19966218f2dcd",
+            "f1974558244eec38dd21525007127aff008e88e4160f020860f215c80c56a9be")

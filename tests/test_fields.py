@@ -4,7 +4,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     fqt_mul,
@@ -205,6 +205,25 @@ class TestResidueSymbol:
         a, b = poly_normalize(a, q), poly_normalize(b, q)
         if a and b:
             assert _resultant(a, b, q) == _sympy_resultant(a, b, q)
+
+
+@st.composite
+def _poly_and_field(draw):
+    """q in {2, 3, 5, 7, 13} and a polynomial over F_q of degree 0 to 8."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    lower = draw(st.lists(st.integers(0, q - 1), max_size=8))
+    return q, (*lower, draw(st.integers(1, q - 1)))
+
+
+@settings(deadline=None)
+@given(_poly_and_field())
+def test_resultant_at_a_monic_linear_factor_matches_sympy(qa):
+    # Res(a, t + b0) = (-1)^(deg a) * a(-b0), at every b0
+    from ncpbound.fields import _resultant
+
+    q, a = qa
+    for b0 in range(q):
+        assert _resultant(a, (b0, 1), q) == _sympy_resultant(a, (b0, 1), q), (a, b0)
 
 
 class TestPlaces:
