@@ -84,7 +84,7 @@ class CentralExt:
                     f" gcd({self.orders[i]}, {self.orders[j]})"
                 )
 
-    @property
+    @cached_property
     def kernel_order(self) -> int:
         return self.p**self.a
 
@@ -119,10 +119,6 @@ def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
     else:
         c = [v % pa if pa else 0 for v in c]
     return CentralExt(p, a, orders, t, tuple(c))
-
-
-def identity(E: CentralExt) -> tuple:
-    return (0, (0,) * len(E.orders))
 
 
 def lift(E: CentralExt, x) -> tuple:
@@ -182,19 +178,26 @@ def fiber(E: CentralExt, x) -> tuple:
 def fiber_is_cyclic(E: CentralExt, x) -> bool:
     """The fiber is an abelian p-group (central kernel, cyclic quotient <x>),
     and such a group is cyclic iff at most p of its elements g have g^p = 1.
-    Each g^p is collected by p - 1 ext_mul, not read off the power form;
-    g^p = 1 needs p y = 0 for the quotient part y of g."""
-    e = identity(E)
+    The kernel is central, so (alpha, e)^p = (p alpha + kappa, p e), where
+    (kappa, p e) = s(e)^p depends on the quotient part e alone.  So s(e)^p
+    is collected once per p-torsion e, by p - 1 ext_mul from (0, e), not
+    read off the power form, and each kernel translate (alpha, e) is a
+    solution iff p alpha + kappa = 0 mod p^a."""
+    p, pa = E.p, E.kernel_order
+    kappas = {}  # quotient part -> kappa, or None off the p-torsion
     solutions = 0
-    for g in fiber(E, x):
-        if not _in_torsion(E, g[1]):
-            continue
-        h = g
-        for _ in range(E.p - 1):
-            h = ext_mul(E, h, g)
-        if h == e:
+    for alpha, e in fiber(E, x):
+        if e not in kappas:
+            kappas[e] = None
+            if _in_torsion(E, e):
+                h = g = (0, e)
+                for _ in range(p - 1):
+                    h = ext_mul(E, h, g)
+                kappas[e] = h[0]
+        kappa = kappas[e]
+        if kappa is not None and (p * alpha + kappa) % pa == 0:
             solutions += 1
-            if solutions > E.p:
+            if solutions > p:
                 return False
     return True
 
@@ -359,10 +362,11 @@ def _power_form(p: int, a: int, orders, x, n: int) -> tuple:
     )
 
 
-def _good_residues(p: int, a: int, orders) -> set:
+def _good_residues(p: int, orders) -> set:
     """The residue tuples mod p of the data (t_1..t_k, then c_ij in pair
     order) at which no line's power form vanishes mod p: the prefilter's
-    pass set, for prime p.
+    pass set, for prime p.  A form mod p^a reduced mod p is the form mod p,
+    so the set is the same for every kernel exponent a >= 1.
 
     The tuples grow one coordinate at a time.  A form is decided once the
     coordinate of its last nonzero coefficient is fixed, and there it
@@ -370,9 +374,7 @@ def _good_residues(p: int, a: int, orders) -> set:
     bans one value for each prefix; a prefix with nothing left dies.  A form
     that is identically zero vanishes everywhere.
     """
-    forms = {
-        tuple(v % p for v in _power_form(p, a, orders, x, n)) for n, x in _lines_for(p, orders)
-    }
+    forms = {_power_form(p, 1, orders, x, n) for n, x in _lines_for(p, orders)}
     if any(not any(form) for form in forms):
         return set()
     k = len(orders)
@@ -402,11 +404,13 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
 
     The fiber over <x> is cyclic iff s(x)^ord(x) generates the kernel mod
     p, and that kernel element is a linear form in (t, c), so candidates
-    are prefiltered by the residues of their data mod p; every survivor is
-    re-verified by `fiber_is_cyclic` on the collected fibers, and a
-    disagreement between the two routes is a hard failure.  A negative
-    a_max, a profile entry below 1 or a scan past MAX_GROUP_ORDER is refused
-    before any work; entries from 1 to p - 1 leave the scan empty.
+    are prefiltered by the residues of their data mod p.  That pass set is
+    built once per profile, as a form reduced mod p does not depend on a.
+    Every survivor is re-verified by `fiber_is_cyclic` on the collected
+    fibers, and a disagreement between the two routes is a hard failure.
+    A negative a_max, a profile entry below 1 or a scan past
+    MAX_GROUP_ORDER is refused before any work; entries from 1 to p - 1
+    leave the scan empty.
     """
     if a_max < 0:
         raise ValidationError(f"a_max must be at least 0, got {a_max}")
@@ -415,18 +419,20 @@ def prop32_scan(p: int, a_max: int, b_profile_max) -> list:
     _require_fits(p, a_max, _capped(p, b_profile_max), "p^a_max*prod(capped profile)")
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    if a_max == 0:  # an empty scan builds no pass sets
+        return []
     hits = []
+    passing = {orders: _good_residues(p, orders) for orders in _profiles(p, b_profile_max)}
     for a in range(1, a_max + 1):
         pa = p**a
-        for orders in _profiles(p, b_profile_max):
+        for orders, good in passing.items():
+            if not good:
+                continue
             t_space = [range(gcd(o, pa)) for o in orders]
             c_space = [
                 range(0, pa, pa // gcd(orders[i], orders[j], pa))
                 for i, j in combinations(range(len(orders)), 2)
             ]
-            good = _good_residues(p, a, orders)
-            if not good:
-                continue
             # smallest fibers first, so a disagreement surfaces early
             lines = [x for _, x in _lines_for(p, orders)]
             for t in product(*t_space):

@@ -37,7 +37,7 @@ from ncpbound.fields import (
     poly_trim,
     rational_function_field,
 )
-from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, identity, lift
+from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, lift
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
@@ -407,6 +407,11 @@ def oracle_residue_symbol_dlog(x, place, n):
 
 
 # ------------------------------------------------------------ groupext oracles
+
+
+def identity(E):
+    """The identity of E in normal form."""
+    return (0, (0,) * len(E.orders))
 
 
 def oracle_fiber(E, x):

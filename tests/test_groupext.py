@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
-from helpers import oracle_fiber, oracle_lemma_35, oracle_lines_for
+from helpers import identity, oracle_fiber, oracle_lemma_35, oracle_lines_for
 from hypothesis import given, settings, strategies as st
 
 from ncpbound import groupext
@@ -22,7 +22,6 @@ from ncpbound.groupext import (
     fiber_cyclicity,
     fiber_is_cyclic,
     gamma,
-    identity,
     lift,
     prop32_scan,
     verify_lemma_34,
@@ -210,6 +209,25 @@ class TestFiber:
                 fiber(E, x)
                 n = lcm(*(o // gcd(o, v) for v, o in zip(x, E.orders)))
                 assert len(calls) == n - 1, (E, x)
+
+    @pytest.mark.parametrize("p,a,orders", [(2, 6, (2, 2)), (3, 3, (3, 3)), (2, 4, (4, 2))])
+    def test_cyclicity_collects_p_minus_one_products_per_quotient_part(
+            self, monkeypatch, p, a, orders):
+        # fiber's n - 1 products, then p - 1 per p-torsion quotient part of
+        # <x>: at most (n - 1) + (p - 1) n for x of order n, whatever p^a
+        calls = []
+        monkeypatch.setattr(
+            groupext, "ext_mul", lambda E, g, h: calls.append(g) or ext_mul(E, g, h)
+        )
+        tight = 0
+        for E in _seeded_exts(p, a, [orders], 6, f"work{p}{a}{orders}"):
+            for x in product(*(range(o) for o in E.orders)):
+                calls.clear()
+                fiber_is_cyclic(E, x)
+                n = lcm(*(o // gcd(o, v) for v, o in zip(x, E.orders)))
+                assert len(calls) <= (n - 1) + (p - 1) * n, (E, x)
+                tight += len(calls) == (n - 1) + (p - 1) * n
+        assert tight > 0
 
     def test_cyclicity_per_subgroup_matches_each_closure(self):
         for E in (q8(), d4(), split_c4_c2(), heis3(), ext_build(2, 2, (4, 2), (1, 2), (2,))):
@@ -543,14 +561,16 @@ class TestGoodResidues:
         [(5, 1, (25, 25, 25)), (2, 3, (4, 4, 4, 4)), (3, 3, (9, 9, 9)), (2, 3, (4, 4, 4))],
     )
     def test_matches_enumeration_on_scan_profiles(self, p, a_max, profile):
+        # one pass set per profile, equal to the enumeration at every kernel
+        # exponent a, so the set is also pinned as independent of a
         from ncpbound.groupext import _good_residues, _profiles
 
         nonempty = 0
-        for a in range(1, a_max + 1):
-            for orders in _profiles(p, profile):
-                good = _good_residues(p, a, orders)
+        for orders in _profiles(p, profile):
+            good = _good_residues(p, orders)
+            for a in range(1, a_max + 1):
                 assert good == _good_residues_by_enumeration(p, a, orders), (a, orders)
-                nonempty += bool(good)
+            nonempty += bool(good)
         # odd p leaves no residue tuple; for p = 2 nonempty sets are compared
         assert nonempty > 0 or p != 2
 
@@ -568,17 +588,18 @@ class TestGoodResidues:
             table = {}
 
             def form(p_, a, orders_, x, n):
+                # reduced mod p^a, as _power_form's forms are
                 if x not in table:
                     table[x] = tuple(
                         0 if rng.random() < zero_rate else rng.randrange(1, 3 * p)
                         for _ in range(d)
                     )
-                return table[x]
+                return tuple(v % p_**a for v in table[x])
 
             monkeypatch.setattr(groupext, "_power_form", form)
             want = _good_residues_by_enumeration(p, 1, orders)
             zero_seen |= any(not any(v % p for v in f) for f in table.values())
-            assert groupext._good_residues(p, 1, orders) == want, table
+            assert groupext._good_residues(p, orders) == want, table
         assert zero_seen
 
 
@@ -610,6 +631,19 @@ def _scan_by_closure(p, a_max, profile_max):
     ]
 
 
+def _seeded_exts(p, a, shapes, count, seed):
+    """count extensions with kernel order p^a, each of a quotient drawn from
+    shapes and with seeded t and c data."""
+    rng = random.Random(seed)
+    pa = p**a
+    for _ in range(count):
+        orders = rng.choice(shapes)
+        t = [rng.randrange(pa) for _ in orders]
+        c = [rng.randrange(0, pa, pa // gcd(orders[i], orders[j], pa))
+             for i, j in combinations(range(len(orders)), 2)]
+        yield ext_build(p, a, orders, t, c)
+
+
 def _fiber_is_cyclic_by_order(E, x):
     """Cyclicity as some fiber element having the fiber's size as its order."""
     F = fiber(E, x)
@@ -634,6 +668,17 @@ class TestFiberCyclicityByCount:
     def test_matches_order_route_on_scan_grids(self, p, a_max, profile):
         self._assert_routes_agree(_scan_space(p, a_max, profile))
 
+    @pytest.mark.parametrize("p,a,shapes", [
+        (2, 3, [(2, 2), (4, 2), (4, 4), (2, 2, 2)]),
+        (2, 4, [(2, 2), (4, 2), (4, 4)]),
+        (2, 5, [(2, 2), (4, 2)]),
+        (3, 2, [(3, 3), (9, 3)]),
+        (3, 3, [(3, 3)]),
+    ])
+    def test_matches_order_route_on_larger_kernels(self, p, a, shapes):
+        # the count works mod p^a, so kernels past p^2 are checked too
+        self._assert_routes_agree(_seeded_exts(p, a, shapes, 8, f"route{p}{a}"))
+
     def test_matches_order_route_on_named_and_power_data(self):
         named = [q8(), d4(), split_c4_c2(), heis3()]
         self._assert_routes_agree(named + [ext_build(*data) for data in POWER_DATA])
@@ -647,6 +692,18 @@ class TestProp32Scan:
     @pytest.mark.parametrize("p,a_max,profile", SMALL_GRIDS)
     def test_matches_unfiltered_closure_scan(self, p, a_max, profile):
         assert prop32_scan(p, a_max, profile) == _scan_by_closure(p, a_max, profile)
+
+    def test_builds_one_pass_set_per_profile(self, monkeypatch):
+        # not one per (a, profile): a form reduced mod p does not depend on a
+        from ncpbound.groupext import _good_residues, _profiles
+
+        calls = []
+        monkeypatch.setattr(
+            groupext, "_good_residues",
+            lambda p, orders: calls.append(orders) or _good_residues(p, orders),
+        )
+        prop32_scan(2, 3, (4, 4, 4, 4))
+        assert len(calls) == len(_profiles(2, (4, 4, 4, 4))) == 12
 
     def test_odd_p_has_no_hits(self):
         assert prop32_scan(3, 2, (9, 9)) == []

@@ -46,6 +46,7 @@ import dataclasses
 import importlib
 import inspect
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 from helpers import PERFBENCH, perfbench_module
@@ -136,7 +137,8 @@ def test_every_dataclass_field_is_read():
 
 
 def test_every_table_name_resolves():
-    # a field or property, so a misspelt or deleted attribute fails here
+    # a field or property (cached or not), so a misspelt or deleted
+    # attribute fails here
     from ncpbound.jsonio import _ATTRIBUTES
 
     unresolved = []
@@ -144,7 +146,7 @@ def test_every_table_name_resolves():
         fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
             attr = inspect.getattr_static(cls, name, None)
-            if name not in fields and not isinstance(attr, property):
+            if name not in fields and not isinstance(attr, (property, cached_property)):
                 unresolved.append(f"{cls.__name__}.{name}")
     assert unresolved == [], f"_ATTRIBUTES names no field or property: {unresolved}"
 
