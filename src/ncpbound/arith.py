@@ -175,13 +175,13 @@ def _legendre_unchecked(a: int, p: int) -> int:
 
 
 class PrimeField:
-    """F_q for prime q: multiplicative orders, discrete logs in mu_n, and
-    the order of an element in F_q*/(F_q*)^n.
+    """F_q for prime q: its primitive root, the n-th roots of unity and
+    discrete logs in mu_n.
 
     The fixed primitive n-th root of unity is zeta = g^((q-1)/n) for g the
     smallest primitive root mod q; discrete logs of elements of mu_n are
-    taken base zeta throughout.  The primitive root is computed once per
-    instance; `prime_field` keeps one instance per q.
+    taken base zeta throughout.  The primitive root and each n's baby-step
+    table are built once per instance; `prime_field` keeps one per q.
     """
 
     def __init__(self, q: int):
@@ -189,12 +189,7 @@ class PrimeField:
             raise ValidationError(f"{q} is not prime")
         self.q = q
         self._root: int | None = None
-
-    def mul_order(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ValidationError("0 has no multiplicative order")
-        return mul_order_mod(a, self.q)
+        self._steps: dict[int, tuple] = {}
 
     def primitive_root(self) -> int:
         if self._root is None:
@@ -219,32 +214,23 @@ class PrimeField:
 
     def dlog_in_mu(self, x: int, n: int) -> int:
         """Discrete log k of x base zeta_n, x in mu_n, by baby-step giant-step:
-        x * zeta^(-i*m) first meets {zeta^j: j < m} at i = k // m, as m^2 >= n."""
-        q, zeta, m = self.q, self.nth_root_of_unity(n), math.isqrt(n - 1) + 1
-        baby, y = {}, 1
-        for j in range(m):
-            baby[y] = j
-            y = y * zeta % q
-        giant, y = pow(zeta, -m, q), x % q
+        x * zeta^(-i*m) first meets {zeta^j: j < m} at i = k // m, as m^2 >= n.
+        The table {zeta^j: j} and zeta^(-m) are built on n's first call."""
+        q, steps = self.q, self._steps.get(n)
+        if steps is None:
+            zeta, m = self.nth_root_of_unity(n), math.isqrt(n - 1) + 1
+            baby, y = {}, 1
+            for j in range(m):
+                baby[y] = j
+                y = y * zeta % q
+            steps = self._steps[n] = (m, baby, pow(zeta, -m, q))
+        (m, baby, giant), y = steps, x % q
         for i in range(m):
             j = baby.get(y)
             if j is not None:
                 return i * m + j
             y = y * giant % q
-        raise ValidationError(f"{x} is not an n-th root of unity in F_{self.q}")
-
-    def power_class_order(self, a: int, n: int) -> int:
-        """Order of the class of a in F_q*/(F_q*)^n (requires n | q-1).
-
-        The class group is cyclic of order n; a^((q-1)/n) lands in mu_n and
-        its multiplicative order equals the class order.
-        """
-        if (self.q - 1) % n != 0:
-            raise ValidationError(f"n = {n} does not divide q - 1 = {self.q - 1}")
-        a %= self.q
-        if a == 0:
-            raise ValidationError("0 has no power class")
-        return self.mul_order(pow(a, (self.q - 1) // n, self.q)) if n > 1 else 1
+        raise ValidationError(f"{x} is not an n-th root of unity in F_{q}")
 
 
 @lru_cache(maxsize=None)
@@ -254,5 +240,12 @@ def prime_field(q: int) -> PrimeField:
 
 
 def power_class_order(a: int, q: int, n: int) -> int:
-    """Convenience wrapper over PrimeField.power_class_order."""
-    return prime_field(q).power_class_order(a, n)
+    """Order of the class of a in F_q*/(F_q*)^n, for n | q - 1: the group is
+    cyclic of order n, so a^((q-1)/n) = zeta_n^k gives it as n / gcd(n, k)."""
+    F = prime_field(q)
+    if (q - 1) % n != 0:
+        raise ValidationError(f"n = {n} does not divide q - 1 = {q - 1}")
+    a %= q
+    if a == 0:
+        raise ValidationError("0 has no power class")
+    return n // math.gcd(n, F.dlog_in_mu(pow(a, (q - 1) // n, q), n))

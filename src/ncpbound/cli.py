@@ -421,11 +421,10 @@ def _default(spec):
 
 def _scan(argv) -> dict | None:
     """The whole tree's namespace for a regular argv, read from GLOBALS and
-    VERBS, else None.  Regular: exact flags or --flag=value, separate values
-    not starting with "-", every conversion succeeding, a flag with nargs
-    ("+", as --extra) written apart from its values and followed by at least
-    one, the positionals one contiguous run that fills them exactly,
-    required flags given; the last occurrence of a flag wins, as in the tree."""
+    VERBS, else None.  Regular: exact flags, each value written apart from
+    its flag, not starting with "-" and converting, no flag with nargs, the
+    positionals one contiguous run that fills them exactly, required flags
+    given; the last occurrence of a flag wins, as in the tree."""
     specs = dict(GLOBALS)
     given, path = {}, None
     i = start = end = 0  # argv[start:end] is the positional run
@@ -438,7 +437,7 @@ def _scan(argv) -> dict | None:
                 if path is None:
                     return None
                 specs.update((flag, kwargs) for (flag,), kwargs in VERBS[path][1]
-                             if flag.startswith("-"))
+                             if flag.startswith("-") and "nargs" not in kwargs)
                 i += len(path)
                 continue
             if start == end:
@@ -447,35 +446,21 @@ def _scan(argv) -> dict | None:
                 return None
             end = i = i + 1
             continue
-        flag, eq, value = token.partition("=")
-        spec = specs.get(flag)
-        if spec is None or eq and ("action" in spec or "nargs" in spec):
+        spec = specs.get(token)
+        if spec is None:
             return None
         i += 1
         if "action" in spec:
             value = True
-        elif "nargs" in spec:  # the values up to the next flag, as the tree takes them
-            j = i
-            while j < len(argv) and not argv[j].startswith("-"):
-                j += 1
-            if j == i:
-                return None
-            try:
-                value = [spec.get("type", str)(v) for v in argv[i:j]]
-            except ValueError:
-                return None
-            i = j
         else:
-            if not eq:
-                if i == len(argv) or argv[i].startswith("-"):
-                    return None
-                value = argv[i]
-                i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
             try:
-                value = spec.get("type", str)(value)
+                value = spec.get("type", str)(argv[i])
             except ValueError:
                 return None
-        given[_dest(flag)] = value
+            i += 1
+        given[_dest(token)] = value
     if path is None:
         return None
     handler, arguments = VERBS[path]

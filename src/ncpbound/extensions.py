@@ -50,14 +50,13 @@ from .fields import (
     BaseField,
     FqtElt,
     Place,
+    _trusted_place,
     enumerate_places,
     first_places,
-    infinite_place,
-    prime_place,
     real_place,
 )
 
-# the largest n over F_q(t): a discrete log in mu_n takes up to n steps
+# the largest n over F_q(t): a discrete log in mu_n takes about sqrt(n) steps
 MAX_KUMMER_EXPONENT = 10**6
 
 # ---------------------------------------------------------------------------
@@ -464,19 +463,16 @@ def local_degree(M: AbExt, place: Place) -> int:
 
 
 def ramified_places(M: AbExt) -> tuple:
-    """Finite places with nontrivial inertia, sorted."""
+    """Finite places with nontrivial inertia, sorted.  The candidates are the
+    atoms of M, proved prime or monic irreducible when M was built, with 2
+    over Q and the degree place over F_q(t): a factor of exponent 0 mod n in
+    every radicand is no atom, and has trivial inertia."""
     if M.base.is_rationals():
-        cand = {2}
-        for f in M.radicands:
-            cand |= set(factorize(f))
-        places = [prime_place(p) for p in sorted(cand)]
+        places = [_trusted_place(M.base, "prime", p=p) for p in {2, *M.columns} - {-1}]
     else:
-        supp = set()
-        for f in M.radicands:
-            supp |= set(f.support())
-        supp.add(infinite_place(M.base.q))
-        places = sorted(supp, key=Place.sort_key)
-    return tuple(P for P in places if local_data(M, P).ram_index > 1)
+        places = [_trusted_place(M.base, "poly", coeffs=c) for c in M.columns if c is not None]
+        places.append(_trusted_place(M.base, "inf"))
+    return tuple(P for P in sorted(places, key=Place.sort_key) if local_data(M, P).ram_index > 1)
 
 
 def is_real_field(M: AbExt) -> bool:
@@ -579,7 +575,9 @@ def _frobenius_reader(M: AbExt):
     Over Q the Frobenius at a prime p not dividing the conductor f is read
     from its Artin class p mod f, in a memo filled from local_data once per
     class.  A prime dividing f, and every place of F_q(t), reads local_data
-    itself.
+    itself.  The memo is kept for the M it holds: each op decodes its
+    extension again, and gets the first decode's reader, whose local_data
+    lookups then find their key by identity, not by comparing AbExt values.
     """
 
     def read_local(P: Place):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import prod
 from types import SimpleNamespace
 
-from .arith import factorize, is_prime, prime_field, primes_upto
+from .arith import factorize, is_prime, power_class_order, prime_field, primes_upto
 from .errors import InvariantError, SearchExhausted, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -413,13 +413,6 @@ class FqtElt:
     def pow(self, k: int) -> "FqtElt":
         return FqtElt(self.q, pow(self.c, k, self.q), tuple((p, e * k) for p, e in self.factors))
 
-    def support(self) -> list[Place]:
-        """Places where the valuation is nonzero (including infinity)."""
-        out = [poly_place(self.q, p) for p, _ in self.factors]
-        if self.degree_sum() != 0:
-            out.append(infinite_place(self.q))
-        return out
-
     def degree_sum(self) -> int:
         return sum(e * poly_degree(p) for p, e in self.factors)
 
@@ -456,7 +449,7 @@ class FqtElt:
         """
         if any(e % n for _, e in self.factors):
             return False
-        return prime_field(self.q).power_class_order(self.c, n) == 1
+        return power_class_order(self.c, self.q, n) == 1
 
     def class_order(self, n: int) -> int:
         """Order of the class of self in F_q(t)*/(F_q(t)*)^n."""

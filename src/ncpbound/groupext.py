@@ -141,15 +141,14 @@ def ext_mul(E: CentralExt, g, h) -> tuple:
         q, r = divmod(eg[i] + eh[i], o)
         alpha += q * E.t[i]
         exps.append(r)
-    return (alpha % pa if pa else 0, tuple(exps))
+    return (alpha % pa, tuple(exps))
 
 
 def ext_inv(E: CentralExt, g) -> tuple:
-    pa = E.kernel_order
     alpha, exps = g
     rev = tuple((-e) % o for e, o in zip(exps, E.orders))
     drift, _ = ext_mul(E, g, (0, rev))
-    return ((-drift) % pa if pa else 0, rev)
+    return (-drift % E.kernel_order, rev)
 
 
 def ext_pow(E: CentralExt, g, n: int) -> tuple:

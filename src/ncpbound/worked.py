@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 from typing import Callable, Optional
 
 from .arith import QZ, is_prime, legendre, power_class_order, require_prime, vp
@@ -180,15 +179,13 @@ def run_ex41(l: int, q: int, bound: int = 1000) -> PaperReport:
 
 
 def _splitting_is(K: AbExt, P: Place, want: str) -> tuple[bool, str]:
-    e = local_data(K, P).ram_index
-    deg = local_degree(K, P)
-    f = deg // e
+    ld = local_data(K, P)
     ok = {
-        "inert": e == 1 and deg == K.degree,
-        "totally-ramified": e == K.degree,
-        "split": deg == 1,
+        "inert": ld.ram_index == 1 and ld.degree == K.degree,
+        "totally-ramified": ld.ram_index == K.degree,
+        "split": ld.degree == 1,
     }[want]
-    return ok, f"e = {e}, f = {f}"
+    return ok, f"e = {ld.ram_index}, f = {ld.res_degree}"
 
 
 def run_ex43(p: int, q: int, a: int) -> PaperReport:
@@ -399,11 +396,7 @@ def _d_value_no_gap(place: Place, m: int, M: AbExt) -> int:
     Demands the full p-part of m at every finite place, which overshoots
     exactly where a place is isolated.
     """
-    if m < 1:
-        raise ValidationError("m must be a positive integer")
-    if place.kind == "real":
-        return gcd(m, 2) if is_real_field(M) else 1
-    return m
+    return d_value(place, m, M) if place.kind == "real" else m
 
 
 def _beta_flipped(E, x, y) -> int:

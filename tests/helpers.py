@@ -7,7 +7,7 @@ from functools import cache, lru_cache
 from math import gcd, lcm, prod
 from pathlib import Path
 
-from ncpbound.arith import QZ, QZ_ZERO, prime_field, vp
+from ncpbound.arith import QZ, QZ_ZERO, factorize, prime_field, vp
 from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
@@ -19,6 +19,7 @@ from ncpbound.extensions import (
     cyclotomic_degree,
     galois_group,
     local_class_group,
+    local_data,
     local_degree,
     pairing,
     r_value,
@@ -30,11 +31,14 @@ from ncpbound.fields import (
     FqtElt,
     Place,
     fqt_from_factors,
+    infinite_place,
     poly_degree,
     poly_is_irreducible,
     poly_mod,
     poly_mul,
+    poly_place,
     poly_trim,
+    prime_place,
     rational_function_field,
 )
 from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, lift
@@ -314,6 +318,21 @@ def local_data_oracle(M, place):
                 if all(pairing(M, s, e) == (images[e][1] if width > 1 else 0) for e in ker_i))
     e_idx = len(exps) // len(ker_i)
     return len(D), e_idx, len(D) // e_idx, D, I, frob
+
+
+
+def oracle_ramified_places(M) -> tuple:
+    """ramified_places over every factor of every radicand, refactored and
+    rebuilt as validated places: 2 and the primes of each radicand over Q,
+    each factor's place, whatever its exponent, and the degree place over
+    F_q(t)."""
+    if M.base.is_rationals():
+        places = {prime_place(p) for f in (2, *M.radicands) for p in factorize(f)}
+    else:
+        q = M.base.q
+        places = {poly_place(q, poly) for f in M.radicands for poly, _ in f.factors}
+        places.add(infinite_place(q))
+    return tuple(P for P in sorted(places, key=Place.sort_key) if local_data(M, P).ram_index > 1)
 
 
 # ------------------------------------------------------------ F_q[t] oracles

@@ -161,8 +161,7 @@ class TestIntegerHelpers:
 
 class TestPrimeField:
     def test_mul_order(self):
-        F = PrimeField(7)
-        assert [F.mul_order(a) for a in range(1, 7)] == [1, 3, 6, 3, 6, 2]
+        assert [mul_order_mod(a, 7) for a in range(1, 7)] == [1, 3, 6, 3, 6, 2]
 
     def test_primitive_root(self):
         assert PrimeField(7).primitive_root() == 3
@@ -172,7 +171,7 @@ class TestPrimeField:
     def test_nth_root_of_unity(self):
         F = PrimeField(7)
         z = F.nth_root_of_unity(3)
-        assert F.mul_order(z) == 3
+        assert mul_order_mod(z, 7) == 3
         with pytest.raises(ValidationError):
             F.nth_root_of_unity(5)
 
@@ -227,14 +226,27 @@ class TestPrimeField:
         assert power_class_order(6, 7, 3) == 1
         assert power_class_order(3, 7, 6) == 6
         assert power_class_order(1, 7, 6) == 1
-        with pytest.raises(ValidationError):
-            power_class_order(2, 7, 4)  # 4 does not divide 6
+        # q prime first, then n | q - 1, then a != 0 mod q
+        with pytest.raises(ValidationError, match="^8 is not prime$"):
+            power_class_order(0, 8, 4)
+        with pytest.raises(ValidationError, match="^n = 4 does not divide q - 1 = 6$"):
+            power_class_order(0, 7, 4)
+        with pytest.raises(ValidationError, match="^0 has no power class$"):
+            power_class_order(14, 7, 3)
+
+    @pytest.mark.parametrize("q", list(primes_upto(200)))
+    def test_power_class_order_matches_the_walk(self, q):
+        # the order of a^((q-1)/n) in F_q*, walked power by power
+        for n in divisors(q - 1):
+            for a in range(1, q):
+                want = mul_order_mod(pow(a, (q - 1) // n, q), q)
+                assert power_class_order(a, q, n) == want, (a, n)
 
     @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 30))
     def test_order_divides_group(self, p, a):
         if a % p == 0:
             a += 1
-        assert (p - 1) % PrimeField(p).mul_order(a) == 0
+        assert (p - 1) % mul_order_mod(a, p) == 0
 
 
 class TestSympyOracle:

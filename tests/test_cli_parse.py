@@ -154,21 +154,6 @@ def test_token_sequences_parse_as_whole_tree(argv):
     _same_as_whole_tree(argv)
 
 
-def test_nargs_flag_falls_back_on_a_failed_conversion(monkeypatch):
-    # no flag of the table converts its nargs values, so give --extra a type
-    handler, arguments = cli.VERBS[("cover", "check")]
-    typed = tuple(cli._arg(*flags, **kwargs, type=int) if flags == ("--extra",)
-                  else (flags, kwargs) for flags, kwargs in arguments)
-    monkeypatch.setitem(cli.VERBS, ("cover", "check"), (handler, typed))
-    tree = cli.build_parser.__wrapped__()
-    good = ["cover", "check", "t+1", "--extra", "3", "5"]
-    assert cli._scan(good) == vars(tree.parse_args(good))
-    assert cli._scan(good)["extra"] == [3, 5]
-    bad = ["cover", "check", "--extra", "3", "x", "--nprime", "2"]
-    assert cli._scan(bad) is None
-    assert _outcome(tree.parse_args, bad)[0] == ("exit", 2)
-
-
 class TestRepeatedCalls:
     """One process calling `parse_args` again: nothing of one call reaches the next."""
     VERIFY = ["groupext", "verify", "--p", "2", "--a", "1", "--orders", "2,2", "--t", "0,0",
@@ -206,13 +191,22 @@ class TestParsersBuilt:
         ["--ext", "field", "groupext", "scan", "--p", "2", "--a-max", "1", "--profile-max", "2"],
         ["paper", "ex43", "2", "3", "2"],
         ["suite", "--seed", "2", "--mutation", "beta-flip"],
-        ["cover", "check", "--extra", "3", "5", "--nprime", "2", "7"],
     ], ids=lambda v: " ".join(v[:2]))
     def test_main_builds_no_parser(self, monkeypatch, capsys, argv):
         built = self._count_parsers(monkeypatch)
         cli.main(argv)
         capsys.readouterr()
         assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "check", "--extra", "3", "5"],
+        ["--ext=q.json", "field"],
+    ], ids=" ".join)
+    def test_unscanned_spellings_build_the_tree(self, argv):
+        # a flag with nargs and --flag=value are left to argparse
+        parser, ns = cli.parse_args(argv)
+        assert parser is cli.build_parser()
+        assert vars(ns) == vars(WHOLE_TREE.parse_args(argv))
 
     def test_workload_argv_builds_no_parser(self, monkeypatch):
         built = self._count_parsers(monkeypatch)

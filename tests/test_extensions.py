@@ -19,11 +19,19 @@ from helpers import (
     fqt_mul,
     gal_fixing_cyclotomic,
     local_data_oracle,
+    oracle_ramified_places,
     sigma_order,
     w_exponents,
 )
 from ncpbound import brauer, covers, extensions, worked
-from ncpbound.arith import factorize, is_squarefree, prime_field, squarefree_part, vp
+from ncpbound.arith import (
+    factorize,
+    is_squarefree,
+    mul_order_mod,
+    prime_field,
+    squarefree_part,
+    vp,
+)
 from ncpbound.errors import SearchExhausted, ValidationError
 from ncpbound.extensions import (
     AbExt,
@@ -352,12 +360,11 @@ class TestWFromClassVectors:
     def test_function_fields_match_products(self, q, ns, constants):
         base = rational_function_field(q)
         pool = TestClassVectorValidation._fq_pool(q, constants, monic_irreducibles(q, 1)[:3])
-        F = prime_field(q)
         built = 0
         for n in ns:
             for M in _extensions(base, n, pool, 3):
                 want = {
-                    e: F.power_class_order(v.c, n)
+                    e: mul_order_mod(pow(v.c, (q - 1) // n, q), q)
                     for e, v in _w_products(M).items()
                     if all(k % n == 0 for _, k in v.factors)
                 }
@@ -537,6 +544,9 @@ class TestLocalDataFunctionField:
         M = ff7_cubic()
         names = [str(P) for P in ramified_places(M)]
         assert names == ["(t)", "(t+5)", "(t+6)", "inf"]
+        # (t+1)^3 is a cube: no atom, and unramified
+        M = AbExt(F7, 3, (fqt_from_factors(7, 1, [(T_, 1), ((1, 1), 3)]),))
+        assert [str(P) for P in ramified_places(M)] == ["(t)", "inf"]
 
     def test_frozen_frobenius(self):
         # at t = 3 both radicands are units; residue symbols give (1, 2)
@@ -673,8 +683,6 @@ class TestSearches:
         # at p = 2 the modulus is 16; 17 = 1 mod 16 has order 1, never valid
         M = q_ext(17)
         for P in qsigma_search(M, 2, (0,), count=3, bound=200):
-            from ncpbound.arith import mul_order_mod
-
             assert mul_order_mod(P.p, 16) > 1
 
     def test_s0_search(self):
@@ -878,6 +886,41 @@ def _function_field_extension(draw):
     return M, tuple(dict.fromkeys((*ramified_places(M), infinite_place(q), *extra)))
 
 
+@st.composite
+def _hidden_factor_extension(draw):
+    """F_q(t)(n-th roots of r = 1..3 radicands c * prod P^k) over linear and
+    quadratic P, with k in {1, 2, n, 2n, n + 1}: a factor whose exponents
+    are all 0 mod n is no atom of M."""
+    q = draw(st.sampled_from((5, 7, 13, 19)))
+    n = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    pool = [(a, 1) for a in range(q)] + list(monic_irreducibles(q, 2)[:4])
+    rads = []
+    for _ in range(draw(st.integers(1, 3))):
+        polys = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        rads.append(fqt_from_factors(q, draw(st.integers(1, q - 1)), [
+            (poly, draw(st.sampled_from((1, 2, n, 2 * n, n + 1)))) for poly in polys]))
+    try:
+        return AbExt(rational_function_field(q), n, tuple(rads))
+    except ValidationError:
+        reject()  # an n-th power or dependent classes
+
+
+class TestRamifiedPlacesOracle:
+    """ramified_places takes its candidates from the atoms of M; the oracle
+    in helpers factors every radicand again."""
+
+    @given(_rational_extension())
+    @settings(max_examples=100, deadline=None)
+    def test_rationals(self, drawn):
+        M, _ = drawn
+        assert ramified_places(M) == oracle_ramified_places(M)
+
+    @given(_hidden_factor_extension())
+    @settings(max_examples=200, deadline=None)
+    def test_function_fields(self, M):
+        assert ramified_places(M) == oracle_ramified_places(M)
+
+
 class TestLocalDataOracle:
     """local_data reads degree, e, f and the Frobenius off the local image;
     the enumerating oracle in helpers agrees on every kind of place."""
@@ -981,6 +1024,20 @@ class TestArtinClasses:
     def test_function_field_reads_local_data_per_place(self, fresh_memos):
         _assert_reader_matches_local_data(ff7_cubic(), 7**3)
         assert local_data.cache_info().misses == len(list(enumerate_places(F7, 7**3)))
+
+    @pytest.mark.parametrize("doc", [
+        '{"base": "Q", "n": 2, "radicands": [3, -7]}',
+        '{"base": "F7(t)", "n": 3, "radicands": ["t", "(t-1)*(t-2)"]}',
+    ], ids=["Q", "F7(t)"])
+    def test_each_decode_of_one_file_gets_one_reader(self, fresh_memos, tmp_path, doc):
+        # the reader holds the first decode, so the local_data lookups of
+        # every later op find their keys by identity
+        from ncpbound.jsonio import load_extension
+
+        path = tmp_path / "ext.json"
+        path.write_text(doc)
+        M, N = load_extension(str(path)), load_extension(str(path))
+        assert M is not N and _frobenius_reader(M) is _frobenius_reader(N)
 
 
 class TestStoredHash:

@@ -336,12 +336,6 @@ class TestFqtElt:
         x = fqt_from_factors(7, 1, [((0, 1), 3)])
         assert x.class_order(3) == 1
 
-    def test_support(self):
-        x = fqt_from_factors(3, 1, [((0, 1), 1)])
-        assert [str(p) for p in x.support()] == ["(t)", "inf"]
-        balanced = fqt_from_factors(3, 1, [((0, 1), 1), ((1, 1), -1)])
-        assert [str(p) for p in balanced.support()] == ["(t)", "(t+1)"]
-
     def test_str(self):
         assert str(fqt_const(3, 2)) == "2"
         assert str(fqt_from_factors(3, 1, [((0, 1), 2)])) == "(t)^2"
