@@ -109,22 +109,29 @@ def require_prime(n: int, name: str = "p") -> None:
         raise ValidationError(f"{name} must be prime, got {n}")
 
 
+def require_positive(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
+
+
 def require_tame(M, p: int, why: str) -> None:
     """Reject p equal to the characteristic of M's base field, saying why."""
     if M.base.char == p:
         raise ValidationError(f"p = {p} equals the field characteristic; {why}")
 
 
-def primes_upto(bound: int):
-    """Yield primes <= bound (sieve)."""
-    if bound < 2:
+def primes_upto(bound: int, after: int = 1):
+    """Yield the primes p with after < p <= bound, by a sieve of that range
+    alone: the multiples of each prime up to sqrt(bound) are cleared from the
+    later of its square and the range's start."""
+    start = max(after + 1, 2)
+    if bound < start:
         return
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
-    yield from itertools.compress(range(bound + 1), sieve)
+    sieve = bytearray([1]) * (bound - start + 1)
+    for i in primes_upto(math.isqrt(bound)):
+        first = max(i * i, -(-start // i) * i)
+        sieve[first - start :: i] = bytes(len(range(first, bound + 1, i)))
+    yield from itertools.compress(range(start, bound + 1), sieve)
 
 
 def squarefree_part(n: int) -> int:
@@ -208,6 +215,7 @@ class PrimeField:
         raise InvariantError(f"no primitive root found mod {q}")
 
     def nth_root_of_unity(self, n: int) -> int:
+        require_positive(n)
         if (self.q - 1) % n != 0:
             raise ValidationError(f"mu_{n} is not contained in F_{self.q}")
         return pow(self.primitive_root(), (self.q - 1) // n, self.q)
@@ -243,6 +251,7 @@ def power_class_order(a: int, q: int, n: int) -> int:
     """Order of the class of a in F_q*/(F_q*)^n, for n | q - 1: the group is
     cyclic of order n, so a^((q-1)/n) = zeta_n^k gives it as n / gcd(n, k)."""
     F = prime_field(q)
+    require_positive(n)
     if (q - 1) % n != 0:
         raise ValidationError(f"n = {n} does not divide q - 1 = {q - 1}")
     a %= q

@@ -71,11 +71,17 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
+# A walk over Q sieves the integers up to its bound, one byte each.
+MAX_BOUND = 10**7
+
+
 def _bound(args, default):
     if args.bound is None:
         return default
     if args.bound < 0:
         raise ValidationError(f"--bound must be at least 0, got {args.bound}")
+    if args.bound > MAX_BOUND:
+        raise ValidationError(f"--bound {args.bound} exceeds the ceiling {MAX_BOUND}")
     return args.bound
 
 

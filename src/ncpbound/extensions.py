@@ -41,6 +41,7 @@ from .arith import (
     factorize,
     mul_order_mod,
     prime_field,
+    require_positive,
     require_prime,
     require_tame,
     vp,
@@ -50,7 +51,7 @@ from .fields import (
     BaseField,
     FqtElt,
     Place,
-    _trusted_place,
+    _trusted_places,
     enumerate_places,
     first_places,
     real_place,
@@ -205,6 +206,7 @@ def howell(n: int, rows, basis: dict | None = None) -> dict:
     is scaled by a unit to pivot entry g = gcd(entry, n), and (n/g) * row,
     zero there, goes on: that gives the Howell property.
     """
+    require_positive(n)
     basis, todo = dict(basis or ()), list(rows)
     while todo:
         v = todo.pop()
@@ -468,10 +470,10 @@ def ramified_places(M: AbExt) -> tuple:
     over Q and the degree place over F_q(t): a factor of exponent 0 mod n in
     every radicand is no atom, and has trivial inertia."""
     if M.base.is_rationals():
-        places = [_trusted_place(M.base, "prime", p=p) for p in {2, *M.columns} - {-1}]
+        places = _trusted_places(M.base, "prime", {2, *M.columns} - {-1})
     else:
-        places = [_trusted_place(M.base, "poly", coeffs=c) for c in M.columns if c is not None]
-        places.append(_trusted_place(M.base, "inf"))
+        places = _trusted_places(M.base, "poly", [c for c in M.columns if c is not None])
+        places += _trusted_places(M.base, "inf", [None])
     return tuple(P for P in sorted(places, key=Place.sort_key) if local_data(M, P).ram_index > 1)
 
 

@@ -17,6 +17,8 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 from dataclasses import dataclass, field
 from math import prod
 from types import SimpleNamespace
@@ -82,17 +84,6 @@ def poly_degree(a) -> int:
     return len(a) - 1
 
 
-def poly_mul(a, b, q: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return poly_trim(out)
-
-
 def poly_mod(a, m, q: int) -> tuple:
     if not m:
         raise ZeroDivisionError("division by zero polynomial")
@@ -147,7 +138,8 @@ def require_sieve_fits(q: int, degree: int) -> None:
 
 def poly_is_irreducible(a, q: int) -> bool:
     """Trial division by the sieved monic irreducibles of degree <= deg/2;
-    ValidationError past the sieve ceiling."""
+    ValidationError for q not prime, or past the sieve ceiling."""
+    prime_field(q)
     if len(a) <= 1:
         return False
     require_sieve_fits(q, len(a) - 1)
@@ -179,16 +171,36 @@ def monic_irreducibles(q: int, degree: int) -> tuple:
 
     A multiplicative sieve: every reducible monic of degree d is f*g with f
     monic irreducible of degree k <= d/2 and g monic of degree d - k.  The
+    products come from Kronecker substitution: the monics g of degree d - k
+    are packed into one integer, d + 1 fixed-width digits each, and one
+    integer product per f yields every f*g at once.  A product coefficient
+    sums at most k + 1 <= d/2 + 1 terms below q^2, so no digit carries.  The
     count is checked against Gauss's formula (1/d) sum_{e | d} mu(e) q^(d/e).
+    A q that is not prime or a degree below 1 is refused before any sieving.
     """
     key = (q, degree)
     if key not in _irreducible_cache:
-        reducible = {poly_mul(f, lower + (1,), q)
-                     for k in range(1, degree // 2 + 1) for f in monic_irreducibles(q, k)
-                     for lower in itertools.product(range(q), repeat=degree - k)}
+        prime_field(q)
+        if degree < 1:
+            raise ValidationError(f"degree must be at least 1, got {degree}")
+        # the narrowest native unsigned digit that holds (d/2 + 1)(q - 1)^2
+        width = ((degree // 2 + 1) * (q - 1) ** 2).bit_length()
+        size, code = next((s, c) for s, c in zip((1, 2, 4, 8), "BHIQ") if width <= 8 * s)
+        order = sys.byteorder
+        reducible = set()
+        for k in range(1, degree // 2 + 1):
+            # each monic g of degree d - k, padded by k zero digits to d + 1
+            g = itertools.product(*[range(q)] * (degree - k), (1,), *[(0,)] * k)
+            digits = list(itertools.chain.from_iterable(g))
+            packed = int.from_bytes(struct.pack(f"{len(digits)}{code}", *digits), order)
+            for f in monic_irreducibles(q, k):
+                f_packed = int.from_bytes(struct.pack(f"{k + 1}{code}", *f), order)
+                product = (f_packed * packed).to_bytes(len(digits) * size, order)
+                it = map(q.__rmod__, memoryview(product).cast(code))
+                reducible.update(zip(*[it] * (degree + 1)))
         # product() runs through the lower coefficients in tuple order
-        monics = (lower + (1,) for lower in itertools.product(range(q), repeat=degree))
-        found = tuple(c for c in monics if c not in reducible)
+        monics = itertools.product(*[range(q)] * degree, (1,))
+        found = tuple(itertools.filterfalse(reducible.__contains__, monics))
         primes = list(factorize(degree))
         subsets = (s for r in range(len(primes) + 1) for s in itertools.combinations(primes, r))
         expected = sum((-1) ** len(s) * q ** (degree // prod(s)) for s in subsets) // degree
@@ -291,17 +303,25 @@ def infinite_place(q: int) -> Place:
     return Place(rational_function_field(q), "inf")
 
 
-def _trusted_place(base: BaseField, kind: str, p=None, coeffs=None) -> Place:
-    """A Place built without __post_init__, for callers that already hold
-    the proof: a prime from the sieve, a normalized monic irreducible from
-    monic_irreducibles, or the place at infinity of a validated base."""
-    place = object.__new__(Place)
-    object.__setattr__(place, "base", base)
-    object.__setattr__(place, "kind", kind)
-    object.__setattr__(place, "p", p)
-    object.__setattr__(place, "coeffs", coeffs)
-    object.__setattr__(place, "_hash", hash((base, kind, p, coeffs)))
-    return place
+def _trusted_places(base: BaseField, kind: str, values) -> list:
+    """Places built without __post_init__, one per value: the p of a prime
+    place, the coefficient tuple of a polynomial place, None for the place at
+    infinity.  For callers that already hold the proof: primes from the
+    sieve, normalized monic irreducibles from monic_irreducibles, or the
+    place at infinity of a validated base.  The fields are set one by one in
+    field order, as __init__ sets them, so every place shares its dict keys."""
+    new, put, prime = object.__new__, object.__setattr__, kind == "prime"
+    places = []
+    for value in values:
+        p, coeffs = (value, None) if prime else (None, value)
+        place = new(Place)
+        put(place, "base", base)
+        put(place, "kind", kind)
+        put(place, "p", p)
+        put(place, "coeffs", coeffs)
+        put(place, "_hash", hash((base, kind, p, coeffs)))
+        places.append(place)
+    return places
 
 
 # The trusted places every walk shares, so that one process builds each place
@@ -329,8 +349,7 @@ def _prime_walk(bound: int):
         if _primes.end >= bound:
             return
         done, end = len(_primes.places), min(bound, max(2 * _primes.end, _FIRST_PRIME_CHUNK))
-        _primes.places.extend(_trusted_place(QQ, "prime", p=p)
-                              for p in primes_upto(end) if p > _primes.end)
+        _primes.places += _trusted_places(QQ, "prime", primes_upto(end, _primes.end))
         _primes.end = end
 
 
@@ -339,8 +358,10 @@ def _places_of_degree(base: BaseField, d: int) -> tuple:
     is sorted by coefficient tuple, and the degree place ends degree one."""
     key = (base.q, d)
     if key not in _degree_places:
-        places = tuple(_trusted_place(base, "poly", coeffs=c) for c in monic_irreducibles(*key))
-        _degree_places[key] = places + (_trusted_place(base, "inf"),) if d == 1 else places
+        places = _trusted_places(base, "poly", monic_irreducibles(*key))
+        if d == 1:
+            places += _trusted_places(base, "inf", [None])
+        _degree_places[key] = tuple(places)
     return _degree_places[key]
 
 

@@ -35,7 +35,6 @@ from ncpbound.fields import (
     poly_degree,
     poly_is_irreducible,
     poly_mod,
-    poly_mul,
     poly_place,
     poly_trim,
     prime_place,
@@ -336,6 +335,18 @@ def oracle_ramified_places(M) -> tuple:
 
 
 # ------------------------------------------------------------ F_q[t] oracles
+
+
+def poly_mul(a, b, q: int) -> tuple:
+    """The product of a and b over F_q by schoolbook multiplication."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return poly_trim(out)
 
 
 def poly_divmod(a, b, q: int) -> tuple[tuple, tuple]:

@@ -131,6 +131,14 @@ class TestIntegerHelpers:
     def test_primes_upto_matches_sympy_on_drawn_bounds(self, bound):
         assert list(primes_upto(bound)) == list(primerange(0, bound + 1))
 
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), bound=st.integers(-5, 3000))
+    def test_primes_past_a_lower_end_match_sympy(self, data, bound):
+        after = data.draw(st.one_of(st.integers(-50, -1), st.integers(0, 1), st.just(bound),
+                                    st.integers(bound + 1, bound + 50),
+                                    st.integers(-50, bound + 50)), label="after")
+        assert list(primes_upto(bound, after)) == list(primerange(after + 1, bound + 1))
+
     def test_squarefree(self):
         assert squarefree_part(12) == 3
         assert squarefree_part(-12) == -3
@@ -183,6 +191,14 @@ class TestPrimeField:
         with pytest.raises(ValidationError):
             F.dlog_in_mu(3, 3)  # 3 has order 6, not in mu_3
 
+    def test_dlog_in_mu_refuses_n_below_1(self):
+        F = PrimeField(7)
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
+                F.dlog_in_mu(1, n)
+            with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
+                F.nth_root_of_unity(n)
+
     @pytest.mark.parametrize("q", list(primes_upto(60)))
     def test_dlog_in_mu_matches_the_walk_on_every_residue(self, q):
         # every n | q - 1 (1, 2 and q - 1 among them) and every x mod q:
@@ -233,6 +249,14 @@ class TestPrimeField:
             power_class_order(0, 7, 4)
         with pytest.raises(ValidationError, match="^0 has no power class$"):
             power_class_order(14, 7, 3)
+
+    def test_power_class_order_refuses_n_below_1(self):
+        # n = 0 would divide by zero, and -3 divides q - 1 = 6; q comes first
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
+                power_class_order(2, 7, n)
+        with pytest.raises(ValidationError, match="^8 is not prime$"):
+            power_class_order(2, 8, 0)
 
     @pytest.mark.parametrize("q", list(primes_upto(200)))
     def test_power_class_order_matches_the_walk(self, q):

@@ -20,7 +20,7 @@ from ncpbound.cli import main
 from ncpbound.fields import (
     QQ,
     Place,
-    _trusted_place,
+    _trusted_places,
     infinite_place,
     monic_irreducibles,
     poly_place,
@@ -522,6 +522,14 @@ class TestNegativeBounds:
             assert code == 2
             assert payload == {"error": "invalid-input",
                                "detail": f"--bound must be at least 0, got {bound}"}
+
+    @pytest.mark.parametrize("verb", sorted(BOUND_VERBS))
+    def test_bound_past_the_ceiling_is_2(self, run, ext_file, verb):
+        bound = cli.MAX_BOUND + 1
+        code, payload, err = run(*BOUND_VERBS[verb], f"--bound={bound}", "--ext", ext_file)
+        assert code == 2 and err == ""
+        assert payload == {"error": "invalid-input",
+                           "detail": f"--bound {bound} exceeds the ceiling {cli.MAX_BOUND}"}
 
     @pytest.mark.parametrize("verb, code", [
         ("search-frobenius", 3), ("search-qsigma", 3), ("search-s0", 3),
@@ -1203,7 +1211,7 @@ _CHECKED_PLACES = st.one_of(
     st.sampled_from(_QS).map(infinite_place),
 )
 _PLACES = _CHECKED_PLACES | st.sampled_from(_BIG_PRIMES).map(
-    lambda p: _trusted_place(QQ, "prime", p=p))
+    lambda p: _trusted_places(QQ, "prime", [p])[0])
 
 
 # encoded places at depth 0 to 3, next to other JSON values

@@ -1,6 +1,7 @@
 """Places, polynomial arithmetic over F_q, and factored rational functions."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     oracle_monic_irreducibles,
     oracle_residue_symbol_dlog,
     poly_divmod,
+    poly_mul,
     poly_pow_mod,
     trusted_fqt,
     unit_residue,
@@ -28,7 +30,6 @@ from ncpbound.fields import (
     monic_irreducibles,
     poly_is_irreducible,
     poly_mod,
-    poly_mul,
     poly_place,
     poly_str,
     prime_place,
@@ -107,10 +108,33 @@ class TestPolynomials:
 class TestSieve:
     """monic_irreducibles sieves; trial division and sympy are the oracles."""
 
-    @pytest.mark.parametrize("q, top", [(2, 8), (3, 5), (5, 4), (7, 4), (13, 2)])
+    # at (11, 4) and (101, 2) a packed product digit may reach 300 and
+    # 20000: past one byte
+    @pytest.mark.parametrize("q, top", [(2, 8), (3, 5), (5, 4), (7, 4), (13, 2), (11, 4),
+                                        (101, 2)])
     def test_matches_trial_division(self, q, top):
         for d in range(1, top + 1):
             assert monic_irreducibles(q, d) == oracle_monic_irreducibles(q, d)
+
+    def test_refuses_a_q_that_is_not_prime(self, monkeypatch):
+        # sieving over Z/4 would read as a failed count check, not bad input
+        monkeypatch.setattr(fields, "_irreducible_cache", {})
+        with pytest.raises(ValidationError, match="^4 is not prime$"):
+            monic_irreducibles(4, 2)
+        assert fields._irreducible_cache == {}
+
+    def test_refuses_a_degree_below_1(self, monkeypatch):
+        monkeypatch.setattr(fields, "_irreducible_cache", {})
+        for d in (0, -1):
+            with pytest.raises(ValidationError, match=f"^degree must be at least 1, got {d}$"):
+                monic_irreducibles(7, d)
+        assert fields._irreducible_cache == {}
+
+    def test_irreducibility_refuses_a_q_that_is_not_prime(self):
+        # t + 1 has no divisor to try, so only the check on q refuses it
+        for a in ((1, 1), (1,), (1, 0, 1)):
+            with pytest.raises(ValidationError, match="^4 is not prime$"):
+                poly_is_irreducible(a, 4)
 
     def test_sympy_agrees_on_members_and_non_members(self):
         from itertools import product
@@ -391,6 +415,50 @@ class TestTrustedPlaces:
             if sympy_irreducible(lower + (1,))
         }
         assert {P.coeffs for P in polys} == expected
+
+    def test_batch_built_places_match_validated_twins(self, fresh_places):
+        walked = list(enumerate_places(QQ, 600)) + list(enumerate_places(F7, 7**2))
+        twins = [prime_place(P.p) if P.kind == "prime" else
+                 infinite_place(7) if P.kind == "inf" else poly_place(7, P.coeffs)
+                 for P in walked]
+        assert len(walked) == 109 + 7 + 1 + 21
+        for P, twin in zip(walked, twins):
+            assert P == twin and hash(P) == hash(twin) and repr(P) == repr(twin)
+
+    def test_batch_built_places_share_their_dict_keys(self):
+        # fields set one by one, in field order, keep the key-sharing
+        # instance dict of a fresh class; a dict filled by update() holds its
+        # own keys and took 1.75 times the memory.  sys.getsizeof cannot tell
+        # the two apart: it reports the split dict as the larger one.
+        from sympy import primerange
+
+        primes = list(primerange(2, 4000))
+
+        class Fresh:
+            pass
+
+        def fresh_places():
+            out = []
+            for p in primes:
+                place = Fresh()
+                place.base, place.kind, place.p, place.coeffs = QQ, "prime", p, None
+                place._hash = hash((QQ, "prime", p, None))
+                out.append(place)
+            return out
+
+        def live_bytes(build):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                built = build()
+                return tracemalloc.get_traced_memory()[0] - before, built
+            finally:
+                tracemalloc.stop()
+
+        trusted, places = live_bytes(lambda: fields._trusted_places(QQ, "prime", primes))
+        shared, _ = live_bytes(fresh_places)
+        assert [P.p for P in places] == primes
+        assert trusted <= 1.1 * shared
 
     def test_user_places_are_still_validated(self):
         from ncpbound.jsonio import parse_place_text, place_from_json

@@ -86,14 +86,9 @@ def test_cover_local_degree_raises_named_error(monkeypatch):
 
 
 def test_irreducible_sieve_checks_gauss_count(monkeypatch):
-    real_mul = fields.poly_mul
-
-    def dropping(a, b, q):
-        # t * t is the one way the sieve reaches t^2 over F_2
-        return () if (a, b, q) == ((0, 1), (0, 1), 2) else real_mul(a, b, q)
-
-    monkeypatch.setattr(fields, "_irreducible_cache", {})
-    monkeypatch.setattr(fields, "poly_mul", dropping)
+    # without t + 1 among the linear irreducibles, (t + 1)^2 = t^2 + 1 over
+    # F_2 is never struck out
+    monkeypatch.setattr(fields, "_irreducible_cache", {(2, 1): ((0, 1),)})
     with pytest.raises(InvariantError, match="sieved 2 monic irreducibles of degree 2 over F_2; "
                                              "Gauss's formula gives 1"):
         fields.monic_irreducibles(2, 2)
@@ -187,8 +182,7 @@ try:
     groupext.prop32_scan(2, 1, (2, 2))
 except InvariantError:
     caught.append("prop32_scan")
-real_mul = fields.poly_mul
-fields.poly_mul = lambda a, b, q: () if (a, b, q) == ((0, 1), (0, 1), 2) else real_mul(a, b, q)
+fields._irreducible_cache[2, 1] = ((0, 1),)
 try:
     fields.monic_irreducibles(2, 2)
 except InvariantError:

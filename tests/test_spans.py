@@ -109,6 +109,12 @@ class TestHowellAgainstGrow:
             assert j == min(row) and n % row[j] == 0
             assert all(0 < x < n for x in row.values())
 
+    def test_refuses_n_below_1(self):
+        # n = 0 would divide by zero, and a negative n would return a basis
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
+                howell(n, [{0: 1}])
+
     def test_grown_basis_leaves_the_given_one_as_it_was(self):
         basis = howell(4, [{0: 2}])
         frozen = {j: dict(row) for j, row in basis.items()}
