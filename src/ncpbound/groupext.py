@@ -15,8 +15,9 @@ bilinear.  Powers and commutators of lifts are therefore closed forms in
 (t, c): `_power_form` gives the kernel part of s(x)^n and `beta` the
 alternating form.  `ext_mul` and `ext_inv` are the independent collection
 route: `fiber` collects the powers of one lift of x and takes their kernel
-translates, `fiber_is_cyclic` decides cyclicity by collecting p-th powers,
-and the tests check the closed forms against that route.
+translates, `fiber_is_cyclic` decides cyclicity by collecting p-th powers
+of the same powers' quotient parts, and the tests check the closed forms
+against that route.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class CentralExt:
         """((i, j), c_ij) for every pair i < j, in the order of c."""
         return tuple(zip(combinations(range(len(self.orders)), 2), self.c))
 
+    @cached_property
+    def data(self) -> tuple:
+        """(t_1, ..., t_k, then c_ij in pair order): the point at which a
+        `_power_form` is evaluated."""
+        return (*self.t, *self.c)
+
 
 def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
     """Validated constructor.  c may be a dict keyed by (i, j) with i < j,
@@ -121,11 +128,17 @@ def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
     return CentralExt(p, a, orders, t, tuple(c))
 
 
-def lift(E: CentralExt, x) -> tuple:
-    """The section applied to x: the normal form with trivial kernel part."""
+def _reduced(E: CentralExt, x) -> tuple:
+    """x with each coordinate reduced mod its quotient factor; refused
+    unless it has one coordinate per factor."""
     if len(x) != len(E.orders):
         raise ValidationError("wrong number of coordinates")
-    return (0, tuple(v % o for v, o in zip(x, E.orders)))
+    return tuple(v % o for v, o in zip(x, E.orders))
+
+
+def lift(E: CentralExt, x) -> tuple:
+    """The section applied to x: the normal form with trivial kernel part."""
+    return (0, _reduced(E, x))
 
 
 def ext_mul(E: CentralExt, g, h) -> tuple:
@@ -151,19 +164,17 @@ def ext_inv(E: CentralExt, g) -> tuple:
     return (-drift % E.kernel_order, rev)
 
 
-def ext_pow(E: CentralExt, g, n: int) -> tuple:
-    """g^n = gen_A^(n alpha) s(x)^n for g = (alpha, x) and n >= 0, by the power form."""
-    alpha, x = g
+def _power_kernel(E: CentralExt, x, n: int) -> int:
+    """The kernel part of s(x)^n (x reduced, n >= 0): the power form at the
+    data, mod p^a."""
     form = _power_form(E.p, E.a, E.orders, x, n)
-    kernel = n * alpha + sum(f * d for f, d in zip(form, (*E.t, *E.c)))
-    return (kernel % E.kernel_order, tuple(n * v % o for v, o in zip(x, E.orders)))
+    return sum(f * d for f, d in zip(form, E.data)) % E.kernel_order
 
 
-def fiber(E: CentralExt, x) -> tuple:
-    """The preimage of <x>, sorted: every kernel translate (alpha, e) of the
-    powers (beta, e) of one lift L of x, as gen_A acts on the left by adding
-    to alpha.  L, L^2, ... are collected by ext_mul up to the first power
-    in the kernel, n - 1 products for x of order n."""
+def _quotient_parts(E: CentralExt, x) -> list:
+    """The quotient parts of the powers of one lift L of x, sorted.  L, L^2,
+    ... are collected by ext_mul up to the first power in the kernel, n - 1
+    products for x of order n."""
     g = L = lift(E, x)
     zero = (0,) * len(E.orders)
     exps = [zero]
@@ -171,6 +182,14 @@ def fiber(E: CentralExt, x) -> tuple:
         exps.append(g[1])
         g = ext_mul(E, g, L)
     exps.sort()
+    return exps
+
+
+def fiber(E: CentralExt, x) -> tuple:
+    """The preimage of <x>, sorted: every kernel translate (alpha, e) of the
+    powers (beta, e) of one lift of x, as gen_A acts on the left by adding
+    to alpha."""
+    exps = _quotient_parts(E, x)
     return tuple((alpha, e) for alpha in range(E.kernel_order) for e in exps)
 
 
@@ -180,22 +199,21 @@ def fiber_is_cyclic(E: CentralExt, x) -> bool:
     The kernel is central, so (alpha, e)^p = (p alpha + kappa, p e), where
     (kappa, p e) = s(e)^p depends on the quotient part e alone.  So s(e)^p
     is collected once per p-torsion e, by p - 1 ext_mul from (0, e), not
-    read off the power form, and each kernel translate (alpha, e) is a
-    solution iff p alpha + kappa = 0 mod p^a."""
-    p, pa = E.p, E.kernel_order
-    kappas = {}  # quotient part -> kappa, or None off the p-torsion
+    read off the power form.  The translates (alpha, e) solving
+    p alpha + kappa = 0 mod p^a number p if p | kappa and none otherwise
+    for a >= 1, and one (alpha = 0) for a = 0.  <x> has at most p
+    p-torsion parts, so this is at most (n - 1) + (p - 1) p products."""
+    p = E.p
     solutions = 0
-    for alpha, e in fiber(E, x):
-        if e not in kappas:
-            kappas[e] = None
-            if _in_torsion(E, e):
-                h = g = (0, e)
-                for _ in range(p - 1):
-                    h = ext_mul(E, h, g)
-                kappas[e] = h[0]
-        kappa = kappas[e]
-        if kappa is not None and (p * alpha + kappa) % pa == 0:
-            solutions += 1
+    for e in _quotient_parts(E, x):
+        if _in_torsion(E, e):
+            h = g = (0, e)
+            for _ in range(p - 1):
+                h = ext_mul(E, h, g)
+            if not E.a:
+                solutions += 1
+            elif h[0] % p == 0:
+                solutions += p
             if solutions > p:
                 return False
     return True
@@ -215,11 +233,10 @@ def _in_torsion(E: CentralExt, x) -> bool:
 def gamma(E: CentralExt, x) -> int:
     """The class of s(x)^p in A/A^p, as an exponent in [0, p); independent
     of the section because changing the lift by z shifts s(x)^p by z^p."""
-    x = tuple(v % o for v, o in zip(x, E.orders))
+    x = _reduced(E, x)
     if not _in_torsion(E, x):
         raise ValidationError(f"{x} is not p-torsion in the quotient")
-    alpha, _ = ext_pow(E, lift(E, x), E.p)
-    return alpha % E.p if E.a else 0
+    return _power_kernel(E, x, E.p) % E.p if E.a else 0
 
 
 def _vec_order(x, orders) -> int:
@@ -229,11 +246,10 @@ def _vec_order(x, orders) -> int:
 def power_criterion(E: CentralExt, x) -> bool:
     """Whether the kernel is trivial or generated by s(x)^(ord x), the
     kernel element that decides if the fiber over <x> is cyclic."""
-    x = tuple(v % o for v, o in zip(x, E.orders))
+    x = _reduced(E, x)
     if not any(x):
         raise ValidationError("x must be a nontrivial quotient element")
-    power, _ = ext_pow(E, lift(E, x), _vec_order(x, E.orders))
-    return E.a == 0 or power % E.p != 0
+    return E.a == 0 or _power_kernel(E, x, _vec_order(x, E.orders)) % E.p != 0
 
 
 def fiber_cyclicity(E: CentralExt) -> dict:
@@ -277,9 +293,9 @@ def verify_lemma_35(E: CentralExt) -> Lemma35Report:
     2-torsion is a kernel square.  The report pairs the observed status
     with that criterion.  The p-torsion is an F_p-space with basis
     b_i = (o_i/p) e_i, so gamma is one iff it equals the linear map through
-    the gamma(b_i) at every torsion element: p^k evaluations by ext_pow (k
-    the rank).  beta is bilinear on the integer representatives, so for
-    p = 2 its parity on the torsion is decided on the pairs (b_i, b_j)."""
+    the gamma(b_i) at every torsion element: p^k evaluations of the power
+    form (k the rank).  beta is bilinear on the integer representatives, so
+    for p = 2 its parity on the torsion is decided on the pairs (b_i, b_j)."""
     p = E.p
     basis = [tuple(o // p if j == i else 0 for j, o in enumerate(E.orders))
              for i in range(len(E.orders))]
@@ -327,7 +343,9 @@ def _lines_for(p: int, orders):
     given cyclic p-groups, smallest order first.  A unit keeps the valuation
     of the first nonzero coordinate, so that generator has some p^v there:
     only such tuples are walked, and of each line only the generators m x
-    with m = 1 mod the order of p^v are marked as seen."""
+    with m = 1 mod the order o / p^v of p^v are marked as seen.  A line of
+    order n <= o / p^v has m = 1 as its only such generator, and the walk
+    never meets x twice, so nothing is marked for it."""
     lines = []
     for i, o in enumerate(orders):
         rest = [range(r) for r in orders[i + 1:]]
@@ -339,7 +357,8 @@ def _lines_for(p: int, orders):
                 x = lead + tail
                 if x not in seen:
                     n = _vec_order(x, orders)
-                    seen.update(_multiples(x, range(1, n, o // pv), orders))
+                    if n * pv > o:
+                        seen.update(_multiples(x, range(1, n, o // pv), orders))
                     lines.append((n, x))
             pv *= p
     lines.sort()

@@ -40,7 +40,15 @@ from ncpbound.fields import (
     prime_place,
     rational_function_field,
 )
-from ncpbound.groupext import Lemma35Report, _p_torsion, beta, ext_mul, gamma, lift
+from ncpbound.groupext import (
+    Lemma35Report,
+    _p_torsion,
+    _power_kernel,
+    beta,
+    ext_mul,
+    gamma,
+    lift,
+)
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
@@ -442,6 +450,14 @@ def oracle_residue_symbol_dlog(x, place, n):
 def identity(E):
     """The identity of E in normal form."""
     return (0, (0,) * len(E.orders))
+
+
+def ext_pow(E, g, n):
+    """g^n = gen_A^(n alpha) s(x)^n for g = (alpha, x) in normal form and
+    n >= 0, by the power form: the tests' closed-form power."""
+    alpha, x = g
+    kernel = (n * alpha + _power_kernel(E, x, n)) % E.kernel_order
+    return (kernel, tuple(n * v % o for v, o in zip(x, E.orders)))
 
 
 def oracle_fiber(E, x):

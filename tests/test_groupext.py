@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
-from helpers import identity, oracle_fiber, oracle_lemma_35, oracle_lines_for
+from helpers import ext_pow, identity, oracle_fiber, oracle_lemma_35, oracle_lines_for
 from hypothesis import given, settings, strategies as st
 
 from ncpbound import groupext
@@ -17,19 +17,20 @@ from ncpbound.groupext import (
     ext_build,
     ext_inv,
     ext_mul,
-    ext_pow,
     fiber,
     fiber_cyclicity,
     fiber_is_cyclic,
     gamma,
     lift,
+    power_criterion,
     prop32_scan,
     verify_lemma_34,
     verify_lemma_35,
 )
 
-# The closed forms (ext_pow, beta, the prefilter's _power_form) are checked
-# against the collection route: products and inverses built with ext_mul.
+# The closed forms (the power form through helpers.ext_pow, beta, the
+# prefilter's _power_form) are checked against the collection route:
+# products and inverses built with ext_mul.
 # fiber and _lines_for are checked against the closure and the element sweep
 # of tests/helpers.py.
 
@@ -210,11 +211,15 @@ class TestFiber:
                 n = lcm(*(o // gcd(o, v) for v, o in zip(x, E.orders)))
                 assert len(calls) == n - 1, (E, x)
 
-    @pytest.mark.parametrize("p,a,orders", [(2, 6, (2, 2)), (3, 3, (3, 3)), (2, 4, (4, 2))])
+    @pytest.mark.parametrize("p,a,orders", [
+        (2, 6, (2, 2)), (3, 3, (3, 3)), (2, 4, (4, 2)), (2, 14, (2, 2)),
+    ])
     def test_cyclicity_collects_p_minus_one_products_per_quotient_part(
             self, monkeypatch, p, a, orders):
-        # fiber's n - 1 products, then p - 1 per p-torsion quotient part of
-        # <x>: at most (n - 1) + (p - 1) n for x of order n, whatever p^a
+        # the n - 1 products of the powers of a lift, then p - 1 per
+        # p-torsion quotient part of <x>, which has at most p of them: at
+        # most (n - 1) + (p - 1) p for x of order n, whatever p^a is.  The
+        # verdict is power_criterion's, the kernel of order 2^14 included
         calls = []
         monkeypatch.setattr(
             groupext, "ext_mul", lambda E, g, h: calls.append(g) or ext_mul(E, g, h)
@@ -223,10 +228,12 @@ class TestFiber:
         for E in _seeded_exts(p, a, [orders], 6, f"work{p}{a}{orders}"):
             for x in product(*(range(o) for o in E.orders)):
                 calls.clear()
-                fiber_is_cyclic(E, x)
+                cyclic = fiber_is_cyclic(E, x)
                 n = lcm(*(o // gcd(o, v) for v, o in zip(x, E.orders)))
-                assert len(calls) <= (n - 1) + (p - 1) * n, (E, x)
-                tight += len(calls) == (n - 1) + (p - 1) * n
+                assert len(calls) <= (n - 1) + (p - 1) * p, (E, x)
+                tight += len(calls) == (n - 1) + (p - 1) * p
+                if any(x):
+                    assert cyclic == power_criterion(E, x), (E, x)
         assert tight > 0
 
     def test_cyclicity_per_subgroup_matches_each_closure(self):
@@ -343,6 +350,11 @@ class TestGamma:
         with pytest.raises(ValidationError):
             gamma(E, (1,))
 
+    def test_too_many_coordinates_rejected(self):
+        # a rank-2 extension: the third coordinate must not be dropped
+        with pytest.raises(ValidationError, match="^wrong number of coordinates$"):
+            gamma(q8(), (1, 0, 1))
+
 
 class TestLemma34:
     def test_equivalence_on_named_extensions(self):
@@ -354,6 +366,11 @@ class TestLemma34:
     def test_rejects_trivial_x(self):
         with pytest.raises(ValidationError):
             verify_lemma_34(q8(), (0, 0))
+
+    def test_power_criterion_too_many_coordinates_rejected(self):
+        # a rank-2 extension: the third coordinate must not be dropped
+        with pytest.raises(ValidationError, match="^wrong number of coordinates$"):
+            power_criterion(q8(), (1, 0, 7))
 
 
 ZERO_DATUM_SHAPES = [
@@ -480,6 +497,53 @@ POWER_DATA = [
     (3, 2, (9, 3), (4, 1), (3,)),
     (3, 1, (3, 3, 3), (1, 2, 0), (1, 2, 0)),
 ]
+
+
+# Coordinates small, negative and far past every quotient factor.
+_COORDINATES = st.one_of(
+    st.integers(-3, 30), st.integers(-10**30, -1), st.integers(10**18, 10**30)
+)
+
+
+@st.composite
+def _quotient_inputs(draw):
+    """A small extension, a drawn x of any length near its rank, and a
+    well-formed y."""
+    E = draw(st.sampled_from(
+        [q8(), d4(), split_c4_c2(), heis3(), *(ext_build(*d) for d in POWER_DATA)]
+    ))
+    k = len(E.orders)
+    length = draw(st.sampled_from((k, k, k - 1, k + 1, k + 3, 0)))
+    x = tuple(draw(st.lists(_COORDINATES, min_size=length, max_size=length)))
+    y = tuple(draw(st.integers(0, o - 1)) for o in E.orders)
+    return E, x, y
+
+
+class TestQuotientElementInputs:
+    """Every groupext function that takes a quotient element x returns or
+    raises ValidationError, whatever x is; an x of the wrong length is
+    refused."""
+
+    CALLS = {
+        "lift": lambda E, x, y: lift(E, x),
+        "fiber": lambda E, x, y: fiber(E, x),
+        "fiber_is_cyclic": lambda E, x, y: fiber_is_cyclic(E, x),
+        "power_criterion": lambda E, x, y: power_criterion(E, x),
+        "gamma": lambda E, x, y: gamma(E, x),
+        "beta": lambda E, x, y: (beta(E, x, y), beta(E, y, x)),
+        "verify_lemma_34": lambda E, x, y: verify_lemma_34(E, x),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @settings(deadline=None, max_examples=60)
+    @given(drawn=_quotient_inputs())
+    def test_returns_or_raises_validation_error(self, name, drawn):
+        E, x, y = drawn
+        try:
+            self.CALLS[name](E, x, y)
+        except ValidationError:
+            return
+        assert len(x) == len(E.orders), (name, E, x)
 
 
 class TestPowerForm:
