@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import lcm
 
 from .arith import QZ, QZ_ZERO, factorize, require_prime, vp
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .extensions import AbExt, is_real_field, local_degree, require_chi_order
 from .fields import BaseField, Place, enumerate_places, first_places, real_place
 from .isolation import isolation_report
@@ -138,10 +138,10 @@ def construct_class(M: AbExt, m: int, S) -> BrauerClass:
     the top two valuations u1 >= u2 are drawn (S members preferred, then
     smallest norm); every other finite place of S gets the canonical
     invariant 1/p^(n+v) with v the valuation of its own local degree; the
-    u2 witness takes the unit numerator that gives the running sum full
-    order p^(n+u2); the u1 witness balances the total to zero.  When p = 2
-    and no unit numerator works, one extra u2 place is drafted to fix the
-    parity of the count of maximal-order terms, and the choice is retried.
+    u2 witness takes the unit numerator c that gives the running sum full
+    order p^(n+u2); the u1 witness balances the total to zero.  With the
+    partial sum a/p^(n+u2), c is 1, or 2 when p | a + 1; when p = 2 and a is
+    odd, one extra u2 place with 1/p^(n+u2) is drafted first to make a even.
     """
     if m < 1:
         raise ValidationError("m must be a positive integer")
@@ -169,21 +169,18 @@ def construct_class(M: AbExt, m: int, S) -> BrauerClass:
         if p == 2 and real_in_S and is_real_field(M):
             component[real_place()] = QZ(1, 2)
         full = p ** (n + rep.u2)
-        while True:
-            x0 = QZ(*_total(component.values()))
-            c = next(
-                (c for c in range(1, full)
-                 if c % p and (x0 + QZ(c, full)).order == full),
-                None,
-            )
-            if c is not None:
-                break
-            extra = _find_witness(
-                M, p, rep.u2, exclude={p1, p2, *component}, preferred=finite_S
-            )
+        # only p1, the lone u1 holder, has v_p above u2
+        x0 = QZ(*_total(component.values()))
+        if full % x0.den:
+            raise InvariantError(f"partial sum {x0} has order above p^(n+u2) = {full}")
+        a = x0.num * (full // x0.den)
+        if p == 2 and a % 2:
+            extra = _find_witness(M, p, rep.u2, {p1, p2, *component}, finite_S)
             component[extra] = QZ(1, full)
+            a += 1
+        c = 1 if (a + 1) % p else 2
         component[p2] = QZ(c, full)
-        component[p1] = -(x0 + component[p2])
+        component[p1] = QZ(-(a + c), full)
         entries.extend(component.items())
     return make_class(entries)
 

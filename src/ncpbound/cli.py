@@ -48,7 +48,7 @@ from .groupext import (
     prop32_scan,
     verify_lemma_35,
 )
-from .isolation import d_value, isolation_report
+from .isolation import d_value, isolated_places, isolation_report
 from .jsonio import (
     central_from_json,
     load_class,
@@ -130,14 +130,8 @@ def cmd_local_degree(args):
 
 def cmd_isolated(args):
     M = _need_ext(args)
-    # one report per prime of the Galois exponent, as isolated_places reads them
-    reports = [isolation_report(M, p) for p in sorted(factorize(gal_exponent(M)))]
-    found = sorted(
-        ({"place": rep.isolated_place, "p": rep.p, "gap": rep.gap}
-         for rep in reports if rep.isolated_place is not None),
-        key=lambda row: (row["place"].sort_key(), row["p"]),
-    )
-    by_prime = {str(rep.p): rep for rep in reports}
+    by_prime = {str(p): isolation_report(M, p) for p in sorted(factorize(gal_exponent(M)))}
+    found = [{"place": P, "p": p, "gap": by_prime[str(p)].gap} for P, p in isolated_places(M)]
     return {"extension": M.describe(), "isolated": found, "by_prime": by_prime}, 0
 
 
@@ -277,14 +271,10 @@ def cmd_groupext_verify(args):
         orders, t = _int_list(args.orders, "--orders"), _int_list(args.t, "--t")
         E = ext_build(args.p, args.a, orders, t, c)
     rep = verify_lemma_35(E)
-    noncyclic = []
-    law_holds = True
+    cyclic = fiber_cyclicity(E)
+    law_holds = all(v == power_criterion(E, x) for x, v in cyclic.items())
     # sorted: noncyclic_fibers lists x in lexicographic order
-    for x, cyclic in sorted(fiber_cyclicity(E).items()):
-        if cyclic != power_criterion(E, x):
-            law_holds = False
-        if not cyclic:
-            noncyclic.append(x)
+    noncyclic = sorted(x for x, v in cyclic.items() if not v)
     out = {
         "ext": E,
         "power_criterion_all": law_holds,

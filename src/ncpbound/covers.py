@@ -41,11 +41,15 @@ from .isolation import d_value
 
 @dataclass(frozen=True)
 class Cover:
-    """L over M over K.  rel_degree = [L:M] = [L:K]/[M:K]."""
+    """L over M over K, kept as the two fields; rel_degree = [L:M] =
+    [L:K]/[M:K] is read off their degrees."""
 
     M: AbExt
     L: AbExt
-    rel_degree: int
+
+    @property
+    def rel_degree(self) -> int:
+        return self.L.degree // self.M.degree
 
     @property
     def kernel_profile(self) -> tuple:
@@ -63,17 +67,14 @@ def build_cover(M: AbExt, extra, n_prime: int) -> Cover:
     if n_prime % M.n != 0:
         raise ValidationError(f"cover exponent {n_prime} is not a multiple of {M.n}")
     e = n_prime // M.n
-    if M.base.is_rationals():
-        lifted = list(M.radicands)
-    else:
-        lifted = [f.pow(e) for f in M.radicands]
-    L = AbExt(M.base, n_prime, tuple(lifted) + tuple(extra))
+    lifted = M.radicands if M.base.is_rationals() else tuple(f.pow(e) for f in M.radicands)
+    L = AbExt(M.base, n_prime, lifted + tuple(extra))
     if L.orders[: len(M.radicands)] != M.orders:
         raise InvariantError(f"re-powered radicands changed class orders: {L.orders}")
-    rel = L.degree // M.degree
-    if rel != prod(L.orders[len(M.radicands):], start=1):
-        raise InvariantError(f"[L:M] = {rel} is not the product of the extra orders")
-    return Cover(M, L, rel)
+    C = Cover(M, L)
+    if C.rel_degree != prod(C.kernel_profile, start=1):
+        raise InvariantError(f"[L:M] = {C.rel_degree} is not the product of the extra orders")
+    return C
 
 
 def cover_local_degree(C: Cover, P: Place) -> int:

@@ -19,7 +19,7 @@ the inertia group is spanned by the characters of the ramified coordinates,
 and the Frobenius is pinned down on the unramified part by n-th power
 residue symbols.  Every span is a Howell basis over Z/n (see howell), and
 membership, each Frobenius and the generators of Gal(M/T) are reductions to
-a least coset member (see coset_least).  Only three routes list a group:
+a least coset member (see _coset_least).  Only three routes list a group:
 span_squarefree (W) and the local span in covers.quadratic_cover_scan, for
 ex41's cover scan, and galois_group (Gal(M/K)), for the worked examples.
 
@@ -235,7 +235,7 @@ def span_order(n: int, basis: dict) -> int:
     return prod(n // row[j] for j, row in basis.items())
 
 
-def coset_least(n: int, basis: dict, v: dict) -> dict:
+def _coset_least(n: int, basis: dict, v: dict) -> dict:
     """The least member of v + span in product order, {} exactly when v is a
     member: v's entry at each pivot, left to right, reduced mod the pivot
     entry.  By the Howell property, the members agreeing with v before column
@@ -291,7 +291,7 @@ def _generators_in(M: AbExt, targets) -> list:
 
 
 def _in_w(M: AbExt, vec: dict) -> bool:
-    return not coset_least(M.n, M.span, class_row(dict(M.columns), vec))
+    return not _coset_least(M.n, M.span, class_row(dict(M.columns), vec))
 
 
 def build_extension(base: BaseField, n: int, radicands) -> AbExt:
@@ -442,7 +442,7 @@ def _splitting(G: LocalClassGroup) -> tuple:
     onto the other coordinates), and f = degree / e.  The residue symbols
     s0 = (img_i[c])_i solve <s, x> = x[c] on ker_i, so the Frobenius
     candidates form the coset s0 + I, whose least element is reported, read
-    off I's Howell basis by coset_least.
+    off I's Howell basis by _coset_least.
 
     The result depends on G alone, so one extension has at most as many
     entries as distinct local images (7 for Q(sqrt 3, sqrt -7)).
@@ -456,7 +456,7 @@ def _splitting(G: LocalClassGroup) -> tuple:
     if e != index:
         raise InvariantError(f"inertia of order {e}, but the unramified classes"
                              f" have index {index} in the local image")
-    frob = coset_least(n, inertia, {} if c is None else image_row(img[c] for img in G.images))
+    frob = _coset_least(n, inertia, {} if c is None else image_row(img[c] for img in G.images))
     return degree, index, degree // index, tuple(frob.get(i, 0) for i in range(len(G.images)))
 
 
@@ -512,6 +512,7 @@ def _vp_power_minus_1(q: int, m: int, p: int) -> int:
 
 def roots_of_unity_s(M: AbExt, p: int) -> int:
     """s with p^s = number of p-power roots of unity in M."""
+    require_prime(p)
     if M.base.is_rationals():
         if p == 2:  # i, then zeta_8 = (1 + i) / sqrt 2
             return 1 + _in_w(M, {-1: 1}) * (1 + _in_w(M, {2: 1}))
@@ -531,6 +532,7 @@ def r_value(M: AbExt) -> int:
 def _cyclotomic_generators(M: AbExt, p: int) -> list:
     """Exponent tuples generating the classes of W that lie in the maximal
     subfield of M cut out by p-power roots of unity over the base."""
+    require_prime(p)
     if M.base.is_rationals():
         # <-1, 2> for p = 2, else <p*> for p* = +-p = 1 mod 4
         targets = ({-1: 1}, {2: 1}) if p == 2 else ({p: 1, -1: 1} if p % 4 == 3 else {p: 1},)
@@ -656,7 +658,7 @@ def s0_search(M: AbExt, p: int, power: int, bound: int = 5000) -> dict:
                for i, o in enumerate(M.orders)]
     H, gens = _kernel(n, columns, M.orders), []
     for j in sorted(H, reverse=True):
-        row = coset_least(n, {k: b for k, b in H.items() if k > j}, H[j])
+        row = _coset_least(n, {k: b for k, b in H.items() if k > j}, H[j])
         gens.append(tuple(row.get(i, 0) for i in range(len(M.orders))))
     # a norm N <= bound has 0 < N - 1 < 2^L <= p^L, L = bound.bit_length()
     modulus, frobenius = p ** min(power, bound.bit_length()), _frobenius_reader(M)

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from math import prod
 from types import SimpleNamespace
 
-from .arith import factorize, is_prime, power_class_order, prime_field, primes_upto
+from .arith import (
+    factorize,
+    is_prime,
+    power_class_order,
+    prime_field,
+    primes_upto,
+    require_positive,
+)
 from .errors import InvariantError, SearchExhausted, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def poly_trim(coeffs) -> tuple:
     return tuple(c)
 
 
-def poly_normalize(coeffs, q: int) -> tuple:
+def _poly_normalize(coeffs, q: int) -> tuple:
     return poly_trim([c % q for c in coeffs])
 
 
@@ -84,7 +91,7 @@ def poly_degree(a) -> int:
     return len(a) - 1
 
 
-def poly_mod(a, m, q: int) -> tuple:
+def _poly_mod(a, m, q: int) -> tuple:
     if not m:
         raise ZeroDivisionError("division by zero polynomial")
     a = list(poly_trim(a))
@@ -113,7 +120,7 @@ def _resultant(a, b, q: int) -> int:
         return v if len(a) % 2 else -v % q
     res = 1
     while len(b) > 1:
-        r = poly_mod(a, b, q)
+        r = _poly_mod(a, b, q)
         if not r:
             return 0
         m, n = len(a) - 1, len(b) - 1
@@ -122,13 +129,14 @@ def _resultant(a, b, q: int) -> int:
     return res * pow(b[0], len(a) - 1, q) % q if b else 0
 
 
-# Proving a polynomial of degree d irreducible trial-divides it by the monic
-# irreducibles of degree <= d/2, which the sieve finds among q^(d/2) monics.
-# A polynomial that would need a larger sieve is refused, not left to run.
+# monic_irreducibles(q, d) sieves all q^d monics of degree d, and proving a
+# polynomial of degree d irreducible trial-divides it by those of degree
+# <= d/2.  A sieve or a polynomial past its ceiling is refused, not left to run.
 MAX_SIEVE = 10**5
+MAX_MONICS = 10**6
 
 
-def require_sieve_fits(q: int, degree: int) -> None:
+def _require_sieve_fits(q: int, degree: int) -> None:
     k = degree // 2
     # q >= 2, so an exponent past the ceiling's bit length is too large already
     if k > MAX_SIEVE.bit_length() or q**k > MAX_SIEVE:
@@ -142,8 +150,8 @@ def poly_is_irreducible(a, q: int) -> bool:
     prime_field(q)
     if len(a) <= 1:
         return False
-    require_sieve_fits(q, len(a) - 1)
-    return all(poly_mod(a, p, q) for e in range(1, (len(a) - 1) // 2 + 1)
+    _require_sieve_fits(q, len(a) - 1)
+    return all(_poly_mod(a, p, q) for e in range(1, (len(a) - 1) // 2 + 1)
                for p in monic_irreducibles(q, e))
 
 
@@ -176,13 +184,17 @@ def monic_irreducibles(q: int, degree: int) -> tuple:
     integer product per f yields every f*g at once.  A product coefficient
     sums at most k + 1 <= d/2 + 1 terms below q^2, so no digit carries.  The
     count is checked against Gauss's formula (1/d) sum_{e | d} mu(e) q^(d/e).
-    A q that is not prime or a degree below 1 is refused before any sieving.
+    A q that is not prime, a degree below 1 or q^d > MAX_MONICS is refused
+    before any sieving.
     """
     key = (q, degree)
     if key not in _irreducible_cache:
         prime_field(q)
         if degree < 1:
             raise ValidationError(f"degree must be at least 1, got {degree}")
+        if degree > MAX_MONICS.bit_length() or q**degree > MAX_MONICS:
+            raise ValidationError(f"degree {degree} over F_{q} is out of range: the sieve"
+                                  f" would list {q}^{degree} > {MAX_MONICS} monics")
         # the narrowest native unsigned digit that holds (d/2 + 1)(q - 1)^2
         width = ((degree // 2 + 1) * (q - 1) ** 2).bit_length()
         size, code = next((s, c) for s, c in zip((1, 2, 4, 8), "BHIQ") if width <= 8 * s)
@@ -239,7 +251,7 @@ class Place:
         elif self.kind == "poly":
             if self.base.is_rationals():
                 raise ValidationError("polynomial place needs a function field")
-            c = poly_normalize(self.coeffs, self.base.q)
+            c = _poly_normalize(self.coeffs, self.base.q)
             if not c or c[-1] != 1 or not poly_is_irreducible(c, self.base.q):
                 raise ValidationError(f"not a monic irreducible: {self.coeffs}")
             object.__setattr__(self, "coeffs", c)
@@ -422,7 +434,7 @@ class FqtElt:
         object.__setattr__(self, "c", self.c % self.q)
         seen = {}
         for poly, e in self.factors:
-            poly = poly_normalize(poly, self.q)
+            poly = _poly_normalize(poly, self.q)
             if not poly_is_irreducible(poly, self.q) or poly[-1] != 1:
                 raise ValidationError(f"factor {poly} is not monic irreducible")
             if poly in seen:
@@ -449,6 +461,7 @@ class FqtElt:
         the unit part u at a place of norm N.  As n | q - 1 it is read in F_q as
         N(u)^((q - 1)/n): N(u) = c at infinity, and c^(deg P) * prod Res(P, Q)^e
         over the other factors at a polynomial place P."""
+        require_positive(n)
         if (place.norm() - 1) % n != 0:
             raise ValidationError("mu_n does not inject into the residue field")
         q, k = self.q, (self.q - 1) // n
@@ -465,17 +478,16 @@ class FqtElt:
     def is_nth_power(self, n: int) -> bool:
         """True iff self lies in (F_q(t)*)^n; requires n | q-1.
 
-        All valuations must vanish mod n, and then the leftover constant must
-        be an n-th power in F_q*.
+        The constant must be an n-th power in F_q* (power_class_order, which
+        checks n first), and all valuations must vanish mod n.
         """
-        if any(e % n for _, e in self.factors):
-            return False
-        return power_class_order(self.c, self.q, n) == 1
+        return power_class_order(self.c, self.q, n) == 1 and not any(e % n for _, e in self.factors)
 
     def class_order(self, n: int) -> int:
         """Order of the class of self in F_q(t)*/(F_q(t)*)^n."""
-        for d in sorted(_divisors(n)):
-            if self.pow(d).is_nth_power(n):
+        require_positive(n)
+        for d in range(1, n + 1):
+            if n % d == 0 and self.pow(d).is_nth_power(n):
                 return d
         raise InvariantError("class order must divide n")
 
@@ -485,10 +497,6 @@ class FqtElt:
             s = f"({poly_str(poly)})"
             parts.append(s if e == 1 else f"{s}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def fqt_const(q: int, c: int) -> FqtElt:

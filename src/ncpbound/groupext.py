@@ -3,7 +3,8 @@
 A group G sits in 1 -> A -> G -> B -> 1 with A = C_{p^a} central and
 B = prod C_{orders[i]} abelian.  Fixing a section s, the extension is
 pinned down by the data t_i = s(x_i)^{orders[i]} in A and the commutators
-c_ij = [s(x_i), s(x_j)] in A; every element has the normal form
+c_ij = [s(x_i), s(x_j)] in A, given flat in lexicographic pair order
+(c_12, c_13, ..., c_23, ...); every element has the normal form
 (alpha, (e_1, ..., e_k)) = gen_A^alpha * s(x_1)^{e_1} * ... * s(x_k)^{e_k}.
 Kernel elements are written additively, as exponents of a fixed generator
 of A (so for a = 1 the exponent 1 denotes the order-2 element).
@@ -109,23 +110,14 @@ class CentralExt:
 
 
 def ext_build(p: int, a: int, orders, t, c) -> CentralExt:
-    """Validated constructor.  c may be a dict keyed by (i, j) with i < j,
-    or a flat sequence in lexicographic pair order."""
+    """Validated constructor: t and the commutators c, a flat sequence in
+    lexicographic pair order, are reduced mod p^a first."""
     orders = tuple(orders)
     _require_fits(p, a, orders, "p^a*prod(orders)")
     pa = p**a if a >= 0 else 0
     t = tuple(v % pa if pa else 0 for v in t)
-    if isinstance(c, dict):
-        flat = []
-        seen = dict(c)
-        for i, j in combinations(range(len(orders)), 2):
-            flat.append(seen.pop((i, j), 0) % pa if pa else 0)
-        if seen:
-            raise ValidationError(f"stray commutator keys {sorted(seen)}")
-        c = flat
-    else:
-        c = [v % pa if pa else 0 for v in c]
-    return CentralExt(p, a, orders, t, tuple(c))
+    c = tuple(v % pa if pa else 0 for v in c)
+    return CentralExt(p, a, orders, t, c)
 
 
 def _reduced(E: CentralExt, x) -> tuple:
@@ -222,7 +214,7 @@ def fiber_is_cyclic(E: CentralExt, x) -> bool:
 def beta(E: CentralExt, x, y) -> int:
     """[s(x), s(y)] as a kernel exponent; independent of the lifts.  By
     bilinearity it is the alternating form sum c_ij (x_i y_j - x_j y_i)."""
-    (_, x), (_, y) = lift(E, x), lift(E, y)
+    x, y = _reduced(E, x), _reduced(E, y)
     return sum(cv * (x[i] * y[j] - x[j] * y[i]) for (i, j), cv in E.pairs) % E.kernel_order
 
 
@@ -319,14 +311,8 @@ def _profiles(p: int, profile_max):
     caps = _capped(p, profile_max)
     out = []
     for rank in range(2, len(profile_max) + 1):
-        choices = []
-        for i in range(rank):
-            vals = []
-            o = p
-            while o <= caps[i]:
-                vals.append(o)
-                o *= p
-            choices.append(vals)
+        # each factor is p or p^2: the caps are at most p^2
+        choices = [[o for o in (p, p * p) if o <= cap] for cap in caps[:rank]]
         for combo in product(*choices):
             if all(combo[i] >= combo[i + 1] for i in range(rank - 1)):
                 out.append(combo)

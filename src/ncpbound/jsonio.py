@@ -31,13 +31,13 @@ from .fields import (
     FqtElt,
     Place,
     QQ,
+    _require_sieve_fits,
     fqt_from_factors,
     infinite_place,
     poly_place,
     prime_place,
     rational_function_field,
     real_place,
-    require_sieve_fits,
 )
 from .groupext import CentralExt, Lemma35Report, ext_build
 from .isolation import IsolationReport
@@ -208,7 +208,7 @@ def parse_poly_text(text: str, q: int) -> tuple:
             deg = 0
         coeffs[deg] = (coeffs.get(deg, 0) + sign * coeff) % q
     top = max(coeffs)
-    require_sieve_fits(q, top)  # before a tuple of top + 1 coefficients is built
+    _require_sieve_fits(q, top)  # before a tuple of top + 1 coefficients is built
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
 
 

@@ -543,20 +543,17 @@ def _battery_bm(rng, funcs):
 
 
 _EXT_SAMPLE = (
-    ("Q8", 2, 1, (2, 2), (1, 1), ((0, 1), 1)),
-    ("D4", 2, 1, (2, 2), (0, 1), ((0, 1), 1)),
-    ("Heis3", 3, 1, (3, 3), (0, 0), ((0, 1), 1)),
-    ("E44", 2, 2, (4, 4), (1, 2), ((0, 1), 1)),
-    ("E93", 3, 2, (9, 3), (4, 1), ((0, 1), 3)),
-    ("E42", 2, 2, (4, 2), (3, 1), ((0, 1), 2)),
+    ("Q8", 2, 1, (2, 2), (1, 1), (1,)),
+    ("D4", 2, 1, (2, 2), (0, 1), (1,)),
+    ("Heis3", 3, 1, (3, 3), (0, 0), (1,)),
+    ("E44", 2, 2, (4, 4), (1, 2), (1,)),
+    ("E93", 3, 2, (9, 3), (4, 1), (3,)),
+    ("E42", 2, 2, (4, 2), (3, 1), (2,)),
 )
 
 
 def _sample_exts():
-    return [
-        (name, ext_build(p, a, orders, t, {pair: cv}))
-        for name, p, a, orders, t, (pair, cv) in _EXT_SAMPLE
-    ]
+    return [(name, ext_build(p, a, orders, t, c)) for name, p, a, orders, t, c in _EXT_SAMPLE]
 
 
 def _battery_beta(rng, funcs):

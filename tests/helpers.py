@@ -1,5 +1,6 @@
 """Extension builders and oracles shared by several test modules."""
 
+import ast
 import importlib.util
 import itertools
 import sys
@@ -8,6 +9,7 @@ from math import gcd, lcm, prod
 from pathlib import Path
 
 from ncpbound.arith import QZ, QZ_ZERO, factorize, prime_field, vp
+from ncpbound.brauer import _find_witness, _total, make_class
 from ncpbound.covers import Cover
 from ncpbound.errors import InvariantError, ValidationError
 from ncpbound.extensions import (
@@ -18,6 +20,7 @@ from ncpbound.extensions import (
     constant_field_degree,
     cyclotomic_degree,
     galois_group,
+    is_real_field,
     local_class_group,
     local_data,
     local_degree,
@@ -30,15 +33,16 @@ from ncpbound.fields import (
     QQ,
     FqtElt,
     Place,
+    _poly_mod,
     fqt_from_factors,
     infinite_place,
     poly_degree,
     poly_is_irreducible,
-    poly_mod,
     poly_place,
     poly_trim,
     prime_place,
     rational_function_field,
+    real_place,
 )
 from ncpbound.groupext import (
     Lemma35Report,
@@ -49,10 +53,32 @@ from ncpbound.groupext import (
     gamma,
     lift,
 )
+from ncpbound.isolation import isolation_report
 
 T_ = (0, 1)  # the polynomial t, ascending coefficients
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src" / "ncpbound"
+
+
+@cache
+def src_trees() -> dict:
+    """Module name -> parsed source, for every file of src/ncpbound."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def src_definitions():
+    """(module.qualified name, def node) for top-level functions and methods."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, tree in src_trees().items():
+        for node in tree.body:
+            if isinstance(node, funcs):
+                yield f"{module}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, funcs):
+                        yield f"{module}.{node.name}.{sub.name}", sub
 
 
 @cache
@@ -159,6 +185,42 @@ def make_class_oracle(invariants) -> tuple:
     return tuple(sorted(entries, key=lambda e: e[0].sort_key()))
 
 
+def oracle_construct_class(M, m, S) -> tuple:
+    """construct_class with the u2 witness's numerator found by search, for
+    valid m and S: every c in [1, p^(n+u2)) prime to p is tried in turn,
+    and while none gives the running sum full order one more u2 place with
+    1/p^(n+u2) is drafted.  Returns the class and, per prime p of m, the
+    pair (c, places drafted)."""
+    places = sorted(set(S), key=lambda P: P.sort_key())
+    finite_S = [P for P in places if P.kind != "real"]
+    real_in_S = any(P.kind == "real" for P in places)
+    entries, choices = [], {}
+    for p, n in factorize(m).items():
+        rep = isolation_report(M, p)
+        p1 = _find_witness(M, p, rep.u1, exclude=set(), preferred=finite_S)
+        p2 = _find_witness(M, p, rep.u2, exclude={p1}, preferred=finite_S)
+        component = {P: QZ(1, p ** (n + vp(local_degree(M, P), p)))
+                     for P in finite_S if P not in (p1, p2)}
+        if p == 2 and real_in_S and is_real_field(M):
+            component[real_place()] = QZ(1, 2)
+        full, drafted = p ** (n + rep.u2), 0
+        while True:
+            x0 = QZ(*_total(component.values()))
+            c = next((c for c in range(1, full)
+                      if c % p and (x0 + QZ(c, full)).order == full), None)
+            if c is not None:
+                break
+            extra = _find_witness(M, p, rep.u2, exclude={p1, p2, *component},
+                                  preferred=finite_S)
+            component[extra] = QZ(1, full)
+            drafted += 1
+        component[p2] = QZ(c, full)
+        component[p1] = -(x0 + component[p2])
+        entries.extend(component.items())
+        choices[p] = (c, drafted)
+    return make_class(entries), choices
+
+
 def oracle_cover(M, extra, n_prime=None):
     """A cover of M built from scratch: L is a fresh, fully validated AbExt
     of M's radicands re-powered by n'/n, then the extras.  Returns the
@@ -170,7 +232,7 @@ def oracle_cover(M, extra, n_prime=None):
         L = AbExt(M.base, n_prime, lifted + tuple(extra))
     except ValidationError as exc:
         return str(exc)
-    return Cover(M, L, L.degree // M.degree)
+    return Cover(M, L)
 
 
 def oracle_local_degree(C, P):
@@ -359,7 +421,7 @@ def poly_mul(a, b, q: int) -> tuple:
 
 def poly_divmod(a, b, q: int) -> tuple[tuple, tuple]:
     """Quotient and remainder of a by b over F_q by long division: the
-    oracle for fields.poly_mod."""
+    oracle for fields._poly_mod."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     a = list(poly_trim(a))
@@ -387,11 +449,11 @@ def oracle_monic_irreducibles(q, degree):
 
 def poly_pow_mod(a, e, m, q):
     """a^e mod m over F_q by square and multiply (e >= 0)."""
-    result, base = (1,), poly_mod(a, m, q)
+    result, base = (1,), _poly_mod(a, m, q)
     while e > 0:
         if e & 1:
-            result = poly_mod(poly_mul(result, base, q), m, q)
-        base = poly_mod(poly_mul(base, base, q), m, q)
+            result = _poly_mod(poly_mul(result, base, q), m, q)
+        base = _poly_mod(poly_mul(base, base, q), m, q)
         e >>= 1
     return result
 
@@ -413,10 +475,10 @@ def unit_residue(x, place):
     for poly, e in x.factors:
         if poly == m:
             continue
-        base = poly_mod(poly, m, q)
+        base = _poly_mod(poly, m, q)
         if e < 0:
             base, e = poly_inverse(base, m, q), -e
-        r = poly_mod(poly_mul(r, poly_pow_mod(base, e, m, q), q), m, q)
+        r = _poly_mod(poly_mul(r, poly_pow_mod(base, e, m, q), q), m, q)
     return r
 
 

@@ -5,10 +5,12 @@ degree tables in test_extensions (order of local_degree * invariant in Q/Z).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import ff7_cubic, make_class_oracle, q_ext
+from helpers import ff3_quad, ff7_cubic, make_class_oracle, oracle_construct_class, q_ext
+from ncpbound import brauer
 from ncpbound.arith import QZ, QZ_ZERO
 from ncpbound.brauer import (
     BrauerClass,
@@ -23,10 +25,10 @@ from ncpbound.brauer import (
     restricted_local_index,
     splits,
 )
-from ncpbound.errors import ValidationError
-from ncpbound.extensions import find_places_with_frobenius, local_degree
-from ncpbound.fields import QQ, poly_place, prime_place, real_place
-from ncpbound.isolation import d_value
+from ncpbound.errors import InvariantError, ValidationError
+from ncpbound.extensions import build_extension, find_places_with_frobenius, local_degree
+from ncpbound.fields import QQ, enumerate_places, poly_place, prime_place, real_place
+from ncpbound.isolation import IsolationReport, d_value
 
 
 def qz(a, b):
@@ -310,6 +312,52 @@ class TestConstructClass:
     def test_rejects_foreign_places(self):
         with pytest.raises(ValidationError):
             construct_class(q_ext(3, -7), 2, {poly_place(7, (0, 1))})
+
+
+class TestWitnessNumerator:
+    """construct_class's closed-form numerator against the search it replaced."""
+
+    RADICANDS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, 13, -15, 17, 21)
+
+    def _draws(self, rng, count):
+        """(M, m, S): M over Q (60 %) or F_q(t), m up to 48 prime to the
+        characteristic, S of 0 to 4 places (the real place among them over Q)."""
+        function_fields = (ff7_cubic(), ff3_quad())
+        while count:
+            if rng.random() < 0.6:
+                try:
+                    M = build_extension(QQ, 2, tuple(rng.sample(self.RADICANDS, rng.randint(1, 2))))
+                except ValidationError:  # the two radicands share a class
+                    continue
+                pool = [*enumerate_places(QQ, 60), real_place()]
+            else:
+                M = rng.choice(function_fields)
+                pool = list(enumerate_places(M.base, 30))
+            m = rng.randint(1, 48)
+            if M.base.char and m % M.base.char == 0:
+                continue
+            yield M, m, rng.sample(pool, rng.randint(0, 4))
+            count -= 1
+
+    def test_closed_form_matches_the_search(self):
+        branches = Counter()
+        for M, m, S in self._draws(random.Random(33), 400):
+            want, choices = oracle_construct_class(M, m, S)
+            assert construct_class(M, m, S) == want, (M.describe(), m, S)
+            for c, drafted in choices.values():
+                branches["c = 2"] += c == 2
+                branches["drafted"] += drafted > 0
+        # both branches of the closed form are reached, not only c = 1
+        assert branches["c = 2"] > 0 and branches["drafted"] > 0, branches
+
+    def test_partial_sum_past_full_order_raises_named_error(self, monkeypatch):
+        # an under-reported u2 = 0 makes full = 2 while the place 5, of local
+        # degree 2 in Q(sqrt 3, sqrt -7), carries 1/4
+        monkeypatch.setattr(brauer, "isolation_report",
+                            lambda M, p: IsolationReport(p, 0, 0, 0, None))
+        with pytest.raises(InvariantError, match="partial sum 1/4 has order above"
+                                                 r" p\^\(n\+u2\) = 2"):
+            construct_class(q_ext(3, -7), 2, {prime_place(5)})
 
 
 class TestLemma21:

@@ -22,10 +22,10 @@ from ncpbound.covers import (
 from ncpbound.errors import ValidationError
 from ncpbound.extensions import (
     _class_vector,
+    _coset_least,
     _local_image,
     build_extension,
     class_row,
-    coset_least,
     image_row,
     local_class_group,
     local_degree,
@@ -171,7 +171,7 @@ class TestStoredVectors:
         assert span_order(2, M.span) == 4
         for d, member in ((3, True), (-7, True), (-21, True), (-1, False), (21, False)):
             row = class_row(dict(M.columns), _class_vector(QQ, 2, d))
-            assert (not coset_least(2, M.span, row)) == member, d
+            assert (not _coset_least(2, M.span, row)) == member, d
 
 
 def _scan_oracle(M, P, bound):

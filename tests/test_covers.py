@@ -1,4 +1,6 @@
+import dataclasses
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -6,6 +8,7 @@ from ncpbound import extensions
 from ncpbound.arith import is_squarefree
 from ncpbound.covers import (
     BoundReport,
+    Cover,
     bound_report,
     build_cover,
     candidate_radicands,
@@ -70,6 +73,18 @@ class TestBuildCover:
         C = build_cover(M, (), 6)
         assert C.rel_degree == 1
         assert C.L.orders == M.orders
+
+    def test_rel_degree_is_the_product_of_the_kernel_profile(self):
+        # a Cover keeps only its two fields; [L:M] is read off their degrees
+        assert [f.name for f in dataclasses.fields(Cover)] == ["M", "L"]
+        cases = [
+            (q_ext(3, -7), (5,), 2), (q_ext(11), (), 2), (q_ext(-1), (2, 3), 2),
+            (ff7_cubic(), (poly7(4, 1),), 3), (ff7_cubic(), (), 6),
+            (ff7_cubic(), (fqt_const(7, 3),), 6), (ff3_quad(), (fqt_const(3, 2),), 2),
+        ]
+        for M, extra, n_prime in cases:
+            C = build_cover(M, extra, n_prime)
+            assert C.rel_degree == prod(C.kernel_profile) == C.L.degree // M.degree
 
     def test_mixed_order_cover(self):
         M = ff7_cubic()

@@ -65,11 +65,11 @@ def collected_commutator(E, g, h):
 
 
 def q8():
-    return ext_build(2, 1, (2, 2), (1, 1), {(0, 1): 1})
+    return ext_build(2, 1, (2, 2), (1, 1), (1,))
 
 
 def d4():
-    return ext_build(2, 1, (2, 2), (0, 1), {(0, 1): 1})
+    return ext_build(2, 1, (2, 2), (0, 1), (1,))
 
 
 def split_c4_c2():
@@ -77,7 +77,7 @@ def split_c4_c2():
 
 
 def heis3():
-    return ext_build(3, 1, (3, 3), (0, 0), {(0, 1): 1})
+    return ext_build(3, 1, (3, 3), (0, 0), (1,))
 
 
 def order_stats(E):
@@ -107,15 +107,11 @@ class TestBuild:
 
     def test_commutator_order_constraint(self):
         with pytest.raises(ValidationError):
-            ext_build(2, 2, (2, 2), (0, 0), {(0, 1): 1})
-
-    def test_stray_commutator_key(self):
-        with pytest.raises(ValidationError):
-            ext_build(2, 1, (2, 2), (0, 0), {(1, 0): 1})
+            ext_build(2, 2, (2, 2), (0, 0), (1,))
 
     def test_t_length(self):
         with pytest.raises(ValidationError):
-            ext_build(2, 1, (2, 2), (0,), {})
+            ext_build(2, 1, (2, 2), (0,), (0,))
 
     def test_non_p_power_order(self):
         with pytest.raises(ValidationError):
@@ -162,7 +158,7 @@ class TestBuild:
             assert ext_pow(E, g, n) == acc
 
     def test_pairs_computed_once(self):
-        E = ext_build(2, 2, (4, 4, 2), (1, 2, 1), {(0, 1): 2, (1, 2): 2})
+        E = ext_build(2, 2, (4, 4, 2), (1, 2, 1), (2, 0, 2))
         assert E.pairs is E.pairs
         assert E.pairs == (((0, 1), 2), ((0, 2), 0), ((1, 2), 2))
 
@@ -304,9 +300,9 @@ class TestBeta:
             q8(),
             d4(),
             heis3(),
-            ext_build(2, 2, (4, 4), (1, 2), {(0, 1): 2}),
-            ext_build(3, 2, (9, 3), (4, 1), {(0, 1): 3}),
-            ext_build(2, 2, (4, 4, 2), (1, 2, 1), {(0, 1): 2, (0, 2): 2, (1, 2): 2}),
+            ext_build(2, 2, (4, 4), (1, 2), (2,)),
+            ext_build(3, 2, (9, 3), (4, 1), (3,)),
+            ext_build(2, 2, (4, 4, 2), (1, 2, 1), (2, 2, 2)),
         ]
         for E in exts:
             zero = (0,) * len(E.orders)
@@ -468,7 +464,7 @@ class TestLemma35:
             assert calls["beta"] <= (k * (k - 1) // 2 if E.p == 2 else 0), E
 
     def test_even_square_commutators_give_homomorphism(self):
-        report = verify_lemma_35(ext_build(2, 2, (4, 4), (0, 0), {(0, 1): 2}))
+        report = verify_lemma_35(ext_build(2, 2, (4, 4), (0, 0), (2,)))
         assert report.homomorphism and report.criterion and report.consistent
 
     def test_sweep_small_range(self):

@@ -72,7 +72,7 @@ def test_build_cover_raises_named_error(monkeypatch):
 
 def test_cover_local_degree_raises_named_error(monkeypatch):
     M = AbExt(QQ, 2, (-1,))
-    C = Cover(M, AbExt(QQ, 2, (-1, 3)), 2)
+    C = Cover(M, AbExt(QQ, 2, (-1, 3)))
     real_order = extensions.span_order
 
     def broken(n, basis):
@@ -176,6 +176,13 @@ try:
     IsolationReport(2, 1, 3, 5, None)
 except InvariantError:
     caught.append("isolation_report")
+import ncpbound.brauer as brauer
+brauer.isolation_report = lambda M, p: IsolationReport(p, 0, 0, 0, None)
+try:
+    brauer.construct_class(extensions.AbExt(fields.QQ, 2, (3, -7)), 2, {fields.prime_place(5)})
+except InvariantError as exc:
+    if str(exc).startswith("partial sum 1/4 has order above"):
+        caught.append("construct_class")
 import ncpbound.groupext as groupext
 groupext.fiber_is_cyclic = lambda E, x: False
 try:
@@ -199,5 +206,5 @@ print(",".join(caught))
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == ("splitting,class_order,isolation_report,prop32_scan,"
-                                  "monic_irreducibles,frobenius_reader")
+    assert out.stdout.strip() == ("splitting,class_order,isolation_report,construct_class,"
+                                  "prop32_scan,monic_irreducibles,frobenius_reader")

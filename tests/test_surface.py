@@ -47,11 +47,9 @@ import importlib
 import inspect
 from collections import Counter
 from functools import cached_property
-from pathlib import Path
 
-from helpers import PERFBENCH, perfbench_module
+from helpers import PERFBENCH, SRC, perfbench_module, src_definitions, src_trees
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ncpbound"
 README = SRC.parent.parent / "README.md"
 
 
@@ -60,8 +58,7 @@ def _boundary() -> set:
             for paths in kinds.values() for path in paths}
 
 
-TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-         for path in sorted(SRC.glob("*.py"))}
+TREES = src_trees()
 
 
 def _names(node) -> Counter:
@@ -82,19 +79,6 @@ def _table_names() -> Counter:
                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
 
 
-def _definitions():
-    """(module.qualified name, def node) for top-level functions and methods."""
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for module, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, funcs):
-                yield f"{module}.{node.name}", node
-            elif isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, funcs):
-                        yield f"{module}.{node.name}.{sub.name}", sub
-
-
 def _registered(node) -> bool:
     return any(isinstance(d, ast.Attribute) and d.attr == "register"
                for d in node.decorator_list)
@@ -104,7 +88,7 @@ def test_every_function_has_a_caller():
     everywhere = sum((_names(tree) for tree in TREES.values()), _table_names())
     boundary = _boundary()
     callerless = []
-    for qualname, node in _definitions():
+    for qualname, node in src_definitions():
         name = node.name
         if name.startswith("__") and name.endswith("__") or _registered(node):
             continue
@@ -201,7 +185,7 @@ def _defaulted(qualname, node):
 def test_every_option_has_a_caller():
     calls = _calls()
     unpassed = []
-    for qualname, node in _definitions():
+    for qualname, node in src_definitions():
         if node.name.startswith("__") and node.name.endswith("__"):
             continue
         for position, name in _defaulted(qualname, node):
@@ -225,7 +209,7 @@ def _memoised(node) -> bool:
 def _memos() -> set:
     """module.name of every memoised function and every module-level name a
     function of the same module stores into."""
-    out = {qualname for qualname, node in _definitions() if _memoised(node)}
+    out = {qualname for qualname, node in src_definitions() if _memoised(node)}
     for module, tree in TREES.items():
         top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
@@ -289,7 +273,7 @@ def _calls_to(node, name: str) -> int:
 
 
 def test_only_make_class_builds_a_brauer_class():
-    builders = [qualname for qualname, node in _definitions()
+    builders = [qualname for qualname, node in src_definitions()
                 if _calls_to(node, "BrauerClass")]
     assert builders == ["brauer.make_class"]
     assert sum(_calls_to(tree, "BrauerClass") for tree in TREES.values()) == 1, \
@@ -297,7 +281,7 @@ def test_only_make_class_builds_a_brauer_class():
 
 
 def test_only_two_readers_list_span_members():
-    callers = [qualname for qualname, node in _definitions() if _calls_to(node, "span_members")]
+    callers = [qualname for qualname, node in src_definitions() if _calls_to(node, "span_members")]
     assert sorted(callers) == ["covers.quadratic_cover_scan", "extensions.span_squarefree"]
     assert sum(_calls_to(tree, "span_members") for tree in TREES.values()) == 2, \
         "span_members(...) called outside those two functions"
