@@ -204,10 +204,13 @@ def howell(n: int, rows, basis: dict | None = None) -> dict:
     entry does not divide the row's, the row, holding the remainder, takes
     the column and the old row goes back in (Euclid).  A row taking a column
     is scaled by a unit to pivot entry g = gcd(entry, n), and (n/g) * row,
-    zero there, goes on: that gives the Howell property.
+    zero there, goes on: that gives the Howell property.  The rows are
+    reduced mod n first; the given basis is taken as howell returned it.
     """
     require_positive(n)
-    basis, todo = dict(basis or ()), list(rows)
+    basis = dict(basis or ())
+    # a row entry outside [1, n) would become a pivot entry or a stray zero
+    todo = [{k: x % n for k, x in row.items() if x % n} for row in rows]
     while todo:
         v = todo.pop()
         while v:
@@ -232,6 +235,7 @@ def howell(n: int, rows, basis: dict | None = None) -> dict:
 
 
 def span_order(n: int, basis: dict) -> int:
+    require_positive(n)
     return prod(n // row[j] for j, row in basis.items())
 
 
@@ -248,6 +252,7 @@ def _coset_least(n: int, basis: dict, v: dict) -> dict:
 
 def span_members(n: int, basis: dict) -> list:
     """Every member, as a row: only for groups known to be small."""
+    require_positive(n)
     out = [{}]
     for j, row in basis.items():
         out = [_axpy(x, c, row, n) for x in out for c in range(n // row[j])]

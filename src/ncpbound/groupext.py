@@ -244,18 +244,26 @@ def power_criterion(E: CentralExt, x) -> bool:
     return E.a == 0 or _power_kernel(E, x, _vec_order(x, E.orders)) % E.p != 0
 
 
-def fiber_cyclicity(E: CentralExt) -> dict:
+def fiber_cyclicity(E: CentralExt) -> tuple:
     """Whether the fiber over <x> is cyclic, for every nontrivial x of the
-    quotient.  The fiber is the preimage of the subgroup <x>, which m x
-    generates too for m prime to ord(x), so one fiber per cyclic subgroup
-    decides all of its generators."""
-    cyclic = {}
-    for n, x in _lines_for(E.p, E.orders):
+    quotient, and whether power_criterion agrees at every x.  The fiber is
+    the preimage of the subgroup <x>, which m x generates too for m prime
+    to n = ord(x), so one fiber per cyclic subgroup decides all of its
+    generators.  One power criterion does too: n x_i / o_i is an integer
+    and p | n, so the t-part of m x's power form is m times x's mod p, and
+    the commutator part carries C(n, 2), which is 0 mod p unless p = n = 2,
+    a line with the one generator x.  So the kernel part of s(m x)^n is m
+    times that of s(x)^n mod p, and m is prime to p."""
+    p = E.p
+    cyclic, law_holds, units = {}, True, {}
+    for n, x in _lines_for(p, E.orders):
         verdict = fiber_is_cyclic(E, x)
-        units = [m for m in range(1, n) if gcd(m, n) == 1]
-        for y in _multiples(x, units, E.orders):
+        law_holds = law_holds and verdict == (E.a == 0 or _power_kernel(E, x, n) % p != 0)
+        if n not in units:
+            units[n] = [m for m in range(1, n) if gcd(m, n) == 1]
+        for y in _multiples(x, units[n], E.orders):
             cyclic[y] = verdict
-    return cyclic
+    return cyclic, law_holds
 
 
 def verify_lemma_34(E: CentralExt, x) -> bool:
@@ -283,18 +291,23 @@ def verify_lemma_35(E: CentralExt) -> Lemma35Report:
     """Is gamma a homomorphism on the p-torsion of the quotient?  For odd p
     it always is; for p = 2 exactly when every commutator value on the
     2-torsion is a kernel square.  The report pairs the observed status
-    with that criterion.  The p-torsion is an F_p-space with basis
-    b_i = (o_i/p) e_i, so gamma is one iff it equals the linear map through
-    the gamma(b_i) at every torsion element: p^k evaluations of the power
-    form (k the rank).  beta is bilinear on the integer representatives, so
-    for p = 2 its parity on the torsion is decided on the pairs (b_i, b_j)."""
+    with that criterion.  Writing s(x) s(y) = z s(x + y) with z central and
+    expanding (s(x) s(y))^p in class 2 gives the polarization
+    gamma(x + y) - gamma(x) - gamma(y) = C(p, 2) beta(y, x) mod p, a
+    bilinear form on the p-torsion, an F_p-space with basis
+    b_i = (o_i/p) e_i.  It is alternating, so gamma is additive iff
+    gamma(b_i + b_j) = gamma(b_i) + gamma(b_j) for i < j: k + k(k-1)/2
+    evaluations of the power form (k the rank), read without beta.  beta
+    is bilinear on the integer representatives, so for p = 2 its parity on
+    the torsion is decided on the same pairs."""
     p = E.p
     basis = [tuple(o // p if j == i else 0 for j, o in enumerate(E.orders))
              for i in range(len(E.orders))]
     on_basis = [gamma(E, b) for b in basis]
     hom = all(
-        gamma(E, x) == sum(v * p // o * g for v, o, g in zip(x, E.orders, on_basis)) % p
-        for x in _p_torsion(E)
+        gamma(E, tuple(u + v for u, v in zip(basis[i], basis[j])))
+        == (on_basis[i] + on_basis[j]) % p
+        for (i, j), _ in E.pairs
     )
     criterion = p % 2 == 1 or all(
         beta(E, basis[i], basis[j]) % 2 == 0 for (i, j), _ in E.pairs

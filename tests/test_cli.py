@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import perfbench_module
 from ncpbound import arith, cli, extensions, groupext, isolation
 from ncpbound.arith import QZ, factorize, primes_upto
 from ncpbound.brauer import make_class
@@ -855,6 +856,20 @@ class TestVerifyPerSubgroup:
         rng = random.Random(5)
         data = rng.sample(_data(3, 2, (9, 3)), 6)
         self._check(monkeypatch, capsys, 3, 2, (9, 3), data)
+
+    def test_matches_per_element_loop_on_the_workload_argv(self, monkeypatch, capsys):
+        workloads = perfbench_module("workloads")
+        argvs = sorted({
+            op.argv for seed in (1, 2, 3, 4, 7) for op in workloads.make_ops("groupext", seed)
+            if op.argv[:2] == ("groupext", "verify")
+        })
+        assert len(argvs) > 100
+        for argv in argvs:
+            got = self._stdout_and_code(capsys, list(argv))
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_groupext_verify", _verify_by_element)
+                want = self._stdout_and_code(capsys, list(argv))
+            assert got == want, argv
 
     @pytest.mark.parametrize(
         "p,a,orders,t,c",

@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 
 import pytest
 from helpers import ext_pow, identity, oracle_fiber, oracle_lemma_35, oracle_lines_for
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncpbound import groupext
 from ncpbound.errors import ValidationError
@@ -239,7 +239,9 @@ class TestFiber:
                 for x in product(*(range(o) for o in E.orders))
                 if any(x)
             }
-            assert fiber_cyclicity(E) == want, E
+            cyclic, law_holds = fiber_cyclicity(E)
+            assert cyclic == want, E
+            assert law_holds == all(v == power_criterion(E, x) for x, v in want.items()), E
 
 
 def _line_shapes(p):
@@ -369,6 +371,65 @@ class TestLemma34:
             power_criterion(q8(), (1, 0, 7))
 
 
+@st.composite
+def _line_criterion_exts(draw):
+    """p in {2, 3, 5}, a in 0..3, rank 1 to 3 with factors p, p^2 or p^3
+    (at most 5^4 quotient elements), and any valid data."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    a = draw(st.integers(0, 3))
+    orders = tuple(draw(st.lists(st.sampled_from((p, p * p, p**3)), min_size=1, max_size=3)
+                        .filter(lambda os: prod(os) <= 5**4)))
+    pa = p**a
+    t = tuple(draw(st.integers(0, pa - 1)) for _ in orders)
+    c = tuple(
+        pa // gcd(orders[i], orders[j], pa) * draw(st.integers(0, pa - 1)) % pa
+        for i, j in combinations(range(len(orders)), 2)
+    )
+    return CentralExt(p, a, orders, t, c)
+
+
+class TestPowerCriterionPerLine:
+    @settings(deadline=None, max_examples=60)
+    @given(E=_line_criterion_exts())
+    # a = 0; p = 2 with lines of order 2 and commutators; a kernel part
+    # nonzero mod p^a but 0 mod p, at p = 2 and at p = 3 on a line of order 9
+    @example(E=ext_build(2, 0, (2, 4), (0, 0), (0,)))
+    @example(E=ext_build(2, 1, (2, 2, 2), (1, 0, 1), (1, 0, 1)))
+    @example(E=ext_build(2, 2, (2, 2), (2, 0), (0,)))
+    @example(E=ext_build(3, 3, (9, 3), (3, 9), (9,)))
+    def test_one_criterion_per_line_decides_every_generator(self, E):
+        cyclic, law_holds = fiber_cyclicity(E)
+        assert law_holds == all(v == power_criterion(E, x) for x, v in cyclic.items())
+        for n, x in _lines_for(E.p, E.orders):
+            want = power_criterion(E, x)
+            for m in range(2, n):
+                if gcd(m, n) == 1:
+                    y = tuple(m * v % o for v, o in zip(x, E.orders))
+                    assert power_criterion(E, y) == want, (E, x, m)
+
+    @pytest.mark.parametrize("p,a,orders,t,c", [
+        (2, 2, (4, 4, 2), (1, 2, 1), (2, 0, 2)), (3, 2, (9, 3), (4, 1), (3,)),
+        (5, 1, (5, 5), (0, 0), (1,)), (2, 3, (4, 2, 2), (2, 4, 0), (4, 0, 0)),
+    ])
+    def test_verify_evaluates_the_power_form_per_line_and_basis_pair(
+            self, monkeypatch, capsys, p, a, orders, t, c):
+        from ncpbound.cli import main
+        from ncpbound.groupext import _power_form
+
+        calls = []
+        monkeypatch.setattr(
+            groupext, "_power_form", lambda *args: calls.append(args) or _power_form(*args)
+        )
+        argv = ["groupext", "verify", "--p", str(p), "--a", str(a)] + [
+            flag for name, vals in (("--orders", orders), ("--t", t), ("--c", c))
+            for flag in (name, ",".join(map(str, vals)))
+        ]
+        main(argv)
+        capsys.readouterr()
+        k = len(orders)
+        assert len(calls) == len(_lines_for(p, orders)) + k + k * (k - 1) // 2
+
+
 ZERO_DATUM_SHAPES = [
     (2, (2,) * 9), (2, (4,) + (2,) * 8), (3, (3,) * 6), (5, (5,) * 4), (7, (7,) * 3),
 ]
@@ -437,7 +498,7 @@ class TestLemma35:
         calls = _count_lemma_35_calls(monkeypatch)
         report = verify_lemma_35(E)
         assert report.homomorphism and report.criterion and report.consistent
-        assert calls["gamma"] <= p**k + k and calls["beta"] <= k * (k - 1) // 2
+        assert calls["gamma"] <= k + k * (k - 1) // 2 and calls["beta"] <= k * (k - 1) // 2
 
     def test_basis_checks_match_the_all_pairs_oracle(self):
         verdicts = set()
@@ -453,14 +514,14 @@ class TestLemma35:
         assert verify_lemma_35(E) == oracle_lemma_35(E)
 
     def test_work_is_linear_in_the_torsion(self, monkeypatch):
-        # p^k evaluations of gamma plus one per basis element, one beta per
-        # basis pair and none for odd p
+        # one evaluation of gamma per basis element and per basis pair, one
+        # beta per basis pair and none for odd p
         calls = _count_lemma_35_calls(monkeypatch)
         for E in _lemma_35_fixtures():
             calls.clear()
             verify_lemma_35(E)
             k = len(E.orders)
-            assert calls["gamma"] <= E.p**k + k, E
+            assert calls["gamma"] <= k + k * (k - 1) // 2, E
             assert calls["beta"] <= (k * (k - 1) // 2 if E.p == 2 else 0), E
 
     def test_even_square_commutators_give_homomorphism(self):

@@ -115,6 +115,29 @@ class TestHowellAgainstGrow:
             with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
                 howell(n, [{0: 1}])
 
+    def test_unreduced_rows_are_reduced_mod_n(self):
+        # mod 1 every row is zero: the span is trivial, not a row {}
+        basis = howell(1, [{0: 1, 1: 2}, {1: 2}])
+        assert basis == {} and span_order(1, basis) == 1
+        assert howell(6, [{0: 7, 1: -2, 2: 6}]) == howell(6, [{0: 1, 1: 4}])
+
+    @given(_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unreduced_rows_give_the_basis_of_their_reduced_twins(self, drawn, data):
+        n, width, rows = drawn
+        shifts = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+        unreduced = [
+            {k: x + n * d for k, (x, d) in enumerate(zip(r, data.draw(shifts)))}
+            for r in rows
+        ]
+        assert howell(n, unreduced) == howell(n, [_row(r) for r in rows])
+
+    @pytest.mark.parametrize("reader", [span_order, span_members])
+    def test_span_readers_refuse_n_below_1(self, reader):
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^n must be at least 1, got {n}$"):
+                reader(n, {})
+
     def test_grown_basis_leaves_the_given_one_as_it_was(self):
         basis = howell(4, [{0: 2}])
         frozen = {j: dict(row) for j, row in basis.items()}
